@@ -363,30 +363,21 @@ def render_report(report) -> str:
     return "".join(parts)
 
 
-def _atomic_write(path, text: str) -> None:
+def _atomic_file(path, content) -> None:
+    """Write content to a temp file beside path, then rename it onto path.
+
+    content is either the text to write or a writer(tmp_path) callable.
+    """
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".imhyp.")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
-def _atomic_file(path, writer) -> None:
-    """Run writer(tmp_path) then rename tmp_path onto path."""
-    path = os.fspath(path)
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".imhyp.")
-    os.close(fd)
-    try:
-        writer(tmp)
+        if callable(content):
+            os.close(fd)
+            content(tmp)
+        else:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(content)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -464,25 +455,28 @@ def _linearizations(p, domain) -> list:
             raise ConfigError(
                 f"{len(labels)} labels for {len(jacs)} Jacobians"
             )
-        return [
+        lins = [
             Linearization(domain, nu, _jac_matrix(j), label=lab)
             for j, lab in zip(jacs, labels)
         ]
-    if field_name == "cubic-scalar":
+    elif field_name == "cubic-scalar":
         # f(u) = u - u^3: equilibria 0 and +-1 with f'(u) = 1 - 3u^2
         pairs = (("0", 1.0), ("+1", -2.0), ("-1", -2.0))
-        return [
+        lins = [
             Linearization(domain, nu, np.array([[d]]), label=lab)
             for lab, d in pairs
         ]
-    field = _planar_field(field_name)
-    lins = []
-    for a in fixed_points(field):
-        x, y = a.point_float
-        jac = np.array([[float(v) for v in row] for row in a.jacobian])
-        lins.append(
-            Linearization(domain, nu, jac, label=f"({x:.6g},{y:.6g})")
-        )
+    else:
+        lins = []
+        for a in fixed_points(_planar_field(field_name)):
+            x, y = a.point_float
+            jac = np.array([[float(v) for v in row] for row in a.jacobian])
+            lins.append(
+                Linearization(domain, nu, jac, label=f"({x:.6g},{y:.6g})")
+            )
+    if not lins:
+        source = "jacs" if jacs is not None else f"field {field_name!r}"
+        raise ConfigError(f"no equilibria to linearize: {source} gives none")
     return lins
 
 
@@ -659,16 +653,17 @@ def _run_lemma33(p):
     if region is not None:
         kwargs["region"] = region
     check = lemma33_check(field, **kwargs)
+    matches = check.matches or {}
     result = {
         "ladder_found": bool(check.verdict),
         "matches": {
-            str(target): _analysis_row(a) for target, a in check.matches.items()
+            str(target): _analysis_row(a) for target, a in matches.items()
         },
     }
     if check.verdict:
         verdict = "delta ladder 0,1,2,3 realized by distinct fixed points"
     else:
-        missing = sorted(set(range(4)) - set(check.matches))
+        missing = sorted(set(range(4)) - set(matches))
         verdict = f"no delta ladder: missing targets {missing}"
     return result, verdict
 
@@ -694,7 +689,7 @@ def _run_prop34(p):
         "points": [[float(x), float(y)] for x, y in consts.points],
         "deltas": [float(d) for d in consts.deltas],
     }
-    ok = consts.checklist.all_pass
+    ok = consts.checklist.all_pass()
     verdict = (
         f"{'PASS' if ok else 'FAIL'}: a* = {consts.a_star:.17g}, "
         f"middle-gap residual {consts.phi_residual:.3g}"
@@ -835,7 +830,7 @@ def _run_nhim_dims(p):
         cert = nhim_certificate(lins, p["cutoff"], gap_min=p["gap-min"])
         result["certificate"] = cert.to_json_dict()
         if p.get("cert"):
-            _atomic_write(p["cert"], render_report(cert.to_json_dict()))
+            _atomic_file(p["cert"], render_report(cert.to_json_dict()))
         if cert.empty:
             verdict = (
                 f"no common feasible dimension up to cutoff {p['cutoff']:g}"
@@ -860,7 +855,7 @@ def _run_anhim(p):
     cert = anhim_common_gamma(lins, p["cutoff"])
     result = cert.to_json_dict()
     if p.get("cert"):
-        _atomic_write(p["cert"], render_report(result))
+        _atomic_file(p["cert"], render_report(result))
     if cert.empty:
         verdict = f"ANHIM obstruction: empty up to cutoff {p['cutoff']:g}"
     else:
@@ -1065,7 +1060,7 @@ def main(argv=None) -> int:
         text = render_report(report)
         out = report["config"].get("out")
         if out:
-            _atomic_write(out, text)
+            _atomic_file(out, text)
             print(report["verdict"])
         else:
             print(text, end="")

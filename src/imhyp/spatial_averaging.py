@@ -15,7 +15,6 @@ independent oracle.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -117,13 +116,6 @@ def h2_norm(h: Multiplier) -> float:
     return math.sqrt(total)
 
 
-def _mode_norm_factor(m: int, a: float) -> float:
-    # per-axis L2 normalization of cos(m x / a) on (0, pi a)
-    if m == 0:
-        return math.sqrt(1.0 / (math.pi * a))
-    return math.sqrt(2.0 / (math.pi * a))
-
-
 def window_modes(domain: BoxDomain, lam: float, k: float) -> list[tuple[int, ...]]:
     """Eigenmode index vectors with eigenvalue in (lam-k, lam+k].
 
@@ -168,116 +160,64 @@ def window_modes(domain: BoxDomain, lam: float, k: float) -> list[tuple[int, ...
     return [tuple(int(c[i]) for c in cols) for i in order]
 
 
-def _mode_lookup(M: np.ndarray, shift: int, base: int):
-    """Sorted integer encoding of mode rows for O(log n) membership tests."""
-    enc = np.zeros(M.shape[0], dtype=np.int64)
-    for t in range(M.shape[1]):
-        enc = enc * base + (M[:, t] + shift)
-    order = np.argsort(enc, kind="stable")
-    return enc[order], order
+def _axis_factor(idx: np.ndarray, f: int, neumann: bool) -> np.ndarray:
+    """One axis of <e_m, cos(f x / a) e_n>, for m, n over the indices idx.
+
+    Neumann: cos(mt) cos(ft) cos(nt) = (1/4) sum over s1, s2 = +-1 of
+    cos((m + s1 f + s2 n) t), so the integral over (0, pi a) is
+    (pi a / 4) N(m) N(n) times the number of sign pairs with
+    m + s1 f + s2 n = 0.  With N(0)^2 = 1/(pi a) and N(m)^2 = 2/(pi a)
+    the side cancels, leaving sqrt(w_m w_n) / 4 per hit, w = 1 or 2.
+    Periodic: the Fourier coefficient (1/2)([m - n = f] + [m - n = -f]),
+    which is [m = n] for f = 0.  Both tables are symmetric entry by entry.
+    """
+    m, n = idx[:, None], idx[None, :]
+    if not neumann:
+        return 0.5 * ((m - n == f).astype(float) + (m - n == -f))
+    hits = (m + n == f).astype(float) + (m - n == f) + (n - m == f)
+    hits += m + n + f == 0
+    w = np.where(idx > 0, 2.0, 1.0)
+    return hits * (np.sqrt(np.outer(w, w)) / 4.0)
 
 
-def _find_rows(T: np.ndarray, enc_sorted, order, shift: int, base: int):
-    """Row indices of T inside the encoded mode set (or -1)."""
-    tenc = np.zeros(T.shape[0], dtype=np.int64)
-    oob = np.zeros(T.shape[0], dtype=bool)
-    for t in range(T.shape[1]):
-        shifted = T[:, t] + shift
-        oob |= (shifted < 0) | (shifted >= base)
-        tenc = tenc * base + np.clip(shifted, 0, base - 1)
-    pos = np.searchsorted(enc_sorted, tenc)
-    pos = np.clip(pos, 0, enc_sorted.size - 1)
-    hit = (enc_sorted[pos] == tenc) & ~oob
-    out = np.full(T.shape[0], -1, dtype=np.int64)
-    out[hit] = order[pos[hit]]
-    return out
+def _compress(h: Multiplier, modes) -> np.ndarray:
+    """E = sum over f != 0 of c_f prod_j T_j^{f_j}[m_j, n_j] over the modes.
 
-
-def _neumann_entries(h: Multiplier, modes) -> np.ndarray:
-    dim = h.domain.dim
-    scales = h.domain.axis_scales
-    zero = (0,) * dim
-    M = np.array(modes, dtype=np.int64).reshape(len(modes), dim)
-    n_modes = M.shape[0]
-
-    norm_axis = np.where(M > 0, 2.0, 1.0) / (math.pi * np.array(scales))
-    norms = np.sqrt(np.prod(norm_axis, axis=1))
-
-    shift = int(M.max()) + h.max_frequency + 1
-    base = 2 * shift + 1
-    enc_sorted, order = _mode_lookup(M, shift, base)
-
-    E = np.zeros((n_modes, n_modes))
-    col = np.arange(n_modes)
-    for s in itertools.product((1, -1), repeat=dim):
-        SN = M * np.array(s, dtype=np.int64)
-        for f, c in h.coeffs.items():
-            if f == zero:
-                continue  # the subtracted mean
-            weight = c / (1 << dim)
-            for g, a in zip(f, scales):
-                weight *= math.pi * a if g == 0 else math.pi * a / 2.0
-            nz = [t for t in range(dim) if f[t] != 0]
-            for sig in itertools.product((1, -1), repeat=len(nz)):
-                v = np.zeros(dim, dtype=np.int64)
-                for sgn, t in zip(sig, nz):
-                    v[t] = sgn * f[t]
-                rows = _find_rows(SN + v, enc_sorted, order, shift, base)
-                hit = rows >= 0
-                np.add.at(E, (rows[hit], col[hit]), weight)
-    E *= np.outer(norms, norms)
-    # each ordered pair accumulates its full sum; mirror one triangle so the
-    # matrix is symmetric exactly, not just up to addition order
-    upper = np.triu(E, 1)
-    return upper + upper.T + np.diag(np.diag(E))
-
-
-def _periodic_entries(h: Multiplier, modes) -> np.ndarray:
-    dim = h.domain.dim
-    fourier: dict = {}
+    Each T_j is a table over the distinct indices on axis j, gathered to the
+    mode pairs.  Every factor is symmetric entry by entry, so E is too,
+    bit for bit.
+    """
+    neumann = h.domain.bc == "neumann"
+    M = np.array(modes, dtype=np.int64).reshape(len(modes), h.domain.dim)
+    axes = [np.unique(col, return_inverse=True) for col in M.T]
+    E = np.zeros((M.shape[0], M.shape[0]))
     for f, c in h.coeffs.items():
-        nz = [t for t in range(dim) if f[t] != 0]
-        share = c * 0.5 ** len(nz)
-        for signs in itertools.product((1, -1), repeat=len(nz)):
-            g = list(f)
-            for s, t in zip(signs, nz):
-                g[t] = s * f[t]
-            key = tuple(g)
-            fourier[key] = fourier.get(key, 0.0) + share
-    fourier.pop((0,) * dim, None)  # the subtracted mean
-
-    M = np.array(modes, dtype=np.int64).reshape(len(modes), dim)
-    n_modes = M.shape[0]
-    shift = int(np.abs(M).max()) + h.max_frequency + 1
-    base = 2 * shift + 1
-    enc_sorted, order = _mode_lookup(M, shift, base)
-
-    E = np.zeros((n_modes, n_modes))
-    col = np.arange(n_modes)
-    for g, c in fourier.items():
-        rows = _find_rows(M + np.array(g, dtype=np.int64), enc_sorted, order, shift, base)
-        hit = rows >= 0
-        E[rows[hit], col[hit]] += c
-    upper = np.triu(E, 1)
-    return upper + upper.T + np.diag(np.diag(E))
+        if not any(f):
+            continue  # the subtracted mean
+        term = np.full(E.shape, c)
+        for g, (idx, inv) in zip(f, axes):
+            term *= _axis_factor(idx, g, neumann)[inv][:, inv]
+        E += term
+    return E
 
 
 def windowed_matrix(h: Multiplier, lam: float, k: float) -> np.ndarray:
     """Mean-free multiplier compressed to the modes in (lam-k, lam+k].
 
     Entries <e_m, (h - mean) e_n> for orthonormal eigenmodes, in closed form
-    from the coefficient table; symmetric by construction, zero diagonal for
-    windows that cannot reach frequency 2*min index (always for m = n when
-    2m is outside the band).
+    from the coefficient table.  Modes and cosine terms factor over the
+    axes, so each entry is sum over f != 0 of c_f times a product of 1-D
+    factors t_j(m_j, n_j, f_j) (the cosine product rule, see _axis_factor).
+    The result is symmetric exactly.  A diagonal entry (m, m) is zero unless
+    some f != 0 has f_j in {0, 2 m_j} on every axis, which only a Neumann
+    box allows.
     """
     modes = window_modes(h.domain, lam, k)
     if not modes:
         raise PreconditionError(
             f"window ({lam - k:.6g}, {lam + k:.6g}] contains no modes"
         )
-    if h.domain.bc == "neumann":
-        return _neumann_entries(h, modes)
-    return _periodic_entries(h, modes)
+    return _compress(h, modes)
 
 
 def windowed_norm(h: Multiplier, lam: float, k: float) -> float:
@@ -328,13 +268,7 @@ def sap_scan(
             continue
         mid = 0.5 * (lo + hi)
         modes = window_modes(h.domain, mid, k)
-        if modes:
-            if h.domain.bc == "neumann":
-                op = spectral_norm(_neumann_entries(h, modes))
-            else:
-                op = spectral_norm(_periodic_entries(h, modes))
-        else:
-            op = 0.0
+        op = spectral_norm(_compress(h, modes)) if modes else 0.0
         eps = op / hnorm if hnorm > 0.0 else 0.0
         reports.append(
             SAPWindowReport(

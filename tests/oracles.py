@@ -138,7 +138,7 @@ def quadrature_windowed_matrix(h, lam, k):
     multiplier are evaluated on a tensor grid dense enough to integrate the
     band-limited integrands exactly.
     """
-    from imhyp.spatial_averaging import window_modes, _mode_norm_factor
+    from imhyp.spatial_averaging import window_modes
 
     domain = h.domain
     dim = domain.dim
@@ -181,7 +181,11 @@ def quadrature_windowed_matrix(h, lam, k):
 
         Phi = np.empty((len(modes), pts**dim))
         for i, m in enumerate(modes):
-            norm = math.prod(_mode_norm_factor(mj, a) for mj, a in zip(m, scales))
+            # cos(m x / a) has squared L2 norm pi a (m = 0) or pi a / 2 on (0, pi a)
+            norm = math.prod(
+                math.sqrt((1.0 if mj == 0 else 2.0) / (math.pi * a))
+                for mj, a in zip(m, scales)
+            )
             Phi[i] = norm * mode_values(m)
         return (Phi * (weights * hvals)) @ Phi.T
 

@@ -1,5 +1,6 @@
 """CLI driver: validation diagnostics, dispatch, exit codes, reproducible reports."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -123,6 +124,32 @@ class TestCertificates:
         assert eq["dims"] == sorted(eq["dims"])
         assert "certificate" not in report["result"]
 
+    def test_prop34_verdict_follows_checklist(self, monkeypatch):
+        solve = driver_mod.solve_prop34
+
+        def one_failing_check(**kwargs):
+            consts = solve(**kwargs)
+            checklist = dataclasses.replace(consts.checklist, ordering=False)
+            return dataclasses.replace(consts, checklist=checklist)
+
+        monkeypatch.setattr(driver_mod, "solve_prop34", one_failing_check)
+        report = run({"command": "prop34"})
+        assert report["result"]["checklist"]["ordering"] is False
+        assert report["verdict"].startswith("FAIL")
+
+    def test_lemma33_without_ladder(self, capsys, tmp_path):
+        # x' = x - x^3, y' = -y: three fixed points, no delta ladder
+        field = tmp_path / "field.json"
+        field.write_text(json.dumps({
+            "kind": "poly", "f1": [[1, 0, 1.0], [3, 0, -1.0]],
+            "f2": [[0, 1, -1.0]],
+        }))
+        code, out, err = cli(capsys, "lemma33", "--field", str(field))
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        assert report["result"] == {"ladder_found": False, "matches": {}}
+        assert report["verdict"].startswith("no delta ladder: missing targets [")
+
 
 class TestMainExitCodes:
     def test_success(self, capsys):
@@ -244,6 +271,14 @@ class TestFilesAndConfig:
         )
         assert code == 1
         assert "exactly one" in err
+
+    @pytest.mark.parametrize("cmd", ["nhim-dims", "parity", "anhim"])
+    def test_empty_jacs(self, capsys, cmd):
+        code, out, err = cli(
+            capsys, cmd, "--jacs", "", "--nu", "0.5", "--cutoff", "60"
+        )
+        assert code == 1 and out == ""
+        assert "no equilibria" in err
 
     def test_unknown_builtin_field(self, capsys):
         code, _, err = cli(

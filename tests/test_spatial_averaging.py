@@ -26,6 +26,14 @@ from oracles import quadrature_windowed_matrix
 
 CUBE = BoxDomain(dim=3)
 TORUS2 = BoxDomain(dim=2, bc="periodic")
+# windowed-matrix inputs beyond the pi-cube and pi-torus: one axis, non-pi
+# sides and a 3-D torus
+NEUMANN_BOXES = (CUBE, BoxDomain(dim=1), BoxDomain(dim=2, sides=(2.3, 3.7)))
+PERIODIC_BOXES = (
+    TORUS2,
+    BoxDomain(dim=3, bc="periodic"),
+    BoxDomain(dim=2, sides=(2.5, 3.3), bc="periodic"),
+)
 
 COS_X1 = Multiplier(CUBE, {(1, 0, 0): 1.0})
 
@@ -203,35 +211,40 @@ class TestWindowedMatrix:
 
     def test_exactly_symmetric(self):
         rng = np.random.default_rng(21)
-        for _ in range(8):
-            h = random_multiplier(rng, CUBE)
-            lam = float(rng.uniform(4, 40))
-            E = windowed_matrix(h, lam, 2.0)
-            assert np.array_equal(E, E.T)
+        for domain in NEUMANN_BOXES + PERIODIC_BOXES:
+            for _ in range(8):
+                h = random_multiplier(rng, domain)
+                lam = float(rng.uniform(4, 40))
+                if not window_modes(domain, lam, 2.0):
+                    continue
+                E = windowed_matrix(h, lam, 2.0)
+                assert np.array_equal(E, E.T)
 
     def test_matches_quadrature_neumann(self):
         rng = np.random.default_rng(22)
-        for _ in range(20):
-            h = random_multiplier(rng, CUBE)
-            lam = float(rng.uniform(3, 50))
-            k = float(rng.uniform(0.5, 3.5))
-            if not window_modes(CUBE, lam, k):
-                continue
-            E = windowed_matrix(h, lam, k)
-            Q = quadrature_windowed_matrix(h, lam, k)
-            assert np.abs(E - Q).max() < 1e-10
+        for domain in NEUMANN_BOXES:
+            for _ in range(20):
+                h = random_multiplier(rng, domain)
+                lam = float(rng.uniform(3, 50))
+                k = float(rng.uniform(0.5, 3.5))
+                if not window_modes(domain, lam, k):
+                    continue
+                E = windowed_matrix(h, lam, k)
+                Q = quadrature_windowed_matrix(h, lam, k)
+                assert np.abs(E - Q).max() < 1e-10
 
     def test_matches_quadrature_periodic(self):
         rng = np.random.default_rng(23)
-        for _ in range(10):
-            h = random_multiplier(rng, TORUS2, max_freq=3)
-            lam = float(rng.uniform(2, 30))
-            k = float(rng.uniform(0.5, 2.5))
-            if not window_modes(TORUS2, lam, k):
-                continue
-            E = windowed_matrix(h, lam, k)
-            Q = quadrature_windowed_matrix(h, lam, k)
-            assert np.abs(E - Q).max() < 1e-10
+        for domain in PERIODIC_BOXES:
+            for _ in range(10):
+                h = random_multiplier(rng, domain, max_freq=3)
+                lam = float(rng.uniform(2, 30))
+                k = float(rng.uniform(0.5, 2.5))
+                if not window_modes(domain, lam, k):
+                    continue
+                E = windowed_matrix(h, lam, k)
+                Q = quadrature_windowed_matrix(h, lam, k)
+                assert np.abs(E - Q).max() < 1e-10
 
     def test_constant_gives_zero_matrix(self):
         h = Multiplier(CUBE, {(0, 0, 0): 5.0})
