@@ -8,6 +8,7 @@ so readers never observe a half-written report.
 
 from __future__ import annotations
 
+import dataclasses
 import difflib
 import json
 import math
@@ -50,6 +51,7 @@ from .spatial_averaging import (
 )
 from .stationary_spectrum import (
     Linearization,
+    Witness,
     anhim_common_gamma,
     count_profile,
     lemma41_threshold,
@@ -136,7 +138,6 @@ def _schema(*params: Param) -> dict:
         Param("csv", "path"),
         Param("cert", "path"),
         Param("timing", "bool", default=False),
-        Param("threads", "int", positive=True),
         Param("seed", "int", default=0),
         Param("periodic-scaling", "str", default="paper",
               choices=("paper", "standard")),
@@ -160,7 +161,7 @@ SCHEMAS = {
     "jump": _schema(
         *_DOMAIN,
         Param("cutoff", "float", required=True, positive=True),
-        Param("theta", "float", default=0.5, positive=True),
+        Param("theta", "float", default=JumpQuery.theta),
         Param("lip", "float", default=1.0, positive=True),
         Param("cconst", "float", default=1.0, positive=True),
         Param("nu", "float", default=1.0, positive=True),
@@ -299,20 +300,37 @@ def _resolve(config, schema) -> dict:
             params[key] = _parse_value(param, config[key])
         else:
             params[key] = param.default
-    if params.get("threads") is None:
-        env = os.environ.get("IMHYP_THREADS")
-        if env:
-            try:
-                params["threads"] = max(1, int(env))
-            except ValueError:
-                raise ConfigError(
-                    f"IMHYP_THREADS must be an integer, got {env!r}"
-                ) from None
     return params
 
 
 # ---------------------------------------------------------------------------
 # deterministic JSON rendering (17 significant digits, sorted keys)
+
+_SCALARS = (str, int, float, bool, type(None))
+
+
+def _plain(obj):
+    """obj in plain JSON types: dataclasses as dicts by field name, arrays and
+    tuples as lists, numpy scalars as Python numbers, keys as strings."""
+    # scalars are tested inline: reports carry lists of ~1e5 number pairs
+    if isinstance(obj, (list, tuple)):
+        return [x if type(x) in _SCALARS else _plain(x) for x in obj]
+    if isinstance(obj, dict):
+        return {
+            str(k): v if type(v) in _SCALARS else _plain(v)
+            for k, v in obj.items()
+        }
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if dataclasses.is_dataclass(obj):
+        return _plain({f.name: getattr(obj, f.name)
+                       for f in dataclasses.fields(obj)})
+    if isinstance(obj, np.generic):
+        return obj.item()
+    if type(obj) in _SCALARS:
+        return obj
+    raise TypeError(f"cannot put {type(obj).__name__} in a report")
+
 
 def _fmt_float(x: float) -> str:
     return "%.17g" % float(x)
@@ -342,13 +360,13 @@ def _render(obj, level, parts):
             _render(item, level + 1, parts)
             parts.append(",\n" if i + 1 < len(seq) else "\n")
         parts.append(pad + "]")
-    elif isinstance(obj, (bool, np.bool_)):
+    elif isinstance(obj, bool):
         parts.append("true" if obj else "false")
     elif obj is None:
         parts.append("null")
-    elif isinstance(obj, (int, np.integer)):
-        parts.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
+    elif isinstance(obj, int):
+        parts.append(str(obj))
+    elif isinstance(obj, float):
         parts.append(_fmt_float(obj))
     elif isinstance(obj, str):
         parts.append(json.dumps(obj))
@@ -367,24 +385,28 @@ def _atomic_file(path, content) -> None:
     """Write content to a temp file beside path, then rename it onto path.
 
     content is either the text to write or a writer(tmp_path) callable.
+    A path that cannot be written is a ConfigError.
     """
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".imhyp.")
     try:
-        if callable(content):
-            os.close(fd)
-            content(tmp)
-        else:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(content)
-        os.replace(tmp, path)
-    except BaseException:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".imhyp.")
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            if callable(content):
+                os.close(fd)
+                content(tmp)
+            else:
+                with os.fdopen(fd, "w") as fh:
+                    fh.write(content)
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +421,12 @@ def _build_domain(p) -> BoxDomain:
             )
         return BoxDomain(dim=p["dim"], sides=tuple(sides), bc=p["bc"])
     return BoxDomain(dim=p["dim"], bc=p["bc"])
+
+
+def _spectrum(p):
+    return enumerate_spectrum(
+        _build_domain(p), p["cutoff"], periodic_scaling=p["periodic-scaling"]
+    )
 
 
 def _planar_field(name: str):
@@ -481,140 +509,87 @@ def _linearizations(p, domain) -> list:
 
 
 def _analysis_row(a) -> dict:
-    eigs = []
-    for z in a.eigenvalues:
-        zc = complex(z)
-        eigs.append([zc.real, zc.imag])
+    """A fixed-point analysis with sympy values as floats and complex
+    eigenvalues as [re, im] pairs."""
     return {
-        "point": [float(x) for x in a.point_float],
+        "point": a.point_float,
         "jacobian": [[float(v) for v in row] for row in a.jacobian],
-        "eigenvalues": eigs,
+        "eigenvalues": [[z.real, z.imag] for z in map(complex, a.eigenvalues)],
         "delta": a.delta_float,
         "residual": a.residual_float,
     }
 
 
-def _gap_report_dict(report) -> dict:
-    return {
-        "max_gap": float(report.max_gap),
-        "witness": [float(report.witness[0]), float(report.witness[1])],
-        "gap_histogram": [[float(g), int(c)] for g, c in report.gap_histogram],
-        "sup_trend": [[float(x), float(g)] for x, g in report.sup_trend],
-    }
-
-
-def _witness_dict(w) -> dict:
-    return {"gamma_lo": w.gamma_lo, "gamma_hi": w.gamma_hi, "n": w.n}
-
-
 # ---------------------------------------------------------------------------
-# subcommand runners: each returns (result dict, verdict line)
+# subcommand runners: each returns (result, verdict line); the result may hold
+# library dataclasses and arrays, which run() turns into plain JSON types
 
 def _run_spectrum(p):
-    domain = _build_domain(p)
-    spec = enumerate_spectrum(
-        domain, p["cutoff"], periodic_scaling=p["periodic-scaling"],
-        threads=p.get("threads"),
-    )
+    spec = _spectrum(p)
     if p.get("csv"):
         _atomic_file(p["csv"], spec.to_csv)
+    gaps = gap_stats(spec) if len(spec) >= 2 else None
     result = {
-        "count": int(spec.total_count),
+        "count": spec.total_count,
         "distinct": len(spec),
-        "lowest": float(spec.eigenvalues[0]) if len(spec) else None,
-        "highest": float(spec.eigenvalues[-1]) if len(spec) else None,
+        "lowest": spec.eigenvalues[0] if len(spec) else None,
+        "highest": spec.eigenvalues[-1] if len(spec) else None,
         "csv": p.get("csv"),
+        "gap_report": gaps,
     }
-    if len(spec) >= 2:
-        result["gap_report"] = _gap_report_dict(gap_stats(spec))
-        verdict = (
-            f"{result['count']} modes up to cutoff {p['cutoff']:g}; "
-            f"max gap {result['gap_report']['max_gap']:g}"
-        )
-    else:
-        result["gap_report"] = None
-        verdict = f"{result['count']} modes up to cutoff {p['cutoff']:g}"
+    verdict = f"{spec.total_count} modes up to cutoff {p['cutoff']:g}"
+    if gaps is not None:
+        verdict += f"; max gap {gaps.max_gap:g}"
     return result, verdict
 
 
 def _run_gaps(p):
-    domain = _build_domain(p)
-    spec = enumerate_spectrum(
-        domain, p["cutoff"], periodic_scaling=p["periodic-scaling"],
-        threads=p.get("threads"),
-    )
+    spec = _spectrum(p)
     if len(spec) < 2:
         raise HypothesisNotMet(
             f"only {len(spec)} distinct eigenvalues below {p['cutoff']:g}; "
             "no gaps to report"
         )
     report = gap_stats(spec)
-    result = _gap_report_dict(report)
-    verdict = (
-        f"max gap {result['max_gap']:g} at "
-        f"({result['witness'][0]:g}, {result['witness'][1]:g})"
-    )
-    return result, verdict
+    lo, hi = report.witness
+    return report, f"max gap {report.max_gap:g} at ({lo:g}, {hi:g})"
 
 
 def _run_jump(p):
-    domain = _build_domain(p)
-    spec = enumerate_spectrum(
-        domain, p["cutoff"], periodic_scaling=p["periodic-scaling"],
-        threads=p.get("threads"),
-    )
     query = JumpQuery(theta=p["theta"], lip=p["lip"], cconst=p["cconst"],
                       nu=p["nu"])
-    scan = jump_condition_scan(spec, query)
-    result = {
-        "best_n": int(scan.best_n),
-        "best_ratio": float(scan.best_ratio),
-        "satisfied": bool(scan.satisfied),
-        "best_pair": [float(scan.best_pair[0]), float(scan.best_pair[1])],
-        "ratio_trend": [[float(x), float(r)] for x, r in scan.ratio_trend],
-    }
+    scan = jump_condition_scan(_spectrum(p), query)
     verdict = (
         f"jump condition {'satisfied' if scan.satisfied else 'not satisfied'} "
         f"(best ratio {scan.best_ratio:g} at n={scan.best_n})"
     )
-    return result, verdict
+    return scan, verdict
 
 
 def _run_gauss_audit(p):
     audit = three_square_gap_audit(p["limit"])
     result = {
         "limit": p["limit"],
-        "excluded_count": int(audit.excluded.size),
-        "max_gap": int(audit.max_gap),
-        "gap_witness": [int(audit.gap_witness[0]), int(audit.gap_witness[1])],
-        "max_excluded_run": int(audit.max_excluded_run),
+        "excluded_count": audit.excluded.size,
+        "max_gap": audit.max_gap,
+        "gap_witness": audit.gap_witness,
+        "max_excluded_run": audit.max_excluded_run,
     }
+    lo, hi = audit.gap_witness
     verdict = (
-        f"max gap {result['max_gap']} at "
-        f"({result['gap_witness'][0]}, {result['gap_witness'][1]}) "
-        f"with {result['excluded_count']} excluded values"
+        f"max gap {audit.max_gap} at ({lo}, {hi}) "
+        f"with {audit.excluded.size} excluded values"
     )
     return result, verdict
 
 
 def _run_weyl(p):
-    domain = _build_domain(p)
-    spec = enumerate_spectrum(
-        domain, p["cutoff"], periodic_scaling=p["periodic-scaling"],
-        threads=p.get("threads"),
-    )
-    fit = weyl_fit(spec, domain.dim)
-    result = {
-        "exponent": float(fit.exponent),
-        "expected": float(fit.expected),
-        "residual": float(fit.residual),
-        "n_used": int(fit.n_used),
-    }
+    fit = weyl_fit(_spectrum(p), p["dim"])
     verdict = (
         f"growth exponent {fit.exponent:.4f} "
-        f"(expected {fit.expected:.4f} in dim {domain.dim})"
+        f"(expected {fit.expected:.4f} in dim {p['dim']})"
     )
-    return result, verdict
+    return fit, verdict
 
 
 def _run_fixed_points(p):
@@ -641,9 +616,8 @@ def _run_delta(p):
     if len(at) != 2:
         raise ConfigError("at needs exactly 2 coordinates")
     analysis = delta_of(field, tuple(at))
-    result = _analysis_row(analysis)
     verdict = f"delta = {analysis.delta_float:.17g} at ({at[0]:g}, {at[1]:g})"
-    return result, verdict
+    return _analysis_row(analysis), verdict
 
 
 def _run_lemma33(p):
@@ -653,65 +627,41 @@ def _run_lemma33(p):
     if region is not None:
         kwargs["region"] = region
     check = lemma33_check(field, **kwargs)
-    matches = check.matches or {}
     result = {
-        "ladder_found": bool(check.verdict),
-        "matches": {
-            str(target): _analysis_row(a) for target, a in matches.items()
-        },
+        "ladder_found": check.verdict,
+        "matches": {t: _analysis_row(a) for t, a in check.matches.items()},
     }
     if check.verdict:
         verdict = "delta ladder 0,1,2,3 realized by distinct fixed points"
     else:
-        missing = sorted(set(range(4)) - set(matches))
+        missing = sorted(set(range(4)) - set(check.matches))
         verdict = f"no delta ladder: missing targets {missing}"
     return result, verdict
 
 
 def _run_prop34(p):
-    if p["bracket-lo"] >= p["bracket-hi"]:
-        raise ConfigError("bracket-lo must be below bracket-hi")
     consts = solve_prop34(tol=p["tol"], bracket=(p["bracket-lo"], p["bracket-hi"]))
-    checklist = {
-        "delta1_is_1": consts.checklist.delta1_is_1,
-        "delta3_is_3": consts.checklist.delta3_is_3,
-        "ordering": consts.checklist.ordering,
-        "r0sq_lt_12": consts.checklist.r0sq_lt_12,
-        "points_in_Dc": consts.checklist.points_in_Dc,
-        "points_norm_le_sqrt7": consts.checklist.points_norm_le_sqrt7,
-    }
-    result = {
-        "a_star": float(consts.a_star),
-        "k": float(consts.k),
-        "b": float(consts.b),
-        "phi_residual": float(consts.phi_residual),
-        "checklist": checklist,
-        "points": [[float(x), float(y)] for x, y in consts.points],
-        "deltas": [float(d) for d in consts.deltas],
-    }
     ok = consts.checklist.all_pass()
     verdict = (
         f"{'PASS' if ok else 'FAIL'}: a* = {consts.a_star:.17g}, "
         f"middle-gap residual {consts.phi_residual:.3g}"
     )
-    return result, verdict
+    return consts, verdict
 
 
 def _run_prop35_verify(p):
     report = verify_prop35(exact=p["exact"])
-    deltas = [float(d) for d in report.deltas]
-    errors = [float(e) for e in report.delta_errors]
+    ok = report.ladder_ok()
     result = {
         "exact": report.exact,
-        "deltas": deltas,
-        "delta_errors": errors,
-        "ladder_ok": bool(report.ladder_ok()),
+        "deltas": [float(d) for d in report.deltas],
+        "delta_errors": report.delta_errors,
+        "ladder_ok": ok,
         "points": [_analysis_row(a) for a in report.analyses],
     }
-    worst = max(errors) if errors else 0.0
+    worst = max(report.delta_errors, default=0.0)
     verdict = (
-        f"{'PASS' if result['ladder_ok'] else 'FAIL'}: "
-        f"delta ladder error {worst:.3g} "
+        f"{'PASS' if ok else 'FAIL'}: delta ladder error {worst:.3g} "
         f"({'exact' if report.exact else 'float'} mode)"
     )
     return result, verdict
@@ -720,20 +670,12 @@ def _run_prop35_verify(p):
 def _run_dissipativity(p):
     field = _planar_field(p["field"])
     report = dissipativity_radius(field, samples=p["samples"], seed=p["seed"])
-    result = {
-        "r0": float(report.r0),
-        "verified": bool(report.verified),
-        "component_radii": (
-            None if report.component_radii is None
-            else [float(r) for r in report.component_radii]
-        ),
-    }
     verdict = (
         f"sign condition verified outside radius {report.r0:.17g}"
         if report.verified
         else "sign condition not verified"
     )
-    return result, verdict
+    return report, verdict
 
 
 def _run_region(p):
@@ -747,14 +689,9 @@ def _run_region(p):
 
 
 def _run_index(p):
-    domain = _build_domain(p)
-    lin = Linearization(domain, p["nu"], _jac_matrix(p["jac"]))
+    lin = Linearization(_build_domain(p), p["nu"], _jac_matrix(p["jac"]))
     index, hyperbolic = unstable_index(lin, p["cutoff"], zero_tol=p["zero-tol"])
-    result = {
-        "index": int(index),
-        "hyperbolic": bool(hyperbolic),
-        "cutoff": p["cutoff"],
-    }
+    result = {"index": index, "hyperbolic": hyperbolic, "cutoff": p["cutoff"]}
     verdict = (
         f"unstable index {index} "
         f"({'hyperbolic' if hyperbolic else 'marginal spectrum present'})"
@@ -763,21 +700,16 @@ def _run_index(p):
 
 
 def _run_parity(p):
-    domain = _build_domain(p)
-    lins = _linearizations(p, domain)
+    lins = _linearizations(p, _build_domain(p))
     report = parity_report(lins, p["cutoff"], zero_tol=p["zero-tol"])
     result = {
-        "entries": [
-            {"label": e.label, "index": int(e.index),
-             "hyperbolic": bool(e.hyperbolic)}
-            for e in report.entries
-        ],
+        "entries": report.entries,
         "pairs": [
             {"a": q.label_a, "b": q.label_b,
-             "difference": int(q.difference), "even": bool(q.even)}
+             "difference": q.difference, "even": q.even}
             for q in report.pairs
         ],
-        "excluded": list(report.excluded),
+        "excluded": report.excluded,
     }
     odd = [q for q in report.pairs if not q.even]
     if not report.pairs:
@@ -790,31 +722,19 @@ def _run_parity(p):
 
 
 def _run_profile(p):
-    domain = _build_domain(p)
-    lin = Linearization(domain, p["nu"], _jac_matrix(p["jac"]))
+    lin = Linearization(_build_domain(p), p["nu"], _jac_matrix(p["jac"]))
     profile = count_profile(lin, p["cutoff"])
-    gaps = profile.gaps_below_zero(p["gap-min"])
-    result = {
-        "breakpoints": [float(b) for b in profile.breakpoints],
-        "counts": [int(c) for c in profile.counts],
-        "valid_above": float(profile.valid_above),
-        "cutoff": float(profile.cutoff),
-        "gaps_below_zero": [
-            {"gamma_lo": float(lo), "gamma_hi": float(hi), "n": int(n)}
-            for lo, hi, n in gaps
-        ],
-    }
+    gaps = [Witness(*g) for g in profile.gaps_below_zero(p["gap-min"])]
     verdict = (
         f"{len(profile.breakpoints)} breakpoints; "
         f"{len(gaps)} count plateaus below zero (certified above "
         f"{profile.valid_above:.17g})"
     )
-    return result, verdict
+    return {**vars(profile), "gaps_below_zero": gaps}, verdict
 
 
 def _run_nhim_dims(p):
-    domain = _build_domain(p)
-    lins = _linearizations(p, domain)
+    lins = _linearizations(p, _build_domain(p))
     per = []
     for lin in lins:
         feas = nhim_feasible_dims(lin, p["cutoff"], gap_min=p["gap-min"])
@@ -823,14 +743,14 @@ def _run_nhim_dims(p):
             "label": lin.label,
             "dims": dims[: p["max-dims"]],
             "dim_count": len(dims),
-            "truncation_bound": float(feas.truncation_bound),
+            "truncation_bound": feas.truncation_bound,
         })
     result = {"equilibria": per, "gap_min": p["gap-min"]}
     if len(lins) >= 2:
         cert = nhim_certificate(lins, p["cutoff"], gap_min=p["gap-min"])
         result["certificate"] = cert.to_json_dict()
         if p.get("cert"):
-            _atomic_file(p["cert"], render_report(cert.to_json_dict()))
+            _atomic_file(p["cert"], render_report(result["certificate"]))
         if cert.empty:
             verdict = (
                 f"no common feasible dimension up to cutoff {p['cutoff']:g}"
@@ -850,8 +770,7 @@ def _run_nhim_dims(p):
 
 
 def _run_anhim(p):
-    domain = _build_domain(p)
-    lins = _linearizations(p, domain)
+    lins = _linearizations(p, _build_domain(p))
     cert = anhim_common_gamma(lins, p["cutoff"])
     result = cert.to_json_dict()
     if p.get("cert"):
@@ -869,7 +788,7 @@ def _run_anhim(p):
 def _run_lemma41(p):
     threshold = lemma41_threshold(p["jac0"], p["jac1"], p["gap-bound"])
     result = {
-        "threshold": float(threshold),
+        "threshold": threshold,
         "jac0": p["jac0"],
         "jac1": p["jac1"],
         "gap_bound": p["gap-bound"],
@@ -895,19 +814,11 @@ def _run_sap_scan(p):
     reports = sap_scan(h, p["k"], p["rho"], p["lambda-max"])
     if p.get("csv"):
         _atomic_file(p["csv"], lambda tmp: sap_reports_to_csv(reports, tmp))
-    rows = [
-        {
-            "lambda": r.lam,
-            "k": r.k,
-            "window_modes": int(r.window_modes),
-            "op_norm": r.op_norm,
-            "h2_norm": r.h2_norm,
-            "eps_eff": r.eps_eff,
-            "gap": r.gap,
-            "rho_ok": bool(r.rho_ok),
-        }
-        for r in reports
-    ]
+    rows = []
+    for r in reports:
+        row = dict(vars(r))
+        row["lambda"] = row.pop("lam")
+        rows.append(row)
     result = {
         "windows": len(rows),
         "headline": rows[0] if rows else None,
@@ -947,22 +858,9 @@ RUNNERS = {
 }
 
 
-def _echo_config(params) -> dict:
-    echo = {}
-    for key, val in params.items():
-        if val is None:
-            continue
-        if isinstance(val, tuple):
-            echo[key] = [
-                list(v) if isinstance(v, tuple) else v for v in val
-            ]
-        else:
-            echo[key] = val
-    return echo
-
-
 def run(config) -> dict:
-    """Validate, dispatch, and wrap one subcommand into a report dict."""
+    """Validate, dispatch, and wrap one subcommand into a report of plain
+    JSON types (dicts, lists, strings, numbers, booleans, None)."""
     diags = validate(config)
     if diags:
         raise ConfigError("; ".join(diags))
@@ -974,13 +872,13 @@ def run(config) -> dict:
         "tool": "imhyp",
         "version": __version__,
         "command": cmd,
-        "config": _echo_config(params),
+        "config": {k: v for k, v in params.items() if v is not None},
         "result": result,
         "verdict": verdict,
     }
-    if params.get("timing"):
+    if params["timing"]:
         report["timing_seconds"] = time.perf_counter() - started
-    return report
+    return _plain(report)
 
 
 # ---------------------------------------------------------------------------
@@ -995,9 +893,10 @@ subcommands:
   sap-scan
 
 Every config key doubles as a --key flag; command-line flags override the
-config file.  Common keys: --out REPORT.json --csv FILE.csv --timing true
---threads N (or IMHYP_THREADS).  Exit codes: 0 ok, 1 config error,
-2 hypothesis not met, 3 numerical failure.
+config file.  Common keys: --out REPORT.json --csv FILE.csv --timing true.
+Exit codes: 0 ok, 1 config error (including an unreadable input or an
+unwritable output file), 2 hypothesis not met, 3 numerical failure,
+4 internal error.  Every error exit prints one line to stderr.
 """
 
 
@@ -1023,7 +922,7 @@ def _parse_cli(cmd: str, argv: list) -> dict:
                     loaded = json.load(fh)
             except OSError as exc:
                 raise ConfigError(f"cannot read config file: {exc}") from None
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:
                 raise ConfigError(f"config file is not valid JSON: {exc}") from None
             if not isinstance(loaded, dict):
                 raise ConfigError("config file must hold a JSON object")
@@ -1065,15 +964,20 @@ def main(argv=None) -> int:
         else:
             print(text, end="")
     except ConfigError as exc:
-        print(f"imhyp: config error: {exc}", file=sys.stderr)
-        return 1
+        return _fail("config error", exc, 1)
     except HypothesisNotMet as exc:
-        print(f"imhyp: hypothesis not met: {exc}", file=sys.stderr)
-        return 2
+        return _fail("hypothesis not met", exc, 2)
     except NumericalFailure as exc:
-        print(f"imhyp: numerical failure: {exc}", file=sys.stderr)
-        return 3
+        return _fail("numerical failure", exc, 3)
+    except Exception as exc:  # the CLI boundary: no traceback escapes
+        return _fail("internal error", f"{type(exc).__name__}: {exc}", 4)
     return 0
+
+
+def _fail(kind: str, message, code: int) -> int:
+    text = " ".join(str(message).splitlines())
+    print(f"imhyp: {kind}: {text}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

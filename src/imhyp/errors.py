@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all imhyp modules.
 
 The driver maps these onto process exit codes: ConfigError (and its
-subclasses) -> 1, HypothesisNotMet -> 2, NumericalFailure -> 3.
+subclasses) -> 1, HypothesisNotMet -> 2, NumericalFailure -> 3; any other
+exception reaching the command line is an internal error -> 4.
 """
 
 from __future__ import annotations

@@ -9,9 +9,7 @@ integer frequencies l_j depend on the boundary condition.
 
 from __future__ import annotations
 
-import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -190,7 +188,6 @@ def enumerate_spectrum(
     *,
     periodic_scaling: str = "paper",
     budget: int = DEFAULT_BUDGET,
-    threads: int | None = None,
 ) -> Spectrum:
     """All Laplacian eigenvalues of the box <= cutoff, with multiplicities.
 
@@ -264,11 +261,7 @@ def enumerate_spectrum(
         keep = vals <= cutoff
         return vals[keep], w0[i] * tw[keep]
 
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(slab, range(len(v0))))
-    else:
-        parts = [slab(i) for i in range(len(v0))]
+    parts = [slab(i) for i in range(len(v0))]
     values = np.concatenate([p[0] for p in parts])
     weights = np.concatenate([p[1] for p in parts]).astype(np.int64)
     mv, mw = _merge_close(values, weights)
@@ -283,19 +276,6 @@ class GapReport:
     witness: tuple[float, float]
     gap_histogram: list[tuple[float, int]]
     sup_trend: list[tuple[float, float]]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "max_gap": self.max_gap,
-            "witness": [self.witness[0], self.witness[1]],
-            "histogram": [[g, c] for g, c in self.gap_histogram],
-            "sup_trend": [[c, g] for c, g in self.sup_trend],
-        }
-
-    def to_json(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
 
 
 def _geometric_checkpoints(cutoff: float) -> list[float]:
@@ -333,7 +313,7 @@ def gap_stats(spectrum: Spectrum) -> GapReport:
 class JumpQuery:
     """Parameters of the spectral-jump ratio scan over mu_n = 1 + nu*lambda_n."""
 
-    theta: float = 0.0
+    theta: float = 0.5
     lip: float = 1.0
     cconst: float = 1.0
     nu: float = 1.0

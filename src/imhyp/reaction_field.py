@@ -357,8 +357,12 @@ def fixed_points(
 
 @dataclass(frozen=True)
 class Lemma33Result:
+    """verdict: a full ladder exists.  matches maps each target delta to a
+    fixed point: the distinct assignment when verdict holds, else the first
+    point hitting each target that any point hits."""
+
     verdict: bool
-    matches: dict | None
+    matches: dict
 
 
 def lemma33_check(
@@ -390,7 +394,7 @@ def lemma33_check(
 
     matches = assign(0, [])
     if matches is None:
-        return Lemma33Result(False, None)
+        return Lemma33Result(False, {i: hits[0] for i, hits in enumerate(slots) if hits})
     return Lemma33Result(True, {i: matches[i] for i in range(4)})
 
 
@@ -451,6 +455,11 @@ def solve_prop34(
     if tol <= 0:
         raise ConfigError("tol must be positive")
     lo, hi = float(bracket[0]), float(bracket[1])
+    if not 0.5 < lo < hi:
+        raise ConfigError(
+            f"bracket [{lo}, {hi}] must be ordered and lie above a = 1/2, "
+            "where k and b are positive"
+        )
     flo, fhi = middle_gap(lo) - 2.0, middle_gap(hi) - 2.0
     if flo == 0.0:
         lo_mid = lo
@@ -559,6 +568,8 @@ def dissipativity_radius(
     max(a,b) and max(c,d).  Sampling runs on the annulus [r0, 2*r0]; any
     violation raises NumericalFailure carrying the witness point.
     """
+    if samples < 1 or seed < 0:
+        raise ConfigError("samples must be positive and seed nonnegative")
     rng = np.random.default_rng(seed)
     if isinstance(field, CubicCoupled):
         a, b, k = float(field.a), float(field.b), float(field.k)
@@ -655,23 +666,32 @@ def field_from_json_dict(data: dict) -> PlanarField:
         kind = data["kind"]
     except (KeyError, TypeError):
         raise ConfigError("field JSON needs a 'kind' key") from None
-    if kind == "cubic_coupled":
-        return CubicCoupled(k=val(data["k"]), a=val(data["a"]), b=val(data["b"]))
-    if kind == "cubic_uncoupled":
-        return CubicUncoupled(
-            a=val(data["a"]), b=val(data["b"]), c=val(data["c"]), d=val(data["d"])
-        )
-    if kind == "poly":
-        return GeneralPoly(
-            f1_coeffs=tuple(tuple(t) for t in data["f1"]),
-            f2_coeffs=tuple(tuple(t) for t in data["f2"]),
-        )
+    try:
+        if kind == "cubic_coupled":
+            return CubicCoupled(k=val(data["k"]), a=val(data["a"]), b=val(data["b"]))
+        if kind == "cubic_uncoupled":
+            return CubicUncoupled(
+                a=val(data["a"]), b=val(data["b"]), c=val(data["c"]), d=val(data["d"])
+            )
+        if kind == "poly":
+            return GeneralPoly(
+                f1_coeffs=tuple(tuple(t) for t in data["f1"]),
+                f2_coeffs=tuple(tuple(t) for t in data["f2"]),
+            )
+    except KeyError as exc:
+        raise ConfigError(f"{kind} field JSON needs the key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed {kind} field JSON: {exc}") from None
     raise ConfigError(f"unknown field kind {kind!r}")
 
 
 def load_field(path: str) -> PlanarField:
-    with open(path) as fh:
-        return field_from_json_dict(json.load(fh))
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read field file {path}: {exc}") from None
+    return field_from_json_dict(data)
 
 
 def save_field(field: PlanarField, path: str) -> None:

@@ -321,17 +321,26 @@ def multiplier_from_json_dict(data: dict) -> Multiplier:
         rows = data["coeffs"]
     except (KeyError, TypeError):
         raise ConfigError("multiplier JSON needs 'domain' and 'coeffs'") from None
-    domain = BoxDomain(
-        dim=int(dom["dim"]),
-        sides=tuple(float(s) for s in dom.get("sides", ())) or None,
-        bc=dom.get("bc", "neumann"),
-    )
-    return Multiplier(domain=domain, coeffs=rows)
+    try:
+        domain = BoxDomain(
+            dim=int(dom["dim"]),
+            sides=tuple(float(s) for s in dom.get("sides", ())) or None,
+            bc=dom.get("bc", "neumann"),
+        )
+        return Multiplier(domain=domain, coeffs=rows)
+    except KeyError as exc:
+        raise ConfigError(f"multiplier domain needs the key {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed multiplier JSON: {exc}") from None
 
 
 def load_multiplier(path: str) -> Multiplier:
-    with open(path) as fh:
-        return multiplier_from_json_dict(json.load(fh))
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read multiplier file {path}: {exc}") from None
+    return multiplier_from_json_dict(data)
 
 
 def save_multiplier(h: Multiplier, path: str) -> None:

@@ -177,6 +177,17 @@ def _shared_domain(lins) -> None:
             raise ConfigError("linearizations must share domain and nu")
 
 
+def _require_certified_range(lins, cutoff: float) -> None:
+    """Refuse a cutoff that certifies no part of (-inf, 0): an Empty scan
+    over such a range would claim an obstruction it never checked."""
+    xi_max = max(lin.xi_max for lin in lins)
+    if xi_max - lins[0].nu * cutoff >= 0.0:
+        raise PreconditionError(
+            f"cutoff {cutoff} too small to certify any gap below zero: "
+            f"need cutoff > {xi_max / lins[0].nu:.17g}"
+        )
+
+
 def _labels(lins) -> list[str]:
     return [lin.label or f"eq{i}" for i, lin in enumerate(lins)]
 
@@ -298,6 +309,7 @@ def nhim_feasible_dims(
     """
     if gap_min <= 0:
         raise ConfigError("gap_min must be positive")
+    _require_certified_range([lin], cutoff)
     profile = count_profile(lin, cutoff)
     dims = {n for lo, hi, n in profile.gaps_below_zero(gap_min)}
     return FeasibleDims(
@@ -360,11 +372,13 @@ def anhim_common_gamma(lins, cutoff: float) -> ObstructionCertificate:
     below zero; counts are constant on each cell, so the scan is exhaustive
     up to the cutoff.  All admissible cells are kept as witnesses; the
     headline result is the widest one (ties to the largest gamma).  An Empty
-    result only ever means: no admissible cut up to this cutoff.
+    result only ever means: no admissible cut up to this cutoff, and a
+    cutoff that certifies nothing below zero raises PreconditionError.
     """
     _shared_domain(lins)
     if len(lins) < 2:
         raise ConfigError("common-gamma scan needs at least two equilibria")
+    _require_certified_range(lins, cutoff)
     labels = tuple(_labels(lins))
     profiles = [count_profile(lin, cutoff) for lin in lins]
     floor = max(p.valid_above for p in profiles)
@@ -416,6 +430,7 @@ def nhim_certificate(
     first equilibrium's gap (the cuts need not share a gamma).
     """
     _shared_domain(lins)
+    _require_certified_range(lins, cutoff)
     labels = tuple(_labels(lins))
     profiles = [count_profile(lin, cutoff) for lin in lins]
     per_dim = []

@@ -9,6 +9,7 @@ import pytest
 
 from imhyp.driver import main, render_report, run, validate
 from imhyp.errors import ConfigError, NumericalFailure
+from imhyp.lattice_spectrum import JumpQuery
 import imhyp.driver as driver_mod
 
 
@@ -138,7 +139,7 @@ class TestCertificates:
         assert report["verdict"].startswith("FAIL")
 
     def test_lemma33_without_ladder(self, capsys, tmp_path):
-        # x' = x - x^3, y' = -y: three fixed points, no delta ladder
+        # x' = x - x^3, y' = -y: delta 2 at the origin, delta 1 at (+-1, 0)
         field = tmp_path / "field.json"
         field.write_text(json.dumps({
             "kind": "poly", "f1": [[1, 0, 1.0], [3, 0, -1.0]],
@@ -147,8 +148,39 @@ class TestCertificates:
         code, out, err = cli(capsys, "lemma33", "--field", str(field))
         assert code == 0 and err == ""
         report = json.loads(out)
-        assert report["result"] == {"ladder_found": False, "matches": {}}
-        assert report["verdict"].startswith("no delta ladder: missing targets [")
+        assert report["result"]["ladder_found"] is False
+        matches = report["result"]["matches"]
+        assert sorted(matches) == ["1", "2"]
+        assert matches["1"]["point"] == [-1.0, 0.0]
+        assert matches["2"]["point"] == [0.0, 0.0]
+        assert report["verdict"] == "no delta ladder: missing targets [0, 3]"
+
+    @pytest.mark.parametrize("cmd", ["anhim", "nhim-dims"])
+    def test_cutoff_below_certified_range_refused(self, capsys, cmd):
+        # xi_max = 1 and nu = 2: cutoff 0.1 certifies nothing below zero,
+        # so an "empty" certificate would be vacuous
+        code, out, err = cli(
+            capsys, cmd, "--field", "cubic-scalar", "--nu", "2",
+            "--cutoff", "0.1",
+        )
+        assert code == 1 and out == ""
+        assert err == (
+            "imhyp: config error: cutoff 0.1 too small to certify any gap "
+            "below zero: need cutoff > 0.5\n"
+        )
+
+    @pytest.mark.parametrize("theta, code", [("0", 0), ("1", 1)])
+    def test_jump_theta_range(self, capsys, theta, code):
+        got, out, err = cli(capsys, "jump", "--cutoff", "30", "--theta", theta)
+        assert got == code
+        if code == 0:
+            assert json.loads(out)["config"]["theta"] == float(theta)
+        else:
+            assert "theta must lie in [0, 1)" in err
+
+    def test_jump_theta_default_is_the_library_default(self):
+        report = run({"command": "jump", "cutoff": 30})
+        assert report["config"]["theta"] == JumpQuery().theta == 0.5
 
 
 class TestMainExitCodes:
@@ -199,6 +231,90 @@ class TestMainExitCodes:
         assert code == 1
         assert "needs a value" in err
 
+    def test_internal_error_maps_to_4(self, capsys, monkeypatch):
+        def boom(_params):
+            raise RuntimeError("first line\nsecond line")
+
+        monkeypatch.setitem(driver_mod.RUNNERS, "gaps", boom)
+        code, out, err = cli(capsys, "gaps", "--cutoff", "30")
+        assert code == 4 and out == ""
+        assert err == "imhyp: internal error: RuntimeError: first line second line\n"
+
+    @pytest.mark.parametrize("argv, text", [
+        ("fixed-points --field", '{"kind": "poly", "f1": [[1]], "f2": []}'),
+        ("fixed-points --field", '{"kind": "cubic_coupled", "k": 1, "b": 1}'),
+        ("fixed-points --field", "{kind: poly"),
+        ("sap-scan --k 1 --rho 1 --lambda-max 10 --h",
+         '{"domain": {"bc": "neumann"}, "coeffs": []}'),
+        ("sap-scan --k 1 --rho 1 --lambda-max 10 --h",
+         '{"domain": {"dim": 3}, "coeffs": [["x", 0, 0, 1]]}'),
+        ("sap-scan --k 1 --rho 1 --lambda-max 10 --h", "not json"),
+    ])
+    def test_malformed_input_file(self, capsys, tmp_path, argv, text):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        code, out, err = cli(capsys, *argv.split(), str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("imhyp: config error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", ["--out", "--csv"])
+    def test_unwritable_output_path(self, capsys, tmp_path, flag):
+        target = tmp_path / "missing" / "file"
+        code, out, err = cli(
+            capsys, "spectrum", "--cutoff", "30", flag, str(target)
+        )
+        assert code == 1 and out == ""
+        assert err == (
+            f"imhyp: config error: cannot write {target}: "
+            "No such file or directory\n"
+        )
+
+
+NO_FIXED_POINTS = {"kind": "poly", "f1": [[0, 0, 1.0]], "f2": [[0, 0, 1.0]]}
+
+EDGE_ARGV = [
+    "spectrum --bc dirichlet --cutoff 1",
+    "spectrum --dim 1 --cutoff 1e-9",
+    "spectrum --sides , --cutoff 10",
+    "gaps --cutoff 1e12",
+    "gaps --dim 4 --cutoff 10",
+    "jump --cutoff 0.5",
+    "gauss-audit --limit 7",
+    "weyl --cutoff 1",
+    "fixed-points --field nofp.json",
+    "fixed-points --field prop34 --region 1,0,0,1",
+    "fixed-points --field .",
+    "delta --field prop35 --at 0",
+    "lemma33 --field nofp.json",
+    "prop34 --bracket-lo 0.5 --bracket-hi 2",
+    "prop34 --bracket-lo 9 --bracket-hi 8",
+    "prop35-verify --exact maybe",
+    "dissipativity --field nofp.json",
+    "dissipativity --field prop34 --seed -1",
+    "region --field prop35 --c 1",
+    "index --nu 1 --jac , --cutoff 10",
+    "parity --field nofp.json --nu 1 --cutoff 10",
+    "parity --jacs 1;2 --labels a --nu 1 --cutoff 10",
+    "profile --nu 1 --jac 1 --cutoff 1e-9",
+    "nhim-dims --jacs 1;-2 --nu 1 --cutoff 0.5",
+    "anhim --jacs -1 --nu 1 --cutoff 10",
+    "lemma41 --jac0 0 --jac1 0 --gap-bound 1",
+    "sap-scan --h cos-x1 --k 1 --rho 100 --lambda-max 1",
+    "gaps --config nofp.json",
+]
+
+
+@pytest.mark.parametrize("argv", EDGE_ARGV)
+def test_edge_configs_end_in_a_documented_exit(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "nofp.json").write_text(json.dumps(NO_FIXED_POINTS))
+    code, _, err = cli(capsys, *argv.split())
+    assert code in (0, 1, 2, 3)
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.startswith("imhyp: ") and err.count("\n") == 1
+
 
 class TestFilesAndConfig:
     def test_out_writes_report_file(self, capsys, tmp_path):
@@ -238,18 +354,6 @@ class TestFilesAndConfig:
         code, _, err = cli(capsys, "spectrum", "--config", str(cfg))
         assert code == 1
         assert "is for command" in err
-
-    def test_threads_env_fallback(self, capsys, monkeypatch):
-        monkeypatch.setenv("IMHYP_THREADS", "2")
-        code, out, _ = cli(capsys, "gaps", "--cutoff", "30")
-        assert code == 0
-        assert json.loads(out)["config"]["threads"] == 2
-
-    def test_threads_env_invalid(self, capsys, monkeypatch):
-        monkeypatch.setenv("IMHYP_THREADS", "lots")
-        code, _, err = cli(capsys, "gaps", "--cutoff", "30")
-        assert code == 1
-        assert "IMHYP_THREADS" in err
 
     def test_sap_scan_csv(self, capsys, tmp_path):
         csv_path = tmp_path / "scan.csv"

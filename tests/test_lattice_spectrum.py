@@ -96,13 +96,6 @@ class TestEnumerateSpectrum:
         assert np.allclose(large.eigenvalues[:n], small.eigenvalues, rtol=0, atol=1e-12)
         assert np.array_equal(large.multiplicities[:n], small.multiplicities)
 
-    def test_threads_do_not_change_output(self):
-        dom = BoxDomain(3, sides=(math.pi, math.pi * 0.7, math.pi * 1.3), bc="neumann")
-        serial = enumerate_spectrum(dom, 80, threads=1)
-        parallel = enumerate_spectrum(dom, 80, threads=4)
-        assert np.array_equal(serial.eigenvalues, parallel.eigenvalues)
-        assert np.array_equal(serial.multiplicities, parallel.multiplicities)
-
     def test_budget_error_names_budget(self):
         with pytest.raises(ResourceBudgetError, match="1000"):
             enumerate_spectrum(BoxDomain(3, bc="neumann"), 10**6, budget=1000)
@@ -286,16 +279,3 @@ class TestWeylFit:
         with pytest.raises(PreconditionError):
             weyl_fit(spec, 1)
 
-
-class TestGapReportJson:
-    def test_schema(self, tmp_path):
-        import json
-
-        spec = enumerate_spectrum(BoxDomain(3, bc="neumann"), 200)
-        rep = gap_stats(spec)
-        path = tmp_path / "gaps.json"
-        rep.to_json(str(path))
-        data = json.loads(path.read_text())
-        assert set(data) == {"max_gap", "witness", "histogram", "sup_trend"}
-        assert data["witness"] == [110.0, 113.0]
-        assert data["max_gap"] == 3.0

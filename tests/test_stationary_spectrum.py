@@ -316,6 +316,20 @@ class TestNhimCertificate:
         assert cert.to_json_dict()["result"] == "empty"
 
 
+@pytest.mark.parametrize("scan", [
+    anhim_common_gamma,
+    nhim_certificate,
+    lambda lins, cutoff: nhim_feasible_dims(lins[0], cutoff),
+])
+def test_cutoff_certifying_nothing_below_zero_refused(scan):
+    # xi_max = 1, nu = 2: every cutoff <= 0.5 leaves (-inf, 0) uncertified,
+    # so an Empty result there would be vacuous
+    for cutoff in (0.1, 0.5):
+        with pytest.raises(PreconditionError, match=r"need cutoff > 0\.5"):
+            scan(bistable_family(2.0), cutoff)
+    assert scan(bistable_family(2.0), 0.6) is not None
+
+
 class TestLemma41Threshold:
     def test_bistable_threshold_exact(self):
         assert lemma41_threshold([[1.0]], [[-2.0]], 3.0) == 1.0
