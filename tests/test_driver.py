@@ -238,7 +238,9 @@ class TestMainExitCodes:
         monkeypatch.setitem(driver_mod.RUNNERS, "gaps", boom)
         code, out, err = cli(capsys, "gaps", "--cutoff", "30")
         assert code == 4 and out == ""
-        assert err == "imhyp: internal error: RuntimeError: first line second line\n"
+        assert err == (
+            "imhyp: internal error: RuntimeError: first line second line\n"
+        )
 
     @pytest.mark.parametrize("argv, text", [
         ("fixed-points --field", '{"kind": "poly", "f1": [[1]], "f2": []}'),
@@ -305,7 +307,9 @@ EDGE_ARGV = [
 
 
 @pytest.mark.parametrize("argv", EDGE_ARGV)
-def test_edge_configs_end_in_a_documented_exit(capsys, tmp_path, monkeypatch, argv):
+def test_edge_configs_end_in_a_documented_exit(
+    capsys, tmp_path, monkeypatch, argv
+):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "nofp.json").write_text(json.dumps(NO_FIXED_POINTS))
     code, _, err = cli(capsys, *argv.split())
