@@ -3,11 +3,14 @@ tests/golden/<name>.json byte for byte.
 
 The configs cover every subcommand family, the exact pi-box and the float
 enumeration paths, a --cert certificate and an anhim witness.  Configs whose
-numbers come from LAPACK or BLAS (weyl's polyfit, sap-scan windows over 512
-modes) are left out so the bytes do not depend on the platform.
+numbers come from LAPACK or BLAS (weyl's polyfit, sap-scan windows with a
+block over 512 modes) are left out so the bytes do not depend on the
+platform.
 
 A change that alters report bytes on purpose regenerates the files with
-``python tests/test_golden_reports.py`` and names each changed byte.
+``python tests/test_golden_reports.py`` and names each changed byte: the
+script rewrites only the files whose bytes change and prints a unified diff
+of each to stdout.
 """
 
 import os
@@ -66,11 +69,20 @@ def test_report_bytes(name, tmp_path, monkeypatch):
 
 
 if __name__ == "__main__":
+    import difflib
     import tempfile
 
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         for name, config in sorted(CONFIGS.items()):
-            (GOLDEN / f"{name}.json").write_text(render_report(run(dict(config))))
+            path = GOLDEN / f"{name}.json"
+            old = path.read_text() if path.exists() else ""
+            new = render_report(run(dict(config)))
+            if new == old:
+                continue
+            sys.stdout.writelines(difflib.unified_diff(
+                old.splitlines(keepends=True), new.splitlines(keepends=True),
+                f"a/tests/golden/{name}.json", f"b/tests/golden/{name}.json"))
+            path.write_text(new)
             print(f"wrote {name}", file=sys.stderr)
