@@ -1,11 +1,19 @@
 """Dense symmetric eigenvalue routines for compressed multiplier matrices.
 
-Small matrices go through a cyclic Jacobi sweep with threshold skipping;
-anything above 512x512 only needs its spectral norm, which power iteration
-on A*A delivers without a full decomposition.
+A symmetric matrix is block diagonal over the connected components of its
+nonzero pattern, and its spectral norm is the largest block norm: the split
+is a permutation similarity, so it is exact.  ``spectral_norms`` splits each
+input once, gathers the blocks of many matrices by size and solves every
+size as one stack with a batched round-robin Jacobi (Brent & Luk, SIAM J.
+Sci. Stat. Comput. 6 (1985)): a sweep is n-1 steps, and each step applies
+n/2 disjoint rotations to every matrix of the stack at once.  Only blocks
+above 512x512 take power iteration on A*A instead.  No LAPACK routine is
+involved, so the numbers do not depend on the platform.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -16,81 +24,144 @@ JACOBI_MAX_SWEEPS = 50
 POWER_TOL = 1e-12
 POWER_MAX_ITER = 20_000
 POWER_CROSSOVER = 512
+# spectral_norms solves its pending stacks once they hold this many entries
+STACK_ENTRIES = 1 << 20
 
 
 def _check_symmetric(A) -> np.ndarray:
+    """A as a float array: one symmetric (n, n) matrix or a (B, n, n) stack."""
     M = np.array(A, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    if M.ndim not in (2, 3) or M.shape[-1] != M.shape[-2]:
         raise ConfigError(f"matrix must be square, got shape {M.shape}")
-    if M.size and not np.allclose(M, M.T, rtol=0.0, atol=1e-12 * (1 + np.abs(M).max())):
-        raise ConfigError("matrix must be symmetric")
+    if M.size:
+        atol = 1e-12 * (1 + np.abs(M).max(axis=(-2, -1), keepdims=True))
+        if not np.all(np.abs(M - M.swapaxes(-2, -1)) <= atol):
+            raise ConfigError("matrix must be symmetric")
     return M
+
+
+@functools.lru_cache(maxsize=64)
+def _round_robin(m: int) -> tuple[tuple, ...]:
+    """The m-1 steps of one sweep for even m, each as (p, q, pq, qp) index
+    arrays: step r rotates the pairs (p[i], q[i]), p < q, which cover every
+    index once, and over the m-1 steps every pair meets once (the circle
+    method with index 0 fixed).  pq is p then q, qp is q then p."""
+    r = np.arange(m - 1)[:, None]
+    ring = (np.arange(m - 1) - r) % (m - 1) + 1
+    order = np.concatenate((np.zeros((m - 1, 1), dtype=np.int64), ring), axis=1)
+    a, b = order[:, : m // 2], order[:, : m // 2 - 1 : -1]
+    P, Q = np.minimum(a, b), np.maximum(a, b)
+    return tuple(
+        (p, q, np.concatenate((p, q)), np.concatenate((q, p))) for p, q in zip(P, Q)
+    )
+
+
+@functools.lru_cache(maxsize=64)
+def _lower(m: int) -> np.ndarray:
+    """Flat indices of the strictly lower triangle of an m x m matrix."""
+    i, j = np.tril_indices(m, -1)
+    return i * m + j
+
+
+def _off(M: np.ndarray) -> np.ndarray:
+    """Frobenius norm of the off-diagonal part of each matrix in the stack."""
+    m = M.shape[-1]
+    low = M.reshape(M.shape[0], m * m)[:, _lower(m)]
+    return np.sqrt(np.sum(low * low, axis=1) * 2.0)
+
+
+def _rotate(M: np.ndarray, step: tuple, thresh: np.ndarray) -> None:
+    """One round-robin step in place: rotate each pair (p[i], q[i]) of each
+    matrix whose pivot is above that matrix's threshold, shape (B, 1)."""
+    p, q, pq, qp = step
+    apq = M[:, p, q]
+    rot = np.abs(apq) > thresh
+    if not rot.any():
+        return
+    d = M[:, pq, pq]
+    diff = d[:, len(p):] - d[:, : len(p)]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        theta = diff / (2.0 * apq)
+        t = np.where(theta < 0, -1.0, 1.0) / (np.abs(theta) + np.hypot(theta, 1.0))
+        big = np.abs(diff) > np.abs(apq) * 1.0e150
+        if big.any():  # asymptotic rotation, avoids overflow in theta
+            t = np.where(big, apq / diff, t)
+    t = np.where(rot, t, 0.0)  # t = 0: c = 1, s = 0 leave the pair as it is
+    c = 1.0 / np.sqrt(t * t + 1.0)
+    s = t * c
+    # new p = c p - s q and new q = c q + s p, on columns and then on rows
+    c, s = np.concatenate((c, c), axis=1), np.concatenate((-s, s), axis=1)
+    M[:, :, pq] = c[:, None, :] * M[:, :, pq] + s[:, None, :] * M[:, :, qp]
+    M[:, pq, :] = c[:, :, None] * M[:, pq, :] + s[:, :, None] * M[:, qp, :]
+    M[:, pq, qp] = np.where(np.concatenate((rot, rot), axis=1), 0.0, M[:, pq, qp])
+
+
+def _padded(S: np.ndarray) -> np.ndarray:
+    """A (B, n, n) stack padded with a zero index to even size when n is odd;
+    the padding index never rotates, because its pivots are all zero."""
+    B, n = S.shape[0], S.shape[-1]
+    M = np.zeros((B, n + n % 2, n + n % 2))
+    M[:, :n, :n] = S
+    return M
+
+
+def _jacobi(M: np.ndarray, n: np.ndarray, tol: float, max_sweeps: int) -> np.ndarray:
+    """Diagonal after convergence, shape (B, m), of a (B, m, m) stack of
+    matrices of sizes n (B,) padded to the even size m; M is overwritten.
+
+    Every matrix keeps its own threshold and convergence test and leaves the
+    stack once converged, so its eigenvalues do not depend on its company.
+    """
+    B, m = M.shape[0], M.shape[-1]
+    out = np.zeros((B, m))
+    if not (B and m):
+        return out
+    scale = np.maximum(1.0, np.abs(M).reshape(B, -1).max(axis=1))
+    nn = (n.astype(float) ** 2)[:, None]
+    live = np.arange(B)
+    for sweep in range(max_sweeps + 1):
+        off = _off(M)
+        done = off <= tol * scale[live]
+        if done.any():
+            out[live[done]] = np.diagonal(M[done], axis1=1, axis2=2)
+            M, live, off = M[~done], live[~done], off[~done]
+            if not live.size:
+                return out
+        if sweep == max_sweeps:
+            break
+        # threshold skipping: ignore tiny pivots during the first sweeps
+        thresh = np.zeros((live.size, 1))
+        if sweep < 3:
+            thresh = 0.2 * off[:, None] / nn[live]
+        for step in _round_robin(m):
+            _rotate(M, step, thresh)
+    raise NumericalFailure(
+        f"Jacobi sweep did not converge in {max_sweeps} sweeps "
+        f"(residual {off.max():.3e})"
+    )
 
 
 def jacobi_eigenvalues(
     A, tol: float = JACOBI_TOL, max_sweeps: int = JACOBI_MAX_SWEEPS
 ) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
+    """All eigenvalues of a symmetric matrix, or of each in a (B, n, n) stack,
+    by round-robin Jacobi rotations.
 
-    Sweeps rotate every off-diagonal pair in row order; early sweeps skip
-    pivots below a shrinking threshold so nearly diagonal matrices converge
-    in O(1) sweeps.  Returns eigenvalues ascending.
+    Early sweeps skip pivots below a shrinking threshold so nearly diagonal
+    matrices converge in O(1) sweeps.  Returns eigenvalues ascending, shape
+    (n,) or (B, n).
     """
-    M = _check_symmetric(A)
-    n = M.shape[0]
-    if n <= 1:
-        return np.diagonal(M).copy()
-    scale = max(1.0, float(np.abs(M).max()))
-
-    for sweep in range(max_sweeps):
-        off = np.sqrt(np.sum(np.tril(M, -1) ** 2) * 2.0)
-        if off <= tol * scale:
-            return np.sort(np.diagonal(M).copy())
-        # threshold skipping: ignore tiny pivots during the first sweeps
-        thresh = 0.2 * off / (n * n) if sweep < 3 else 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = M[p, q]
-                if abs(apq) <= thresh or apq == 0.0:
-                    continue
-                diff = M[q, q] - M[p, p]
-                if abs(diff) > abs(apq) * 1.0e150:
-                    t = apq / diff  # asymptotic rotation, avoids overflow in theta
-                else:
-                    theta = diff / (2.0 * apq)
-                    t = np.sign(theta) if theta != 0 else 1.0
-                    t = t / (abs(theta) + np.hypot(theta, 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                col_p = M[:, p].copy()
-                col_q = M[:, q].copy()
-                M[:, p] = c * col_p - s * col_q
-                M[:, q] = s * col_p + c * col_q
-                row_p = M[p, :].copy()
-                row_q = M[q, :].copy()
-                M[p, :] = c * row_p - s * row_q
-                M[q, :] = s * row_p + c * row_q
-                M[p, q] = 0.0
-                M[q, p] = 0.0
-
-    off = np.sqrt(np.sum(np.tril(M, -1) ** 2) * 2.0)
-    if off <= tol * scale:
-        return np.sort(np.diagonal(M).copy())
-    raise NumericalFailure(
-        f"Jacobi sweep did not converge in {max_sweeps} sweeps "
-        f"(residual {off:.3e})"
-    )
+    S = _check_symmetric(A)
+    stack = S if S.ndim == 3 else S[None]
+    n = stack.shape[-1]
+    diag = _jacobi(_padded(stack), np.full(len(stack), n), tol, max_sweeps)
+    eigs = np.sort(diag[:, :n], axis=1)
+    return eigs if S.ndim == 3 else eigs[0]
 
 
-def power_spectral_norm(
-    A, tol: float = POWER_TOL, max_iter: int = POWER_MAX_ITER, seed: int = 0
+def _power_norm(
+    M: np.ndarray, tol: float = POWER_TOL, max_iter: int = POWER_MAX_ITER, seed: int = 0
 ) -> float:
-    """Spectral norm of a symmetric matrix via power iteration on A @ A.
-
-    A @ A is positive semidefinite with top eigenvalue ||A||^2, so the
-    iteration is monotone and sign-proof.
-    """
-    M = _check_symmetric(A)
     n = M.shape[0]
     if n == 0:
         return 0.0
@@ -114,12 +185,96 @@ def power_spectral_norm(
     )
 
 
+def power_spectral_norm(
+    A, tol: float = POWER_TOL, max_iter: int = POWER_MAX_ITER, seed: int = 0
+) -> float:
+    """Spectral norm of a symmetric matrix via power iteration on A @ A.
+
+    A @ A is positive semidefinite with top eigenvalue ||A||^2, so the
+    iteration is monotone and sign-proof.
+    """
+    M = _check_symmetric(A)
+    if M.ndim != 2:
+        raise ConfigError(f"matrix must be square, got shape {M.shape}")
+    return _power_norm(M, tol, max_iter, seed)
+
+
+def _blocks(M: np.ndarray):
+    """The diagonal blocks of M over the connected components of its nonzero
+    pattern, as (b, s, s) stacks of equal size s.
+
+    Components are ordered by their smallest index, with indices ascending
+    inside each; entries outside the blocks are all zero.
+    """
+    n = M.shape[0]
+    rows, cols = np.nonzero(M)
+    label = np.arange(n)
+    while True:  # min-label propagation with pointer jumping
+        new = label.copy()
+        np.minimum.at(new, rows, label[cols])
+        np.minimum.at(new, cols, label[rows])
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    order = np.argsort(label, kind="stable")
+    starts = np.flatnonzero(np.diff(label[order], prepend=-1))
+    sizes = np.diff(starts, append=n)
+    for s in np.unique(sizes):
+        idx = order[starts[sizes == s][:, None] + np.arange(s)]
+        yield M[idx[:, :, None], idx[:, None, :]]
+
+
+def spectral_norms(matrices) -> np.ndarray:
+    """max |eigenvalue| of each symmetric matrix in an iterable.
+
+    Each matrix is checked once and split into its blocks; blocks of all
+    matrices are stacked by size (odd sizes padded to the next even one, which
+    sets the rotation schedule) and solved together, whenever the pending
+    stacks reach STACK_ENTRIES entries and at the end, so an iterable that
+    builds its matrices lazily keeps memory bounded.
+    """
+    pending: dict[int, list] = {}
+    owners, values = [], []
+    count = entries = 0
+
+    def flush():
+        for parts in pending.values():
+            diag = _jacobi(
+                np.concatenate([blocks for _, _, blocks in parts]),
+                np.concatenate([np.full(len(blocks), s) for _, s, blocks in parts]),
+                JACOBI_TOL,
+                JACOBI_MAX_SWEEPS,
+            )
+            values.append(np.abs(diag).max(axis=1))
+            owners.append(np.concatenate(
+                [np.full(len(blocks), k) for k, _, blocks in parts]))
+        pending.clear()
+
+    for A in matrices:
+        M = _check_symmetric(A)
+        if M.ndim != 2:
+            raise ConfigError(f"matrix must be square, got shape {M.shape}")
+        for blocks in _blocks(M):
+            s = blocks.shape[-1]
+            if s > POWER_CROSSOVER:
+                values.append(np.array([_power_norm(b) for b in blocks]))
+                owners.append(np.full(len(blocks), count))
+            else:
+                blocks = _padded(blocks)
+                pending.setdefault(blocks.shape[-1], []).append((count, s, blocks))
+                entries += blocks.size
+        count += 1
+        if entries >= STACK_ENTRIES:
+            flush()
+            entries = 0
+    flush()
+    norms = np.zeros(count)
+    if owners:
+        np.maximum.at(norms, np.concatenate(owners), np.concatenate(values))
+    return norms
+
+
 def spectral_norm(A) -> float:
     """max |eigenvalue| of a symmetric matrix."""
-    M = _check_symmetric(A)
-    if M.shape[0] == 0:
-        return 0.0
-    if M.shape[0] > POWER_CROSSOVER:
-        return power_spectral_norm(M)
-    eigs = jacobi_eigenvalues(M)
-    return float(np.max(np.abs(eigs)))
+    return float(spectral_norms([A])[0])

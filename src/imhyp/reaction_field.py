@@ -215,13 +215,18 @@ class FixedPointAnalysis:
         return float(self.residual)
 
 
-def analyze_point(field: PlanarField, p) -> FixedPointAnalysis:
-    """Bundle Jacobian eigenvalue data at p without any residual gate."""
-    f1, f2 = field.f(p)
+def _residual(field: PlanarField, p):
+    """|f(p)|; inf when f(p) leaves the float range."""
+    try:
+        f1, f2 = field.f(p)
+    except OverflowError:  # Python-float ** raises instead of returning inf
+        return math.inf
     if _symbolic(f1, f2):
-        residual = sym.simplify(sym.sqrt(f1**2 + f2**2))
-    else:
-        residual = math.hypot(float(f1), float(f2))
+        return sym.simplify(sym.sqrt(f1**2 + f2**2))
+    return math.hypot(float(f1), float(f2))
+
+
+def _analysis(field: PlanarField, p, residual) -> FixedPointAnalysis:
     J = field.jacobian(p)
     xi1, xi2, delta = _eig2x2(J)
     return FixedPointAnalysis(
@@ -229,15 +234,24 @@ def analyze_point(field: PlanarField, p) -> FixedPointAnalysis:
     )
 
 
+def analyze_point(field: PlanarField, p) -> FixedPointAnalysis:
+    """Bundle Jacobian eigenvalue data at p without any residual gate."""
+    return _analysis(field, p, _residual(field, p))
+
+
 def delta_of(field: PlanarField, p) -> FixedPointAnalysis:
-    """Eigenvalue real-part gap at a fixed point; refuses non-fixed points."""
-    analysis = analyze_point(field, p)
-    if analysis.residual_float > DELTA_RESIDUAL_CAP:
+    """Eigenvalue real-part gap at a fixed point; refuses non-fixed points.
+
+    The residual gate comes before the Jacobian, so a point far enough out
+    that the Jacobian would overflow is refused like any other.
+    """
+    residual = _residual(field, p)
+    if not float(residual) <= DELTA_RESIDUAL_CAP:  # also refuses a nan residual
         raise HypothesisNotMet(
-            f"point {analysis.point_float} is not a fixed point: "
-            f"|f(p)| = {analysis.residual_float:.3e} exceeds {DELTA_RESIDUAL_CAP:.0e}"
+            f"point {(float(p[0]), float(p[1]))} is not a fixed point: "
+            f"|f(p)| = {float(residual):.3e} exceeds {DELTA_RESIDUAL_CAP:.0e}"
         )
-    return analysis
+    return _analysis(field, p, residual)
 
 
 def _closed_form_candidates(field: PlanarField):

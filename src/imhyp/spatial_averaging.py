@@ -5,7 +5,11 @@ mean-free part of that action to the eigenmodes inside a spectral window
 (lambda-k, lambda+k] gives a finite symmetric matrix.  Its spectral norm,
 measured against the H2 norm of h, is the effective epsilon of the spatial
 averaging inequality for that window.  The scan walks every wide-enough
-spectral gap and reports the best window found.
+spectral gap and reports the best window found: it enumerates the lattice
+modes once, slices each window out of that sorted list and hands all window
+matrices to ``dense_eig.spectral_norms``, which splits each into the blocks
+of its nonzero pattern and solves equal-size blocks of every window as one
+stack.
 
 Matrix entries are computed in closed form from the coefficient table via
 the per-axis product rule for cosines, so the only floating-point error is
@@ -17,11 +21,12 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dense_eig import spectral_norm
+from .dense_eig import spectral_norm, spectral_norms
 from .errors import ConfigError, PreconditionError, ResourceBudgetError
 from .lattice_spectrum import BoxDomain, enumerate_spectrum
 
@@ -116,21 +121,12 @@ def h2_norm(h: Multiplier) -> float:
     return math.sqrt(total)
 
 
-def window_modes(domain: BoxDomain, lam: float, k: float) -> list[tuple[int, ...]]:
-    """Eigenmode index vectors with eigenvalue in (lam-k, lam+k].
-
-    Neumann modes are nonnegative vectors; periodic modes carry signs.
-    Sorted by (eigenvalue, index vector) so downstream matrices are
-    reproducible.
-    """
-    if k <= 0:
-        raise ConfigError("window half-width k must be positive")
-    if domain.bc not in MULTIPLIER_BCS:
-        raise ConfigError(f"windows need a neumann or periodic box, got {domain.bc}")
-    hi = lam + k
-    lo = lam - k
+def _modes(domain: BoxDomain, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Mode index vectors with eigenvalue in (lo, hi] as an (N, dim) int
+    array, with their eigenvalues, sorted by (eigenvalue, index vector)."""
+    dim = domain.dim
     if hi < 0:
-        return []
+        return np.zeros((0, dim), dtype=np.int64), np.zeros(0)
     axis_vals = []
     cells = 1
     for a in domain.axis_scales:
@@ -145,23 +141,36 @@ def window_modes(domain: BoxDomain, lam: float, k: float) -> list[tuple[int, ...
         raise ResourceBudgetError(
             f"window enumeration needs {cells} lattice cells; lower lam or k"
         )
-    total = np.zeros((1,) * domain.dim)
+    total = np.zeros((1,) * dim)
     for j, (vals, a) in enumerate(zip(axis_vals, domain.axis_scales)):
-        shape = [1] * domain.dim
+        shape = [1] * dim
         shape[j] = vals.size
         total = total + ((vals / a) ** 2).reshape(shape)
     mask = (total > lo) & (total <= hi)
     pos = np.argwhere(mask)
-    if pos.size == 0:
-        return []
     eig = total[mask]
-    cols = [axis_vals[j][pos[:, j]] for j in range(domain.dim)]
-    order = np.lexsort(tuple(reversed(cols)) + (eig,))
-    return [tuple(int(c[i]) for c in cols) for i in order]
+    modes = np.stack([axis_vals[j][pos[:, j]] for j in range(dim)], axis=1)
+    order = np.lexsort(tuple(reversed(modes.T)) + (eig,))
+    return modes[order].astype(np.int64), eig[order]
 
 
-def _axis_factor(idx: np.ndarray, f: int, neumann: bool) -> np.ndarray:
-    """One axis of <e_m, cos(f x / a) e_n>, for m, n over the indices idx.
+def window_modes(domain: BoxDomain, lam: float, k: float) -> list[tuple[int, ...]]:
+    """Eigenmode index vectors with eigenvalue in (lam-k, lam+k].
+
+    Neumann modes are nonnegative vectors; periodic modes carry signs.
+    Sorted by (eigenvalue, index vector) so downstream matrices are
+    reproducible.
+    """
+    if k <= 0:
+        raise ConfigError("window half-width k must be positive")
+    if domain.bc not in MULTIPLIER_BCS:
+        raise ConfigError(f"windows need a neumann or periodic box, got {domain.bc}")
+    modes, _ = _modes(domain, lam - k, lam + k)
+    return [tuple(m) for m in modes.tolist()]
+
+
+def _axis_tables(idx: np.ndarray, neumann: bool):
+    """f -> one axis of <e_m, cos(f x / a) e_n>, for m, n over the indices idx.
 
     Neumann: cos(mt) cos(ft) cos(nt) = (1/4) sum over s1, s2 = +-1 of
     cos((m + s1 f + s2 n) t), so the integral over (0, pi a) is
@@ -170,33 +179,52 @@ def _axis_factor(idx: np.ndarray, f: int, neumann: bool) -> np.ndarray:
     the side cancels, leaving sqrt(w_m w_n) / 4 per hit, w = 1 or 2.
     Periodic: the Fourier coefficient (1/2)([m - n = f] + [m - n = -f]),
     which is [m = n] for f = 0.  Both tables are symmetric entry by entry.
+    The parts that do not depend on f are built once per axis.
     """
-    m, n = idx[:, None], idx[None, :]
+    diff = idx[:, None] - idx[None, :]
     if not neumann:
-        return 0.5 * ((m - n == f).astype(float) + (m - n == -f))
-    hits = (m + n == f).astype(float) + (m - n == f) + (n - m == f)
-    hits += m + n + f == 0
+        return lambda f: 0.5 * ((diff == f).astype(float) + (diff == -f))
+    total = idx[:, None] + idx[None, :]
     w = np.where(idx > 0, 2.0, 1.0)
-    return hits * (np.sqrt(np.outer(w, w)) / 4.0)
+    weight = np.sqrt(np.outer(w, w)) / 4.0
+
+    def table(f):
+        hits = (total == f).astype(float) + (diff == f) + (diff == -f)
+        hits += total == -f
+        return hits * weight
+
+    return table
 
 
 def _compress(h: Multiplier, modes) -> np.ndarray:
     """E = sum over f != 0 of c_f prod_j T_j^{f_j}[m_j, n_j] over the modes.
 
     Each T_j is a table over the distinct indices on axis j, gathered to the
-    mode pairs.  Every factor is symmetric entry by entry, so E is too,
-    bit for bit.
+    mode pairs once per call and kept for the call when another coefficient
+    shares the same (axis, f_j).  Every factor is symmetric entry by entry,
+    so E is too, bit for bit.
     """
     neumann = h.domain.bc == "neumann"
-    M = np.array(modes, dtype=np.int64).reshape(len(modes), h.domain.dim)
-    axes = [np.unique(col, return_inverse=True) for col in M.T]
+    M = np.asarray(modes, dtype=np.int64).reshape(len(modes), h.domain.dim)
+    axes = []
+    for col in M.T:
+        idx, inv = np.unique(col, return_inverse=True)
+        axes.append((_axis_tables(idx, neumann), inv[:, None], inv[None, :]))
+    uses = Counter((j, g) for f in h.coeffs if any(f) for j, g in enumerate(f))
+    tables = {}
     E = np.zeros((M.shape[0], M.shape[0]))
     for f, c in h.coeffs.items():
         if not any(f):
             continue  # the subtracted mean
         term = np.full(E.shape, c)
-        for g, (idx, inv) in zip(f, axes):
-            term *= _axis_factor(idx, g, neumann)[inv][:, inv]
+        for j, g in enumerate(f):
+            T = tables.get((j, g))
+            if T is None:
+                table, rows, cols = axes[j]
+                T = table(g)[rows, cols]
+                if uses[j, g] > 1:
+                    tables[j, g] = T
+            term *= T
         E += term
     return E
 
@@ -207,7 +235,7 @@ def windowed_matrix(h: Multiplier, lam: float, k: float) -> np.ndarray:
     Entries <e_m, (h - mean) e_n> for orthonormal eigenmodes, in closed form
     from the coefficient table.  Modes and cosine terms factor over the
     axes, so each entry is sum over f != 0 of c_f times a product of 1-D
-    factors t_j(m_j, n_j, f_j) (the cosine product rule, see _axis_factor).
+    factors t_j(m_j, n_j, f_j) (the cosine product rule, see _axis_tables).
     The result is symmetric exactly.  A diagonal entry (m, m) is zero unless
     some f != 0 has f_j in {0, 2 m_j} on every axis, which only a Neumann
     box allows.
@@ -221,7 +249,7 @@ def windowed_matrix(h: Multiplier, lam: float, k: float) -> np.ndarray:
 
 
 def windowed_norm(h: Multiplier, lam: float, k: float) -> float:
-    """Operator norm of the windowed compression."""
+    """Operator norm of the windowed compression (the largest block norm)."""
     return spectral_norm(windowed_matrix(h, lam, k))
 
 
@@ -246,6 +274,11 @@ def sap_scan(
     qualify; reports come back sorted by (eps_eff, lambda), so the first
     entry is the scan's best window.  A window containing no modes yields an
     op_norm of 0 (the compression is the zero operator there).
+
+    The modes of all windows are enumerated once and each window is a
+    searchsorted slice of them, equal entry for entry to window_modes; the
+    window matrices are built lazily and solved together, so every row's
+    op_norm equals windowed_norm at its lambda bit for bit.
     """
     if k <= 0 or rho <= 0:
         raise ConfigError("k and rho must be positive")
@@ -260,26 +293,34 @@ def sap_scan(
         cutoff *= 2.0
 
     eig = spec.eigenvalues
+    lo, hi = eig[:-1], eig[1:]
+    keep = np.flatnonzero((lo <= lambda_max) & (hi - lo >= rho))
+    mids = [0.5 * (float(lo[i]) + float(hi[i])) for i in keep]
+    gaps = [float(hi[i]) - float(lo[i]) for i in keep]
+    if not mids:
+        return []
+    # one enumeration serves every window: slice it on (mid-k, mid+k]
+    modes, mode_eigs = _modes(h.domain, mids[0] - k, mids[-1] + k)
+    bounds = [
+        (np.searchsorted(mode_eigs, mid - k, "right"),
+         np.searchsorted(mode_eigs, mid + k, "right"))
+        for mid in mids
+    ]
+    norms = spectral_norms(_compress(h, modes[a:b]) for a, b in bounds)
     hnorm = h2_norm(h)
     reports = []
-    for i in range(eig.size - 1):
-        lo, hi = float(eig[i]), float(eig[i + 1])
-        if lo > lambda_max or hi - lo < rho:
-            continue
-        mid = 0.5 * (lo + hi)
-        modes = window_modes(h.domain, mid, k)
-        op = spectral_norm(_compress(h, modes)) if modes else 0.0
-        eps = op / hnorm if hnorm > 0.0 else 0.0
+    for mid, gap, (a, b), op in zip(mids, gaps, bounds, norms):
+        op = float(op)
         reports.append(
             SAPWindowReport(
                 lam=mid,
                 k=k,
-                window_modes=len(modes),
+                window_modes=int(b - a),
                 op_norm=op,
                 h2_norm=hnorm,
-                eps_eff=eps,
-                gap=hi - lo,
-                rho_ok=hi - lo >= rho,
+                eps_eff=op / hnorm if hnorm > 0.0 else 0.0,
+                gap=gap,
+                rho_ok=gap >= rho,
             )
         )
     reports.sort(key=lambda r: (r.eps_eff, r.lam))

@@ -3,8 +3,13 @@
 import numpy as np
 import pytest
 
-from imhyp.dense_eig import jacobi_eigenvalues, power_spectral_norm, spectral_norm
-from imhyp.errors import ConfigError
+from imhyp.dense_eig import (
+    jacobi_eigenvalues,
+    power_spectral_norm,
+    spectral_norm,
+    spectral_norms,
+)
+from imhyp.errors import ConfigError, NumericalFailure
 from oracles import sturm_eigenvalues
 
 
@@ -46,6 +51,45 @@ class TestJacobi:
             jacobi_eigenvalues(np.ones((2, 3)))
         with pytest.raises(ConfigError):
             jacobi_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(ConfigError):
+            jacobi_eigenvalues(np.ones((2, 2, 2, 2)))
+        stack = np.zeros((3, 2, 2))
+        stack[1, 0, 1] = 1.0  # one asymmetric matrix in the stack
+        with pytest.raises(ConfigError):
+            jacobi_eigenvalues(stack)
+
+    def test_stack_matches_single_matrices_bitwise(self):
+        rng = np.random.default_rng(46)
+        for n in (1, 2, 3, 5, 8, 17, 30):
+            stack = np.array([random_symmetric(rng, n) for _ in range(40)])
+            got = jacobi_eigenvalues(stack)
+            assert got.shape == (40, n)
+            for A, eigs in zip(stack, got):
+                assert np.array_equal(jacobi_eigenvalues(A), eigs)
+
+    def test_eigenvalues_independent_of_stack_company(self):
+        rng = np.random.default_rng(47)
+        for n in (1, 2, 3, 5, 8, 17, 30):
+            A = random_symmetric(rng, n, scale=3.0)
+            solo = jacobi_eigenvalues(A)
+            stack = np.array([random_symmetric(rng, n) for _ in range(40)])
+            stack[int(rng.integers(40))] = A
+            at = int(np.flatnonzero((stack == A).all(axis=(1, 2)))[0])
+            assert np.array_equal(jacobi_eigenvalues(stack)[at], solo)
+            # company that converges at once: diagonal matrices
+            calm = np.array([np.diag(rng.normal(size=n)) for _ in range(39)] + [A])
+            assert np.array_equal(jacobi_eigenvalues(calm)[-1], solo)
+
+    def test_non_convergence_raises_with_residual(self):
+        rng = np.random.default_rng(48)
+        A = random_symmetric(rng, 30)
+        with pytest.raises(NumericalFailure, match=r"in 1 sweeps \(residual "):
+            jacobi_eigenvalues(A, max_sweeps=1)
+        with pytest.raises(NumericalFailure):
+            jacobi_eigenvalues(np.array([A, np.eye(30)]), max_sweeps=1)
+
+    def test_empty_stack(self):
+        assert jacobi_eigenvalues(np.zeros((0, 4, 4))).shape == (0, 4)
 
 
 class TestSpectralNorm:
@@ -68,3 +112,56 @@ class TestSpectralNorm:
     def test_zero_matrix(self):
         assert spectral_norm(np.zeros((700, 700))) == 0.0
         assert spectral_norm(np.zeros((3, 3))) == 0.0
+
+    def test_block_split_is_exact(self):
+        # a block-diagonal matrix hidden by a permutation
+        rng = np.random.default_rng(49)
+        blocks = [random_symmetric(rng, n) for n in (1, 4, 2, 4, 7)]
+        n = sum(len(b) for b in blocks)
+        A = np.zeros((n, n))
+        at = 0
+        for b in blocks:
+            A[at : at + len(b), at : at + len(b)] = b
+            at += len(b)
+        perm = rng.permutation(n)
+        A = A[np.ix_(perm, perm)]
+        want = max(float(np.abs(np.linalg.eigvalsh(b)).max()) for b in blocks)
+        assert spectral_norm(A) == pytest.approx(want, rel=1e-13)
+        # each block is solved with its indices in ascending order
+        where = np.argsort(perm)
+        at, parts = 0, []
+        for b in blocks:
+            idx = np.sort(where[at : at + len(b)])
+            parts.append(spectral_norm(A[np.ix_(idx, idx)]))
+            at += len(b)
+        assert spectral_norm(A) == max(parts)
+
+    def test_norms_of_many_match_one_at_a_time(self):
+        rng = np.random.default_rng(50)
+        mats = []
+        for _ in range(30):
+            n = int(rng.integers(0, 25))
+            A = random_symmetric(rng, n)
+            A[np.abs(A) < 0.8] = 0.0  # sparse patterns split into blocks
+            mats.append(A)
+        got = spectral_norms(iter(mats))
+        assert got.shape == (30,)
+        assert [float(x) for x in got] == [spectral_norm(A) for A in mats]
+        assert spectral_norms([]).shape == (0,)
+
+    def test_stacking_cap_does_not_change_norms(self, monkeypatch):
+        import imhyp.dense_eig as dense_eig
+
+        rng = np.random.default_rng(51)
+        mats = [random_symmetric(rng, int(rng.integers(1, 12))) for _ in range(25)]
+        full = spectral_norms(mats)
+        monkeypatch.setattr(dense_eig, "STACK_ENTRIES", 16)
+        assert np.array_equal(spectral_norms(mats), full)
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ConfigError):
+            spectral_norm(np.ones((2, 3)))
+        with pytest.raises(ConfigError):
+            spectral_norm(np.zeros((2, 3, 3)))
+        with pytest.raises(ConfigError):
+            spectral_norms([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])])

@@ -206,6 +206,19 @@ class TestMainExitCodes:
         assert code == 2
         assert "hypothesis not met" in err
 
+    @pytest.mark.parametrize("field, at, shown", [
+        ("prop35-float", "1e200,0", "|f(p)| = inf"),
+        ("prop35", "1e200,0", "|f(p)| = inf"),
+        ("prop34", "1e200,0", "|f(p)| = inf"),
+        ("prop35-float", "nan,0", "|f(p)| = nan"),
+    ])
+    def test_far_or_nan_point_is_not_a_fixed_point(self, capsys, field, at, shown):
+        code, out, err = cli(capsys, "delta", "--field", field, "--at", at)
+        assert code == 2 and out == ""
+        assert err.startswith("imhyp: hypothesis not met: point (")
+        assert f"is not a fixed point: {shown} exceeds 1e-08" in err
+        assert err.count("\n") == 1
+
     def test_lemma41_nonpositive_difference(self, capsys):
         code, _, err = cli(
             capsys, "lemma41", "--jac0", "-2", "--jac1", "1", "--gap-bound", "3"

@@ -22,7 +22,9 @@ from imhyp.spatial_averaging import (
     windowed_matrix,
     windowed_norm,
 )
-from oracles import quadrature_windowed_matrix
+import imhyp.dense_eig as dense_eig
+import imhyp.spatial_averaging as spatial_averaging
+from oracles import quadrature_windowed_matrix, sturm_eigenvalues
 
 CUBE = BoxDomain(dim=3)
 TORUS2 = BoxDomain(dim=2, bc="periodic")
@@ -288,6 +290,26 @@ class TestWindowedNorm:
             3.7 * windowed_norm(h, 18.0, 3.0), rel=1e-10
         )
 
+    def test_block_split_norm_matches_sturm(self):
+        rng = np.random.default_rng(33)
+        cases = []
+        for domain in NEUMANN_BOXES + PERIODIC_BOXES:
+            for _ in range(3):
+                cases.append((random_multiplier(rng, domain, max_freq=3),
+                              float(rng.uniform(4, 25)), 2.0))
+        dense = random_multiplier(rng, CUBE, terms=int(rng.integers(8, 21)))
+        assert len(dense.coeffs) >= 8
+        cases += [(dense, 14.0, 3.0), (dense, 22.0, 2.0)]
+        checked = 0
+        for h, lam, k in cases:
+            if not window_modes(h.domain, lam, k):
+                continue
+            E = windowed_matrix(h, lam, k)
+            want = float(np.abs(sturm_eigenvalues(E, tol=1e-15)).max())
+            assert windowed_norm(h, lam, k) == pytest.approx(want, rel=1e-12, abs=1e-14)
+            checked += 1
+        assert checked >= 15
+
     def test_compression_bound(self):
         rng = np.random.default_rng(32)
         for _ in range(6):
@@ -351,6 +373,54 @@ class TestSapScan:
         assert m_small == pytest.approx(0.0897935610625833, rel=1e-12)
         assert m_large == pytest.approx(0.06349363593424097, rel=1e-12)
         assert m_large < m_small
+
+
+SCANS = (
+    (COS_X1, 5.0, 1.0, 100.0),
+    (random_multiplier(np.random.default_rng(61), CUBE, terms=12), 3.0, 1.0, 20.0),
+    (random_multiplier(np.random.default_rng(62), TORUS2, max_freq=3, terms=8),
+     3.0, 1.0, 40.0),
+)
+
+
+class TestSapScanWindows:
+    """sap_scan enumerates modes once and solves all windows together; each
+    row must equal the single-window routines bit for bit."""
+
+    @pytest.mark.parametrize("scan", range(len(SCANS)))
+    def test_rows_match_single_window_routines(self, scan):
+        h, k, rho, lambda_max = SCANS[scan]
+        reports = sap_scan(h, k, rho, lambda_max)
+        assert reports
+        for r in reports:
+            assert r.window_modes == len(window_modes(h.domain, r.lam, r.k))
+            if r.window_modes:
+                assert r.op_norm == windowed_norm(h, r.lam, r.k)
+            else:
+                assert r.op_norm == 0.0
+
+    @pytest.mark.parametrize("scan", range(len(SCANS)))
+    def test_window_slices_equal_window_modes(self, scan, monkeypatch):
+        h, k, rho, lambda_max = SCANS[scan]
+        seen = []
+        compress = spatial_averaging._compress
+
+        def record(h_, modes):
+            seen.append([tuple(m) for m in np.asarray(modes).tolist()])
+            return compress(h_, modes)
+
+        monkeypatch.setattr(spatial_averaging, "_compress", record)
+        reports = sap_scan(h, k, rho, lambda_max)
+        mids = sorted(r.lam for r in reports)
+        assert len(seen) == len(mids)
+        for mid, modes in zip(mids, seen):
+            assert modes == window_modes(h.domain, mid, k)
+
+    def test_stacking_cap_does_not_change_scan(self, monkeypatch):
+        h, k, rho, lambda_max = SCANS[0]
+        full = sap_scan(h, k, rho, lambda_max)
+        monkeypatch.setattr(dense_eig, "STACK_ENTRIES", 64)
+        assert sap_scan(h, k, rho, lambda_max) == full
 
 
 class TestSerialization:
