@@ -80,6 +80,16 @@ class TestJacobi:
             calm = np.array([np.diag(rng.normal(size=n)) for _ in range(39)] + [A])
             assert np.array_equal(jacobi_eigenvalues(calm)[-1], solo)
 
+    def test_converged_matrix_stops_rotating(self):
+        # converged on entry (off-norm below 1e-12) but nearly degenerate, so
+        # one more rotation would move its eigenvalues by ~1e-13
+        rng = np.random.default_rng(52)
+        for n in (2, 3, 5, 8):
+            A = np.eye(n) + 1e-13 * random_symmetric(rng, n) * (1 - np.eye(n))
+            assert np.array_equal(jacobi_eigenvalues(A), np.ones(n))
+            stack = np.array([random_symmetric(rng, n) for _ in range(5)] + [A])
+            assert np.array_equal(jacobi_eigenvalues(stack)[-1], np.ones(n))
+
     def test_non_convergence_raises_with_residual(self):
         rng = np.random.default_rng(48)
         A = random_symmetric(rng, 30)
@@ -114,27 +124,30 @@ class TestSpectralNorm:
         assert spectral_norm(np.zeros((3, 3))) == 0.0
 
     def test_block_split_is_exact(self):
-        # a block-diagonal matrix hidden by a permutation
+        # block-diagonal matrices hidden by a permutation
         rng = np.random.default_rng(49)
-        blocks = [random_symmetric(rng, n) for n in (1, 4, 2, 4, 7)]
-        n = sum(len(b) for b in blocks)
-        A = np.zeros((n, n))
-        at = 0
-        for b in blocks:
-            A[at : at + len(b), at : at + len(b)] = b
-            at += len(b)
-        perm = rng.permutation(n)
-        A = A[np.ix_(perm, perm)]
-        want = max(float(np.abs(np.linalg.eigvalsh(b)).max()) for b in blocks)
-        assert spectral_norm(A) == pytest.approx(want, rel=1e-13)
-        # each block is solved with its indices in ascending order
-        where = np.argsort(perm)
-        at, parts = 0, []
-        for b in blocks:
-            idx = np.sort(where[at : at + len(b)])
-            parts.append(spectral_norm(A[np.ix_(idx, idx)]))
-            at += len(b)
-        assert spectral_norm(A) == max(parts)
+        for _ in range(20):
+            blocks = [random_symmetric(rng, n) for n in (1, 4, 2, 4, 7)]
+            n = sum(len(b) for b in blocks)
+            A = np.zeros((n, n))
+            at = 0
+            for b in blocks:
+                A[at : at + len(b), at : at + len(b)] = b
+                at += len(b)
+            perm = rng.permutation(n)
+            A = A[np.ix_(perm, perm)]
+            want = max(float(np.abs(np.linalg.eigvalsh(b)).max()) for b in blocks)
+            assert spectral_norm(A) == pytest.approx(want, rel=1e-13)
+            # each block is solved, as jacobi_eigenvalues solves it alone,
+            # with its indices in ascending order
+            where = np.argsort(perm)
+            at, parts = 0, []
+            for b in blocks:
+                idx = np.sort(where[at : at + len(b)])
+                eigs = jacobi_eigenvalues(A[np.ix_(idx, idx)])
+                parts.append(float(np.abs(eigs).max()))
+                at += len(b)
+            assert spectral_norm(A) == max(parts)
 
     def test_norms_of_many_match_one_at_a_time(self):
         rng = np.random.default_rng(50)
