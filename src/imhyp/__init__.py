@@ -1,6 +1,6 @@
 """imhyp: spectral obstruction toolkit for reaction-diffusion inertial manifolds.
 
-Four analysis areas plus a reporting driver:
+Five analysis areas plus a reporting driver:
 
 - lattice_spectrum: box Laplacian eigenvalues, gap statistics, jump-ratio
   scans, the sums-of-three-squares audit, growth-exponent fits
@@ -10,8 +10,12 @@ Four analysis areas plus a reporting driver:
   mode-count profiles, common-gap obstruction certificates
 - spatial_averaging: band-limited multipliers, windowed compressions and
   their norms, gap scans
+- dense_eig: symmetric eigenvalues by batched Jacobi, spectral norms with an
+  exact block split, power iteration for large blocks
 - driver: validated run configs, deterministic JSON reports, CLI
 """
+
+from types import ModuleType as _ModuleType
 
 __version__ = "0.1.0"
 
@@ -104,82 +108,8 @@ from .spatial_averaging import (
     windowed_norm,
 )
 
-__all__ = [
-    "__version__",
-    "ImhypError",
-    "ConfigError",
-    "PreconditionError",
-    "ResourceBudgetError",
-    "HypothesisNotMet",
-    "NumericalFailure",
-    "BoxDomain",
-    "Spectrum",
-    "GapReport",
-    "JumpQuery",
-    "JumpScanResult",
-    "ThreeSquareAudit",
-    "WeylFit",
-    "enumerate_spectrum",
-    "gap_stats",
-    "jump_condition_scan",
-    "spectrum_from_csv",
-    "three_square_gap_audit",
-    "weyl_fit",
-    "CubicCoupled",
-    "CubicUncoupled",
-    "GeneralPoly",
-    "FixedPointAnalysis",
-    "Lemma33Result",
-    "Prop34Checklist",
-    "Prop34Constants",
-    "Prop35Report",
-    "DissipativityReport",
-    "coupled_ladder_params",
-    "delta_of",
-    "delta_table_to_csv",
-    "dissipativity_radius",
-    "field_from_json_dict",
-    "field_to_json_dict",
-    "fixed_points",
-    "invariant_region_check",
-    "lemma33_check",
-    "load_field",
-    "middle_gap",
-    "prop35_field",
-    "save_field",
-    "solve_prop34",
-    "verify_prop35",
-    "Linearization",
-    "ModeCountProfile",
-    "FeasibleDims",
-    "Witness",
-    "ObstructionCertificate",
-    "IndexEntry",
-    "PairEntry",
-    "ParityReport",
-    "anhim_common_gamma",
-    "count_profile",
-    "lemma41_threshold",
-    "nhim_certificate",
-    "nhim_feasible_dims",
-    "operator_spectrum",
-    "parity_report",
-    "unstable_index",
-    "jacobi_eigenvalues",
-    "power_spectral_norm",
-    "spectral_norm",
-    "spectral_norms",
-    "Multiplier",
-    "SAPWindowReport",
-    "h2_norm",
-    "load_multiplier",
-    "mean",
-    "multiplier_from_json_dict",
-    "multiplier_to_json_dict",
-    "sap_reports_to_csv",
-    "sap_scan",
-    "save_multiplier",
-    "window_modes",
-    "windowed_matrix",
-    "windowed_norm",
+# every public name imported above (the submodules themselves are not)
+__all__ = ["__version__"] + [
+    name for name, obj in list(globals().items())
+    if not name.startswith("_") and not isinstance(obj, _ModuleType)
 ]

@@ -56,7 +56,6 @@ from .stationary_spectrum import (
     count_profile,
     lemma41_threshold,
     nhim_certificate,
-    nhim_feasible_dims,
     parity_report,
     unstable_index,
 )
@@ -253,9 +252,15 @@ SCHEMAS = {
 
 def validate(config) -> list:
     """Diagnostics for a config mapping; empty list means the config runs."""
+    return _parse_config(config)[0]
+
+
+def _parse_config(config) -> tuple[list, dict]:
+    """(diagnostics, params): each key parsed once; params holds the parsed
+    value or the default of every schema key."""
     diags = []
     if not isinstance(config, dict):
-        return ["config must be a JSON object"]
+        return ["config must be a JSON object"], {}
     cmd = config.get("command")
     if not isinstance(cmd, str) or cmd not in SCHEMAS:
         hint = ""
@@ -264,7 +269,7 @@ def validate(config) -> list:
             if close:
                 hint = f" (did you mean '{close[0]}'?)"
         diags.append(f"unknown command {cmd!r}{hint}")
-        return diags
+        return diags, {}
     schema = SCHEMAS[cmd]
     for key in sorted(config):
         if key == "command" or key in schema:
@@ -272,8 +277,9 @@ def validate(config) -> list:
         close = difflib.get_close_matches(key, schema, n=1)
         hint = f" (did you mean '{close[0]}'?)" if close else ""
         diags.append(f"unknown key '{key}'{hint}")
-    for key in schema:
-        param = schema[key]
+    params = {}
+    for key, param in schema.items():
+        params[key] = param.default
         if key not in config or config[key] is None:
             if param.required:
                 diags.append(f"missing required key '{key}'")
@@ -283,6 +289,7 @@ def validate(config) -> list:
         except (ValueError, TypeError) as exc:
             diags.append(f"{key}: {exc}")
             continue
+        params[key] = val
         if param.positive and not (
             isinstance(val, (int, float)) and val > 0
         ):
@@ -290,17 +297,7 @@ def validate(config) -> list:
         if param.choices is not None and val not in param.choices:
             allowed = ", ".join(str(c) for c in param.choices)
             diags.append(f"{key} must be one of: {allowed}")
-    return diags
-
-
-def _resolve(config, schema) -> dict:
-    params = {}
-    for key, param in schema.items():
-        if key in config and config[key] is not None:
-            params[key] = _parse_value(param, config[key])
-        else:
-            params[key] = param.default
-    return params
+    return diags, params
 
 
 # ---------------------------------------------------------------------------
@@ -735,9 +732,9 @@ def _run_profile(p):
 
 def _run_nhim_dims(p):
     lins = _linearizations(p, _build_domain(p))
+    cert = nhim_certificate(lins, p["cutoff"], gap_min=p["gap-min"])
     per = []
-    for lin in lins:
-        feas = nhim_feasible_dims(lin, p["cutoff"], gap_min=p["gap-min"])
+    for lin, feas in zip(lins, cert.feasible):
         dims = sorted(feas.dims)
         per.append({
             "label": lin.label,
@@ -746,25 +743,22 @@ def _run_nhim_dims(p):
             "truncation_bound": feas.truncation_bound,
         })
     result = {"equilibria": per, "gap_min": p["gap-min"]}
-    if len(lins) >= 2:
-        cert = nhim_certificate(lins, p["cutoff"], gap_min=p["gap-min"])
-        result["certificate"] = cert.to_json_dict()
-        if p.get("cert"):
-            _atomic_file(p["cert"], render_report(result["certificate"]))
-        if cert.empty:
-            verdict = (
-                f"no common feasible dimension up to cutoff {p['cutoff']:g}"
-            )
-        else:
-            verdict = (
-                f"common feasible dimension n={cert.result.n} "
-                f"on ({cert.result.gamma_lo:g}, {cert.result.gamma_hi:g})"
-            )
-    else:
+    if len(lins) == 1:
         shown = per[0]["dims"]
         verdict = (
             f"{per[0]['dim_count']} feasible dimensions; "
             f"first {len(shown)}: {shown}"
+        )
+        return result, verdict
+    result["certificate"] = cert.to_json_dict()
+    if p.get("cert"):
+        _atomic_file(p["cert"], render_report(result["certificate"]))
+    if cert.empty:
+        verdict = f"no common feasible dimension up to cutoff {p['cutoff']:g}"
+    else:
+        verdict = (
+            f"common feasible dimension n={cert.result.n} "
+            f"on ({cert.result.gamma_lo:g}, {cert.result.gamma_hi:g})"
         )
     return result, verdict
 
@@ -861,11 +855,10 @@ RUNNERS = {
 def run(config) -> dict:
     """Validate, dispatch, and wrap one subcommand into a report of plain
     JSON types (dicts, lists, strings, numbers, booleans, None)."""
-    diags = validate(config)
+    diags, params = _parse_config(config)
     if diags:
         raise ConfigError("; ".join(diags))
     cmd = config["command"]
-    params = _resolve(config, SCHEMAS[cmd])
     started = time.perf_counter()
     result, verdict = RUNNERS[cmd](params)
     report = {

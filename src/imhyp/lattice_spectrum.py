@@ -28,7 +28,7 @@ PERIODIC_SCALINGS = ("paper", "standard")
 # the exact path, full candidate grid for the floating path)
 DEFAULT_BUDGET = 100_000_000
 
-# two floating eigenvalues merge when they differ by < MERGE_TOL*(1+lambda)
+# two floating values merge when they differ by < MERGE_TOL*(1+|value|)
 MERGE_TOL = 1e-9
 
 
@@ -169,13 +169,14 @@ def _axis_int_terms(domain: BoxDomain, axis: int, limit: int, periodic_scaling: 
 
 
 def _merge_close(values: np.ndarray, weights: np.ndarray):
-    """Sort and merge values differing by < MERGE_TOL*(1+value); sums weights."""
+    """Sort ascending and merge neighbours differing by < MERGE_TOL*(1+|value|),
+    keeping the lowest value of each group and summing weights."""
     order = np.argsort(values, kind="stable")
     v = values[order]
     w = weights[order]
     if v.size == 0:
         return v, w
-    boundaries = np.flatnonzero(np.diff(v) >= MERGE_TOL * (1.0 + v[:-1])) + 1
+    boundaries = np.flatnonzero(np.diff(v) >= MERGE_TOL * (1.0 + np.abs(v[:-1]))) + 1
     starts = np.concatenate(([0], boundaries))
     merged_v = v[starts]
     merged_w = np.add.reduceat(w, starts)

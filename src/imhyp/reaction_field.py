@@ -157,9 +157,9 @@ def _eig2x2(J):
     real-part gap, identically 0 for a complex-conjugate pair.
     """
     (a, b), (c, d) = J
-    tr = a + d
-    det = a * d - b * c
     if _symbolic(a, b, c, d):
+        tr = a + d
+        det = a * d - b * c
         disc = sym.simplify(sym.expand(tr * tr - 4 * det))
         negative = disc.is_negative
         if negative is None:
@@ -171,14 +171,23 @@ def _eig2x2(J):
         xi1 = sym.simplify((tr + root) / 2)
         xi2 = sym.simplify((tr - root) / 2)
         return (xi1, xi2, root)
-    tr = float(tr)
-    det = float(det)
-    disc = tr * tr - 4.0 * det
-    if disc >= 0.0:
-        s = math.sqrt(disc)
-        return ((tr + s) / 2.0, (tr - s) / 2.0, s)
-    im = math.sqrt(-disc) / 2.0
-    return (complex(tr / 2.0, im), complex(tr / 2.0, -im), 0.0)
+    return _eig2x2_float(a, b, c, d)
+
+
+def _eig2x2_float(a, b, c, d):
+    """Float eigenvalues of [[a, b], [c, d]] as (xi1, xi2, delta), like _eig2x2.
+
+    The discriminant is taken as (a-d)^2 + 4bc: tr^2 - 4det cancels when the
+    two real eigenvalues are close, and can then turn a real pair complex.
+    """
+    a, b, c, d = float(a), float(b), float(c), float(d)
+    tr = a + d
+    disc = (a - d) * (a - d) + 4.0 * b * c
+    if disc < 0.0:
+        im = math.sqrt(-disc) / 2.0
+        return (complex(tr / 2.0, im), complex(tr / 2.0, -im), 0.0)
+    s = math.sqrt(disc)
+    return ((tr + s) / 2.0, (tr - s) / 2.0, s)
 
 
 def _re(x) -> float:

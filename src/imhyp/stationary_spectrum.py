@@ -11,18 +11,17 @@ hyperbolic inertial manifolds up to the cutoff.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, HypothesisNotMet, PreconditionError
-from .lattice_spectrum import BoxDomain, enumerate_spectrum
+from .lattice_spectrum import BoxDomain, Spectrum, _merge_close, enumerate_spectrum
+from .reaction_field import _eig2x2_float
 
 ZERO_TOL_DEFAULT = 1e-9
 GAP_MIN_DEFAULT = 1e-6
 CAVEAT_TEXT = "valid up to cutoff"
-_MERGE = 1e-9
 
 
 def _coerce_jac(jac) -> tuple:
@@ -32,21 +31,6 @@ def _coerce_jac(jac) -> tuple:
     if not np.all(np.isfinite(arr)):
         raise ConfigError("jac entries must be finite")
     return tuple(tuple(float(x) for x in row) for row in arr)
-
-
-def _jac_real_parts(jac: tuple) -> tuple[tuple[float, int], ...]:
-    """Eigenvalue real parts of the reaction Jacobian with multiplicities."""
-    if len(jac) == 1:
-        return ((jac[0][0], 1),)
-    (a, b), (c, d) = jac
-    tr = a + d
-    disc = (a - d) * (a - d) + 4.0 * b * c
-    if disc < 0.0:
-        return ((tr / 2.0, 2),)
-    s = math.sqrt(disc)
-    if s == 0.0:
-        return ((tr / 2.0, 2),)
-    return (((tr + s) / 2.0, 1), ((tr - s) / 2.0, 1))
 
 
 @dataclass(frozen=True)
@@ -65,7 +49,14 @@ class Linearization:
 
     @property
     def xi_parts(self) -> tuple[tuple[float, int], ...]:
-        return _jac_real_parts(self.jac)
+        """Eigenvalue real parts of the reaction Jacobian with multiplicities."""
+        if len(self.jac) == 1:
+            return ((self.jac[0][0], 1),)
+        (a, b), (c, d) = self.jac
+        xi1, xi2, s = _eig2x2_float(a, b, c, d)
+        if s == 0.0:  # a double eigenvalue or a complex-conjugate pair
+            return (((a + d) / 2.0, 2),)
+        return ((xi1, 1), (xi2, 1))
 
     @property
     def xi_max(self) -> float:
@@ -81,19 +72,14 @@ class Linearization:
         return Linearization(domain=self.domain, nu=self.nu, jac=jac, label=self.label)
 
 
-def _merge_descending(vals: np.ndarray, weights: np.ndarray):
-    """Merge near-equal values (descending order), summing weights."""
-    order = np.argsort(-vals, kind="stable")
-    v = vals[order]
-    w = weights[order]
-    if v.size == 0:
-        return v, w.astype(np.int64)
-    tol = _MERGE * (1.0 + np.abs(v[1:]))
-    new_group = (v[:-1] - v[1:]) >= tol
-    idx = np.concatenate(([0], np.flatnonzero(new_group) + 1))
-    merged_v = v[idx]
-    merged_w = np.add.reduceat(w, idx)
-    return merged_v, merged_w.astype(np.int64)
+def _operator_parts(lin: Linearization, spec: Spectrum):
+    """Distinct real parts xi - nu*lambda of lin's operator over the box
+    spectrum spec, descending, with their multiplicities."""
+    lam = spec.eigenvalues
+    vals = np.concatenate([xi - lin.nu * lam for xi, _ in lin.xi_parts])
+    weights = np.concatenate([w * spec.multiplicities for _, w in lin.xi_parts])
+    neg, ws = _merge_close(-vals, weights)  # descending parts: merge their negatives
+    return -neg, ws
 
 
 def operator_spectrum(lin: Linearization, cutoff: float) -> list[tuple[float, int]]:
@@ -104,20 +90,26 @@ def operator_spectrum(lin: Linearization, cutoff: float) -> list[tuple[float, in
     contributes its common real part with doubled multiplicity.  Returned
     descending.
     """
-    spec = enumerate_spectrum(lin.domain, cutoff)
-    lam = spec.eigenvalues
-    mult = spec.multiplicities
-    parts = []
-    weights = []
-    for xi, w in lin.xi_parts:
-        parts.append(xi - lin.nu * lam)
-        weights.append(w * mult)
-    vals, ws = _merge_descending(np.concatenate(parts), np.concatenate(weights))
+    vals, ws = _operator_parts(lin, enumerate_spectrum(lin.domain, cutoff))
     return [(float(v), int(w)) for v, w in zip(vals, ws)]
 
 
-def _required_cutoff(lin: Linearization, zero_tol: float) -> float:
-    return (lin.xi_max + zero_tol) / lin.nu
+def _require_index_cutoff(lin: Linearization, cutoff: float, zero_tol: float) -> None:
+    if zero_tol < 0:
+        raise ConfigError("zero_tol must be nonnegative")
+    need = (lin.xi_max + zero_tol) / lin.nu
+    if cutoff <= need:
+        raise PreconditionError(
+            f"cutoff {cutoff} too small to certify the unstable index: "
+            f"need cutoff > {need:.17g}"
+        )
+
+
+def _index(lin: Linearization, spec: Spectrum, zero_tol: float) -> tuple[int, bool]:
+    vals, ws = _operator_parts(lin, spec)
+    index = int(ws[vals > zero_tol].sum())
+    hyperbolic = not np.any(np.abs(vals) <= zero_tol)
+    return index, hyperbolic
 
 
 def unstable_index(
@@ -128,22 +120,8 @@ def unstable_index(
     Demands a cutoff high enough that no positive part can be truncated:
     xi_max - nu*cutoff < -zero_tol.
     """
-    if zero_tol < 0:
-        raise ConfigError("zero_tol must be nonnegative")
-    need = _required_cutoff(lin, zero_tol)
-    if cutoff <= need:
-        raise PreconditionError(
-            f"cutoff {cutoff} too small to certify the unstable index: "
-            f"need cutoff > {need:.17g}"
-        )
-    l = 0
-    hyperbolic = True
-    for part, w in operator_spectrum(lin, cutoff):
-        if part > zero_tol:
-            l += w
-        elif part >= -zero_tol:
-            hyperbolic = False
-    return l, hyperbolic
+    _require_index_cutoff(lin, cutoff, zero_tol)
+    return _index(lin, enumerate_spectrum(lin.domain, cutoff), zero_tol)
 
 
 @dataclass(frozen=True)
@@ -204,8 +182,12 @@ def parity_report(
     _shared_domain(lins)
     labels = _labels(lins)
     entries = []
+    spec = None
     for lin, label in zip(lins, labels):
-        l, hyp = unstable_index(lin, cutoff, zero_tol)
+        _require_index_cutoff(lin, cutoff, zero_tol)
+        if spec is None:  # after the first check: errors come as from unstable_index
+            spec = enumerate_spectrum(lin.domain, cutoff)
+        l, hyp = _index(lin, spec, zero_tol)
         entries.append(IndexEntry(label=label, index=l, hyperbolic=hyp))
     usable = [e for e in entries if e.hyperbolic]
     pairs = [
@@ -243,9 +225,12 @@ class ModeCountProfile:
                 f"gamma {gamma} below the certified range (>= {self.valid_above}); "
                 f"raise the cutoff"
             )
-        # descending breakpoints; count those >= gamma (closed cut)
-        idx = int(np.searchsorted(-self.breakpoints, -gamma, side="right"))
-        return 0 if idx == 0 else int(self.counts[idx - 1])
+        return int(self._dims_at(gamma))
+
+    def _dims_at(self, gammas):
+        """Counts at each gamma, unchecked: breakpoints >= gamma (closed cut)."""
+        idx = np.searchsorted(-self.breakpoints, -np.asarray(gammas), side="right")
+        return np.concatenate(([0], self.counts))[idx]
 
     def gaps_below_zero(self, gap_min: float):
         """Open spectral gaps intersected with (valid_above, 0), as
@@ -267,26 +252,32 @@ class ModeCountProfile:
         return out
 
 
-def count_profile(lin: Linearization, cutoff: float) -> ModeCountProfile:
-    spectrum = operator_spectrum(lin, cutoff)
-    bps = np.array([v for v, _ in spectrum], dtype=float)
-    counts = np.cumsum([w for _, w in spectrum]).astype(np.int64)
+def _profile(lin: Linearization, spec: Spectrum) -> ModeCountProfile:
+    bps, ws = _operator_parts(lin, spec)
     return ModeCountProfile(
         breakpoints=bps,
-        counts=counts,
-        cutoff=float(cutoff),
-        valid_above=lin.xi_max - lin.nu * cutoff,
+        counts=np.cumsum(ws).astype(np.int64),
+        cutoff=spec.cutoff,
+        valid_above=lin.xi_max - lin.nu * spec.cutoff,
     )
+
+
+def count_profile(lin: Linearization, cutoff: float) -> ModeCountProfile:
+    return _profile(lin, enumerate_spectrum(lin.domain, cutoff))
 
 
 @dataclass(frozen=True)
 class FeasibleDims:
-    """Set of manifold dimensions n admitting a gamma < 0 spectral-gap cut."""
+    """Set of manifold dimensions n admitting a gamma < 0 spectral-gap cut.
+
+    gaps maps each n in dims to its gap (lo, hi) below zero.
+    """
 
     dims: frozenset
     cutoff: float
     gap_min: float
     truncation_bound: float
+    gaps: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __contains__(self, n) -> bool:
         return n in self.dims
@@ -298,6 +289,23 @@ class FeasibleDims:
         return len(self.dims)
 
 
+def _require_gap_min(gap_min: float) -> None:
+    if gap_min <= 0:
+        raise ConfigError("gap_min must be positive")
+
+
+def _feasible(lin: Linearization, spec: Spectrum, gap_min: float) -> FeasibleDims:
+    profile = _profile(lin, spec)
+    gaps = {n: (lo, hi) for lo, hi, n in profile.gaps_below_zero(gap_min)}
+    return FeasibleDims(
+        dims=frozenset(gaps),
+        cutoff=spec.cutoff,
+        gap_min=float(gap_min),
+        truncation_bound=profile.valid_above,
+        gaps=gaps,
+    )
+
+
 def nhim_feasible_dims(
     lin: Linearization, cutoff: float, gap_min: float = GAP_MIN_DEFAULT
 ) -> FeasibleDims:
@@ -307,17 +315,9 @@ def nhim_feasible_dims(
     that part is negative.  Truncated at the cutoff; the certified floor is
     reported as truncation_bound.
     """
-    if gap_min <= 0:
-        raise ConfigError("gap_min must be positive")
+    _require_gap_min(gap_min)
     _require_certified_range([lin], cutoff)
-    profile = count_profile(lin, cutoff)
-    dims = {n for lo, hi, n in profile.gaps_below_zero(gap_min)}
-    return FeasibleDims(
-        dims=frozenset(dims),
-        cutoff=float(cutoff),
-        gap_min=float(gap_min),
-        truncation_bound=profile.valid_above,
-    )
+    return _feasible(lin, enumerate_spectrum(lin.domain, cutoff), gap_min)
 
 
 @dataclass(frozen=True)
@@ -341,6 +341,8 @@ class ObstructionCertificate:
     result: Witness | None
     witnesses: tuple = ()
     caveat: str = CAVEAT_TEXT
+    # NHIM only: the FeasibleDims of each equilibrium, in order
+    feasible: tuple = field(default=(), repr=False, compare=False)
 
     @property
     def empty(self) -> bool:
@@ -368,44 +370,36 @@ def anhim_common_gamma(lins, cutoff: float) -> ObstructionCertificate:
     """Scan for one gamma < 0 lying in a spectral gap of every equilibrium
     with identical counts above it (the absolutely normally hyperbolic cut).
 
-    Candidates are midpoints of the cells of the merged breakpoint partition
-    below zero; counts are constant on each cell, so the scan is exhaustive
-    up to the cutoff.  All admissible cells are kept as witnesses; the
-    headline result is the widest one (ties to the largest gamma).  An Empty
-    result only ever means: no admissible cut up to this cutoff, and a
-    cutoff that certifies nothing below zero raises PreconditionError.
+    The box spectrum is enumerated once for the family.  The cells are the
+    merged breakpoint partition of (floor, 0), floor the highest certified
+    line; counts are constant on each cell, so evaluating them at the cell
+    midpoints is exhaustive up to the cutoff.  Every cell with equal counts
+    is a witness (lo, hi); the headline result is the widest one (ties to
+    the largest gamma).  An Empty result only ever means: no admissible cut
+    up to this cutoff, and a cutoff that certifies nothing below zero raises
+    PreconditionError.
     """
     _shared_domain(lins)
     if len(lins) < 2:
         raise ConfigError("common-gamma scan needs at least two equilibria")
     _require_certified_range(lins, cutoff)
     labels = tuple(_labels(lins))
-    profiles = [count_profile(lin, cutoff) for lin in lins]
+    spec = enumerate_spectrum(lins[0].domain, cutoff)
+    profiles = [_profile(lin, spec) for lin in lins]
     floor = max(p.valid_above for p in profiles)
 
     merged = np.unique(np.concatenate([p.breakpoints for p in profiles]))  # ascending
-    merged = merged[(merged > floor)]
-    # cell edges covering (floor, 0): breakpoints plus both ends
-    edges = np.concatenate(([floor], merged[merged < 0.0], [0.0]))
-    witnesses = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        if hi - lo <= 0:
-            continue
-        gamma = 0.5 * (lo + hi)
-        counts = [p.dim_at(gamma) for p in profiles]
-        if any(c != counts[0] for c in counts[1:]):
-            continue
-        # maximal interval around gamma where every profile keeps this count
-        cell_lo, cell_hi = floor, 0.0
-        for p in profiles:
-            above = p.breakpoints[p.breakpoints > gamma]
-            below = p.breakpoints[p.breakpoints < gamma]
-            if above.size:
-                cell_hi = min(cell_hi, float(above.min()))
-            if below.size:
-                cell_lo = max(cell_lo, float(below.max()))
-        witnesses.append(Witness(gamma_lo=cell_lo, gamma_hi=cell_hi, n=counts[0]))
-
+    edges = np.concatenate(([floor], merged[(merged > floor) & (merged < 0.0)], [0.0]))
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    counts = np.array([p._dims_at(mids) for p in profiles])
+    admitted = np.all(counts == counts[0], axis=0)
+    witnesses = [
+        Witness(gamma_lo=lo, gamma_hi=hi, n=n)
+        for lo, hi, n, ok in zip(
+            edges[:-1].tolist(), edges[1:].tolist(), counts[0].tolist(), admitted
+        )
+        if ok
+    ]
     witnesses.sort(key=lambda w: -w.gamma_hi)
     headline = None
     if witnesses:
@@ -424,44 +418,34 @@ def nhim_certificate(
 ) -> ObstructionCertificate:
     """Intersect per-equilibrium feasible dimensions (gamma may differ).
 
+    The box spectrum is enumerated once for the family, and the
+    certificate carries each equilibrium's FeasibleDims as `feasible`.
     Empty when no dimension is feasible for every equilibrium.  Otherwise
     the smallest common dimension is reported; its gamma interval is the
     intersection of the per-equilibrium gaps when they overlap, else the
     first equilibrium's gap (the cuts need not share a gamma).
     """
     _shared_domain(lins)
+    _require_gap_min(gap_min)
     _require_certified_range(lins, cutoff)
     labels = tuple(_labels(lins))
-    profiles = [count_profile(lin, cutoff) for lin in lins]
-    per_dim = []
-    for p in profiles:
-        per_dim.append({n: (lo, hi) for lo, hi, n in p.gaps_below_zero(gap_min)})
-    common = set(per_dim[0])
-    for d in per_dim[1:]:
-        common &= set(d)
-    if not common:
-        return ObstructionCertificate(
-            mode="NHIM", cutoff=float(cutoff), equilibria=labels, result=None
-        )
-    n = min(common)
-    los = [d[n][0] for d in per_dim]
-    his = [d[n][1] for d in per_dim]
-    lo, hi = max(los), min(his)
-    if not lo < hi:
-        lo, hi = per_dim[0][n]
-    witness = Witness(gamma_lo=lo, gamma_hi=hi, n=n)
+    spec = enumerate_spectrum(lins[0].domain, cutoff)
+    feasible = tuple(_feasible(lin, spec, gap_min) for lin in lins)
+    common = frozenset.intersection(*(f.dims for f in feasible))
     witnesses = []
     for m in sorted(common):
-        mlo, mhi = max(d[m][0] for d in per_dim), min(d[m][1] for d in per_dim)
-        if not mlo < mhi:
-            mlo, mhi = per_dim[0][m]
-        witnesses.append(Witness(gamma_lo=mlo, gamma_hi=mhi, n=m))
+        lo = max(f.gaps[m][0] for f in feasible)
+        hi = min(f.gaps[m][1] for f in feasible)
+        if not lo < hi:
+            lo, hi = feasible[0].gaps[m]
+        witnesses.append(Witness(gamma_lo=lo, gamma_hi=hi, n=m))
     return ObstructionCertificate(
         mode="NHIM",
         cutoff=float(cutoff),
         equilibria=labels,
-        result=witness,
+        result=witnesses[0] if witnesses else None,
         witnesses=tuple(witnesses),
+        feasible=feasible,
     )
 
 

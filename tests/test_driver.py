@@ -10,6 +10,7 @@ import pytest
 from imhyp.driver import main, render_report, run, validate
 from imhyp.errors import ConfigError, NumericalFailure
 from imhyp.lattice_spectrum import JumpQuery
+import imhyp.stationary_spectrum as stationary_spectrum
 import imhyp.driver as driver_mod
 
 
@@ -124,6 +125,25 @@ class TestCertificates:
         eq = report["result"]["equilibria"][0]
         assert eq["dims"] == sorted(eq["dims"])
         assert "certificate" not in report["result"]
+
+    @pytest.mark.parametrize("config", [
+        {"command": "parity", "field": "prop35", "nu": 1, "cutoff": 200},
+        {"command": "anhim", "field": "cubic-scalar", "nu": 2, "cutoff": 2000},
+        {"command": "nhim-dims", "jacs": "-1;-2;-0.5,1,-1,-0.5", "nu": 1,
+         "cutoff": 300},
+        {"command": "nhim-dims", "field": "prop35", "nu": 1, "cutoff": 200},
+    ], ids=["parity-prop35", "anhim-cubic", "nhim-dims-jacs", "nhim-dims-prop35"])
+    def test_one_box_enumeration_per_command(self, monkeypatch, config):
+        calls = []
+        enumerate_spectrum = stationary_spectrum.enumerate_spectrum
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return enumerate_spectrum(*args, **kwargs)
+
+        monkeypatch.setattr(stationary_spectrum, "enumerate_spectrum", counting)
+        run(config)
+        assert len(calls) == 1
 
     def test_prop34_verdict_follows_checklist(self, monkeypatch):
         solve = driver_mod.solve_prop34

@@ -7,6 +7,8 @@ import pytest
 import sympy as sym
 
 from imhyp.errors import ConfigError, HypothesisNotMet
+from imhyp.lattice_spectrum import BoxDomain
+from imhyp.stationary_spectrum import Linearization
 from imhyp.reaction_field import (
     CubicCoupled,
     CubicUncoupled,
@@ -171,6 +173,15 @@ class TestDelta:
     def test_eigenvalues_ordered_by_real_part(self):
         an = analyze_point(linear_field(((2.0, 0.0), (0.0, 5.0))), (0.0, 0.0))
         assert an.eigenvalues == (5.0, 2.0)
+
+    def test_close_real_eigenvalues_keep_their_gap(self):
+        # tr^2 - 4det cancels to 0 here; (a-d)^2 + 4bc keeps the gap 2^-26
+        m = ((1.0, 0.0), (0.0, 1.0 + 2.0**-26))
+        an = analyze_point(linear_field(m), (0.0, 0.0))
+        assert an.delta_float == 2.0**-26
+        assert an.eigenvalues == (1.0 + 2.0**-26, 1.0)
+        lin = Linearization(domain=BoxDomain(dim=1), nu=1.0, jac=m)
+        assert lin.xi_parts == ((1.0 + 2.0**-26, 1), (1.0, 1))
 
     def test_rejects_non_fixed_point(self):
         with pytest.raises(HypothesisNotMet, match="not a fixed point"):

@@ -315,6 +315,24 @@ class TestNhimCertificate:
         assert cert.empty
         assert cert.to_json_dict()["result"] == "empty"
 
+    def test_gap_min_positive(self):
+        for gap_min in (0.0, -1.0):
+            with pytest.raises(ConfigError, match="gap_min must be positive"):
+                nhim_certificate(bistable_family(0.5), 60.0, gap_min=gap_min)
+
+    def test_carries_each_equilibriums_feasible_dims(self):
+        lins = bistable_family(0.5)
+        cert = nhim_certificate(lins, 60.0, gap_min=1e-3)
+        assert len(cert.feasible) == len(lins)
+        for lin, feas in zip(lins, cert.feasible):
+            alone = nhim_feasible_dims(lin, 60.0, gap_min=1e-3)
+            assert feas == alone
+            assert feas.gaps == alone.gaps
+            prof = count_profile(lin, 60.0)
+            assert feas.gaps == {
+                n: (lo, hi) for lo, hi, n in prof.gaps_below_zero(1e-3)
+            }
+
 
 @pytest.mark.parametrize("scan", [
     anhim_common_gamma,
