@@ -78,7 +78,9 @@ def _operator_parts(lin: Linearization, spec: Spectrum):
     lam = spec.eigenvalues
     vals = np.concatenate([xi - lin.nu * lam for xi, _ in lin.xi_parts])
     weights = np.concatenate([w * spec.multiplicities for _, w in lin.xi_parts])
-    neg, ws = _merge_close(-vals, weights)  # descending parts: merge their negatives
+    # merge the descending parts as ascending negatives; negating back is
+    # exact, so an exact 0 part stays +0 and never renders as -0 in a report
+    neg, ws = _merge_close(-vals, weights)
     return -neg, ws
 
 

@@ -95,6 +95,13 @@ class TestOperatorSpectrum:
         lin = Linearization(domain=CUBE, nu=1.0, jac=[[0.0, -1.0], [1.0, 0.0]])
         assert operator_spectrum(lin, 2.0) == [(0.0, 2), (-1.0, 6), (-2.0, 6)]
 
+    def test_near_equal_parts_merge_on_either_side_of_zero(self):
+        # eigenvalues 2e-6 apart, relative 4e-10 < 1e-9: one part of
+        # multiplicity 2 at lambda = 0, kept at the larger value
+        for xi in (5000.0, -5000.0):
+            lin = Linearization(domain=CUBE, nu=1.0, jac=[[xi, 0.0], [0.0, xi - 2e-6]])
+            assert operator_spectrum(lin, 1.0) == [(xi, 2), (xi - 1.0, 6)]
+
     def test_descending_order(self):
         lin = scalar_lin(0.7, -1.3)
         parts = [v for v, _ in operator_spectrum(lin, 30.0)]
