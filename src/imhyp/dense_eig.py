@@ -8,12 +8,14 @@ size as one stack with a batched round-robin Jacobi (Brent & Luk, SIAM J.
 Sci. Stat. Comput. 6 (1985)): a sweep is n-1 steps, and each step applies
 n/2 disjoint rotations to every matrix of the stack at once.  Only blocks
 above 512x512 take power iteration on A*A instead.  No LAPACK routine is
-involved, so the numbers do not depend on the platform.
+involved, so the numbers do not depend on the platform.  ``_eig2x2_float``
+serves the field and certificate layers: closed-form 2x2 eigenvalues.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -278,3 +280,19 @@ def spectral_norms(matrices) -> np.ndarray:
 def spectral_norm(A) -> float:
     """max |eigenvalue| of a symmetric matrix."""
     return float(spectral_norms([A])[0])
+
+
+def _eig2x2_float(a, b, c, d):
+    """(xi1, xi2, real-part gap) of [[a, b], [c, d]], by descending (Re, Im).
+
+    The discriminant is taken as (a-d)^2 + 4bc: tr^2 - 4det cancels when the
+    two real eigenvalues are close, and can then turn a real pair complex.
+    """
+    a, b, c, d = float(a), float(b), float(c), float(d)
+    tr = a + d
+    disc = (a - d) * (a - d) + 4.0 * b * c
+    if disc < 0.0:
+        im = math.sqrt(-disc) / 2.0
+        return (complex(tr / 2.0, im), complex(tr / 2.0, -im), 0.0)
+    s = math.sqrt(disc)
+    return ((tr + s) / 2.0, (tr - s) / 2.0, s)

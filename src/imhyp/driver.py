@@ -103,8 +103,16 @@ def _parse_floats(raw):
 def _parse_value(param: Param, raw):
     kind = param.kind
     if kind == "int":
-        val = int(raw) if not isinstance(raw, bool) else None
-        if val is None or (isinstance(raw, float) and raw != int(raw)):
+        # floats and text such as "1e7" count when integral and at most 2**53
+        val = raw
+        if isinstance(raw, str):
+            try:
+                val = int(raw) if raw.strip().lstrip("+-").isdigit() else float(raw)
+            except ValueError:  # refused below as not an integer
+                pass
+        if isinstance(val, float) and abs(val) <= 2**53 and val.is_integer():
+            val = int(val)
+        if isinstance(val, bool) or not isinstance(val, int):
             raise ValueError(f"expected an integer, got {raw!r}")
         return val
     if kind == "float":
@@ -961,7 +969,8 @@ def main(argv=None) -> int:
     except HypothesisNotMet as exc:
         return _fail("hypothesis not met", exc, 2)
     except NumericalFailure as exc:
-        return _fail("numerical failure", exc, 3)
+        witness = "" if exc.witness is None else f" (witness: {exc.witness})"
+        return _fail("numerical failure", f"{exc}{witness}", 3)
     except Exception as exc:  # the CLI boundary: no traceback escapes
         return _fail("internal error", f"{type(exc).__name__}: {exc}", 4)
     return 0

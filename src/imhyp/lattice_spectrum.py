@@ -380,13 +380,11 @@ def _sum_of_three_squares_sieve(limit: int) -> np.ndarray:
 
 def _excluded_closed_form(limit: int) -> np.ndarray:
     """Boolean table of the 4^a*(8b+7) integers <= limit."""
-    m = np.arange(limit + 1, dtype=np.int64)
-    while True:
-        div = (m > 0) & (m % 4 == 0)
-        if not div.any():
-            break
-        m = np.where(div, m // 4, m)
-    return m % 8 == 7
+    m = np.arange(1, limit + 1, dtype=np.int64)
+    low = m & -m  # 2^t for the t trailing zeros of m
+    # m = 4^a*(8b+7) iff t is even and the odd part m/2^t is 7 mod 8
+    excluded = ((low & 0x5555555555555555) != 0) & ((m & (8 * low - 1)) == 7 * low)
+    return np.concatenate(([False], excluded))
 
 
 @dataclass(frozen=True)

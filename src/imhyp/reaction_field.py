@@ -9,17 +9,20 @@ reaction-diffusion system.
 
 Parameters of the named families may be floats or sympy expressions; with
 symbolic parameters every fixed point, Jacobian and delta stays exact.
+sympy is imported only by the exact paths (the exact Prop. 3.5 field and
+field JSON with string values), so float work never loads it.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import astuple, dataclass
 
 import numpy as np
-import sympy as sym
 
+from .dense_eig import _eig2x2_float
 from .errors import ConfigError, HypothesisNotMet, NumericalFailure
 
 Region = tuple[tuple[float, float], tuple[float, float]]
@@ -36,10 +39,21 @@ DEDUPE_TOL = 1e-8
 
 
 def _symbolic(*vals) -> bool:
-    return any(isinstance(v, sym.Basic) for v in vals)
+    sym = sys.modules.get("sympy")  # no sympy value exists before its import
+    return sym is not None and any(isinstance(v, sym.Basic) for v in vals)
+
+def _zero(*vals):
+    """0 of the values' kind: sympy's exact 0 if any is symbolic, else 0.0."""
+    if not _symbolic(*vals):
+        return 0.0
+    import sympy as sym
+    return sym.Integer(0)
 
 def _sqrt(x):
-    return sym.sqrt(x) if isinstance(x, sym.Basic) else math.sqrt(x)
+    if not _symbolic(x):
+        return math.sqrt(x)
+    import sympy as sym
+    return sym.sqrt(x)
 
 def _check_positive(name, value):
     if float(value) <= 0:
@@ -97,7 +111,7 @@ class CubicUncoupled:
     def jacobian(self, v):
         v1, v2 = v
         # d/dv of v*(r - v)*(v - s) = -3v^2 + 2(r+s)v - r*s
-        zero = sym.Integer(0) if _symbolic(v1, v2, self.a) else 0.0
+        zero = _zero(v1, v2, self.a)
         return (
             (-3 * v1**2 + 2 * (self.a + self.b) * v1 - self.a * self.b, zero),
             (zero, -3 * v2**2 + 2 * (self.c + self.d) * v2 - self.c * self.d),
@@ -158,6 +172,7 @@ def _eig2x2(J):
     """
     (a, b), (c, d) = J
     if _symbolic(a, b, c, d):
+        import sympy as sym
         tr = a + d
         det = a * d - b * c
         disc = sym.simplify(sym.expand(tr * tr - 4 * det))
@@ -172,33 +187,6 @@ def _eig2x2(J):
         xi2 = sym.simplify((tr - root) / 2)
         return (xi1, xi2, root)
     return _eig2x2_float(a, b, c, d)
-
-
-def _eig2x2_float(a, b, c, d):
-    """Float eigenvalues of [[a, b], [c, d]] as (xi1, xi2, delta), like _eig2x2.
-
-    The discriminant is taken as (a-d)^2 + 4bc: tr^2 - 4det cancels when the
-    two real eigenvalues are close, and can then turn a real pair complex.
-    """
-    a, b, c, d = float(a), float(b), float(c), float(d)
-    tr = a + d
-    disc = (a - d) * (a - d) + 4.0 * b * c
-    if disc < 0.0:
-        im = math.sqrt(-disc) / 2.0
-        return (complex(tr / 2.0, im), complex(tr / 2.0, -im), 0.0)
-    s = math.sqrt(disc)
-    return ((tr + s) / 2.0, (tr - s) / 2.0, s)
-
-
-def _re(x) -> float:
-    if isinstance(x, sym.Basic):
-        return float(sym.re(x))
-    return x.real if isinstance(x, complex) else float(x)
-
-def _im(x) -> float:
-    if isinstance(x, sym.Basic):
-        return float(sym.im(x))
-    return x.imag if isinstance(x, complex) else 0.0
 
 
 @dataclass(frozen=True)
@@ -231,6 +219,7 @@ def _residual(field: PlanarField, p):
     except OverflowError:  # Python-float ** raises instead of returning inf
         return math.inf
     if _symbolic(f1, f2):
+        import sympy as sym
         return sym.simplify(sym.sqrt(f1**2 + f2**2))
     return math.hypot(float(f1), float(f2))
 
@@ -266,7 +255,7 @@ def delta_of(field: PlanarField, p) -> FixedPointAnalysis:
 def _closed_form_candidates(field: PlanarField):
     if isinstance(field, CubicCoupled):
         k, a, b = field.k, field.a, field.b
-        zero = sym.Integer(0) if _symbolic(k, a, b) else 0.0
+        zero = _zero(k, a, b)
         c1 = 1 / _sqrt(a)
         c3 = 1 / _sqrt(b)
         cands = [
@@ -285,6 +274,7 @@ def _closed_form_candidates(field: PlanarField):
         xs = (0, field.a, field.b) if _symbolic(field.a) else (0.0, field.a, field.b)
         ys = (0, field.c, field.d) if _symbolic(field.c) else (0.0, field.c, field.d)
         if _symbolic(field.a, field.b, field.c, field.d):
+            import sympy as sym
             xs = tuple(sym.sympify(x) for x in xs)
             ys = tuple(sym.sympify(y) for y in ys)
         return [(x, y) for x in xs for y in ys]
@@ -442,16 +432,7 @@ class Prop34Checklist:
     points_norm_le_sqrt7: bool
 
     def all_pass(self) -> bool:
-        return all(
-            (
-                self.delta1_is_1,
-                self.delta3_is_3,
-                self.ordering,
-                self.r0sq_lt_12,
-                self.points_in_Dc,
-                self.points_norm_le_sqrt7,
-            )
-        )
+        return all(astuple(self))
 
 
 @dataclass(frozen=True)
@@ -547,6 +528,7 @@ def solve_prop34(
 def prop35_field(exact: bool = True) -> CubicUncoupled:
     """The componentwise cubic with the exact 0,1,2,3 gap ladder."""
     if exact:
+        import sympy as sym
         return CubicUncoupled(sym.Integer(2), sym.sqrt(3), sym.sqrt(6), sym.sqrt(2))
     return CubicUncoupled(2.0, math.sqrt(3.0), math.sqrt(6.0), math.sqrt(2.0))
 
@@ -566,8 +548,7 @@ def verify_prop35(exact: bool = True) -> Prop35Report:
     """Analyze the four ladder points of the exact componentwise field."""
     field = prop35_field(exact)
     a, b, c, d = field.a, field.b, field.c, field.d
-    zero = sym.Integer(0) if exact else 0.0
-    pts = ((zero, zero), (b, d), (a, c), (b, c))
+    pts = ((_zero(a), _zero(a)), (b, d), (a, c), (b, c))
     analyses = tuple(delta_of(field, p) for p in pts)
     deltas = tuple(an.delta for an in analyses)
     errors = tuple(abs(an.delta_float - i) for i, an in enumerate(analyses))
@@ -647,14 +628,14 @@ def invariant_region_check(field: CubicCoupled, c) -> bool:
     a, b = field.a, field.b
     csq = c * c
     if _symbolic(a, b, c):
-        lo = sym.simplify(csq - 1 / b)
-        hi = sym.simplify((a - 1) - csq)
+        import sympy as sym
 
         def nonneg(expr):
+            expr = sym.simplify(expr)
             flag = expr.is_nonnegative
             return float(expr) >= 0 if flag is None else bool(flag)
 
-        return nonneg(lo) and nonneg(hi)
+        return nonneg(csq - 1 / b) and nonneg((a - 1) - csq)
     return 1.0 / float(b) <= float(csq) <= float(a) - 1.0
 
 
@@ -663,7 +644,7 @@ def invariant_region_check(field: CubicCoupled, c) -> bool:
 
 def field_to_json_dict(field: PlanarField) -> dict:
     def val(x):
-        return str(x) if isinstance(x, sym.Basic) else float(x)
+        return str(x) if _symbolic(x) else float(x)
 
     if isinstance(field, CubicCoupled):
         return {"kind": "cubic_coupled", "k": val(field.k), "a": val(field.a), "b": val(field.b)}
@@ -682,6 +663,7 @@ def field_to_json_dict(field: PlanarField) -> dict:
 def field_from_json_dict(data: dict) -> PlanarField:
     def val(x):
         if isinstance(x, str):
+            import sympy as sym
             return sym.sympify(x)
         return float(x)
 
@@ -729,8 +711,8 @@ def delta_table_to_csv(analyses, path: str) -> None:
         fh.write("i,px,py,xi1_re,xi1_im,xi2_re,xi2_im,delta\n")
         for i, an in enumerate(analyses):
             x, y = an.point_float
-            xi1, xi2 = an.eigenvalues
+            xi1, xi2 = map(complex, an.eigenvalues)  # as in the JSON report
             fh.write(
-                f"{i},{x:.17g},{y:.17g},{_re(xi1):.17g},{_im(xi1):.17g},"
-                f"{_re(xi2):.17g},{_im(xi2):.17g},{an.delta_float:.17g}\n"
+                f"{i},{x:.17g},{y:.17g},{xi1.real:.17g},{xi1.imag:.17g},"
+                f"{xi2.real:.17g},{xi2.imag:.17g},{an.delta_float:.17g}\n"
             )

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dense_eig import _eig2x2_float
 from .errors import ConfigError, HypothesisNotMet, PreconditionError
 from .lattice_spectrum import BoxDomain, Spectrum, _merge_close, enumerate_spectrum
-from .reaction_field import _eig2x2_float
 
 ZERO_TOL_DEFAULT = 1e-9
 GAP_MIN_DEFAULT = 1e-6
@@ -237,21 +237,14 @@ class ModeCountProfile:
     def gaps_below_zero(self, gap_min: float):
         """Open spectral gaps intersected with (valid_above, 0), as
         (lo, hi, count-above) triples; includes the semi-infinite top gap."""
-        out = []
         bp = self.breakpoints
-        if bp.size == 0:
-            return out
-        if bp[0] < 0.0:
-            out.append((float(bp[0]), 0.0, 0))
-        for i in range(bp.size - 1):
-            hi, lo = float(bp[i]), float(bp[i + 1])
-            certified_lo = max(lo, self.valid_above)
-            if hi - certified_lo < gap_min:
-                continue
-            cap = min(hi, 0.0)
-            if cap > certified_lo:
-                out.append((certified_lo, cap, int(self.counts[i])))
-        return out
+        out = [(float(bp[0]), 0.0, 0)] if bp.size and bp[0] < 0.0 else []
+        # gap i is (bp[i+1], bp[i]); np.where keeps max/min's pick of signed zeros
+        lo = np.where(self.valid_above > bp[1:], self.valid_above, bp[1:])
+        cap = np.where(bp[:-1] > 0.0, 0.0, bp[:-1])
+        keep = ~(bp[:-1] - lo < gap_min) & (cap > lo)
+        rows = zip(lo[keep].tolist(), cap[keep].tolist(), self.counts[:-1][keep])
+        return out + [(l, c, int(n)) for l, c, n in rows]
 
 
 def _profile(lin: Linearization, spec: Spectrum) -> ModeCountProfile:

@@ -49,6 +49,39 @@ class TestValidate:
         assert any(d.startswith("cutoff:") for d in diags)
 
 
+class TestIntegerKeys:
+    @pytest.mark.parametrize("raw", ["1e3", "1000", "1000.0", " 1e3 ", 1e3, 1000])
+    def test_integral_values_accepted(self, raw):
+        report = run({"command": "gauss-audit", "limit": raw})
+        assert report["config"]["limit"] == 1000
+        assert type(report["config"]["limit"]) is int
+
+    def test_exponent_flag_on_the_command_line(self, capsys):
+        code, out, err = cli(capsys, "gauss-audit", "--limit", "1e3")
+        assert code == 0 and err == ""
+        assert json.loads(out)["config"]["limit"] == 1000
+
+    @pytest.mark.parametrize("raw", [
+        "1.5", 1.5, "inf", "-inf", "nan", float("inf"), float("nan"),
+        "1e300", 2.0**53 + 2, "ten", True, [1000],
+    ])
+    def test_non_integers_refused(self, raw):
+        diags = validate({"command": "gauss-audit", "limit": raw})
+        assert diags == [f"limit: expected an integer, got {raw!r}"]
+
+    @pytest.mark.parametrize("flag", ["1.5", "inf", "nan", "1e300"])
+    def test_non_integer_flag_exits_1(self, capsys, flag):
+        code, out, err = cli(capsys, "gauss-audit", "--limit", flag)
+        assert code == 1 and out == ""
+        assert err == (
+            f"imhyp: config error: limit: expected an integer, got {flag!r}\n"
+        )
+
+    def test_exact_integers_beyond_2_53_still_accepted(self):
+        report = run({"command": "gaps", "cutoff": 30, "seed": 2**60 + 1})
+        assert report["config"]["seed"] == 2**60 + 1
+
+
 class TestRun:
     def test_report_shape(self):
         report = run({"command": "gaps", "cutoff": 30})
@@ -253,6 +286,22 @@ class TestMainExitCodes:
         code, _, err = cli(capsys, "gaps", "--cutoff", "30")
         assert code == 3
         assert "numerical failure" in err
+
+    @pytest.mark.parametrize("witness, shown", [
+        (17, " (witness: 17)"),
+        ((1.5, -2.0), " (witness: (1.5, -2.0))"),
+        (None, ""),
+    ])
+    def test_numerical_failure_shows_its_witness(
+        self, capsys, monkeypatch, witness, shown
+    ):
+        def boom(_params):
+            raise NumericalFailure("tables\ndisagree", witness=witness)
+
+        monkeypatch.setitem(driver_mod.RUNNERS, "gaps", boom)
+        code, out, err = cli(capsys, "gaps", "--cutoff", "30")
+        assert code == 3 and out == ""
+        assert err == f"imhyp: numerical failure: tables disagree{shown}\n"
 
     def test_help_and_version(self, capsys):
         assert cli(capsys, "--help")[0] == 0

@@ -19,7 +19,7 @@ from imhyp import (
     three_square_gap_audit,
     weyl_fit,
 )
-from imhyp.lattice_spectrum import spectrum_from_csv
+from imhyp.lattice_spectrum import _excluded_closed_form, spectrum_from_csv
 
 from oracles import brute_lattice_entries, three_squares_by_enumeration
 
@@ -259,6 +259,24 @@ class TestThreeSquareAudit:
     def test_limit_precondition(self):
         with pytest.raises(PreconditionError):
             three_square_gap_audit(7)
+
+    def test_closed_form_table(self):
+        rep = three_squares_by_enumeration(3000)
+        table = _excluded_closed_form(3000)
+        assert table.dtype == bool
+        assert table.tolist() == [n not in rep for n in range(3001)]
+
+        def reduced_by_loop(limit):  # divide out 4 while it divides
+            m = np.arange(limit + 1, dtype=np.int64)
+            while True:
+                div = (m > 0) & (m % 4 == 0)
+                if not div.any():
+                    return m % 8 == 7
+                m = np.where(div, m // 4, m)
+
+        # past 4^9, so every power of 4 up to 4^9 times 8b+7 occurs
+        limit = 7 * 4**9 + 100
+        assert np.array_equal(_excluded_closed_form(limit), reduced_by_loop(limit))
 
 
 class TestWeylFit:

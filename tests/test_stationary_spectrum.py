@@ -214,6 +214,49 @@ class TestCountProfile:
         assert np.array_equal(shifted.counts, base.counts)
 
 
+def gaps_below_zero_by_loop(prof, gap_min):
+    """The per-breakpoint loop that ModeCountProfile.gaps_below_zero replaced."""
+    out = []
+    bp = prof.breakpoints
+    if bp.size == 0:
+        return out
+    if bp[0] < 0.0:
+        out.append((float(bp[0]), 0.0, 0))
+    for i in range(bp.size - 1):
+        hi, lo = float(bp[i]), float(bp[i + 1])
+        certified_lo = max(lo, prof.valid_above)
+        if hi - certified_lo < gap_min:
+            continue
+        cap = min(hi, 0.0)
+        if cap > certified_lo:
+            out.append((certified_lo, cap, int(prof.counts[i])))
+    return out
+
+
+class TestGapsBelowZero:
+    def test_matches_the_loop_on_random_profiles(self):
+        rng = np.random.default_rng(11)
+        seen_top = seen_clipped = 0
+        for trial in range(300):
+            size = int(rng.integers(0, 40))
+            # integer grids make ties with 0, valid_above and gap_min common
+            scale = (0.25, 1.0, 0.1)[trial % 3]
+            vals = np.unique(rng.integers(-60, 20, size=size) * scale)[::-1]
+            counts = np.cumsum(rng.integers(1, 5, size=vals.size)).astype(np.int64)
+            valid_above = float(rng.integers(-70, 10) * scale)
+            if trial % 5 == 0:  # signed zeros: max/min must keep the loop's pick
+                vals = np.where(vals == 0.0, -0.0, vals)
+                valid_above = -0.0 if valid_above == 0.0 else valid_above
+            prof = ModeCountProfile(vals, counts, 100.0, valid_above)
+            for gap_min in (1e-6, scale, 2.5 * scale):
+                want = gaps_below_zero_by_loop(prof, gap_min)
+                # repr tells -0.0 from 0.0, 3 from 3.0 and numpy from Python types
+                assert repr(prof.gaps_below_zero(gap_min)) == repr(want)
+            seen_top += bool(vals.size) and vals[0] < 0.0
+            seen_clipped += any(lo == valid_above for lo, _, _ in want)
+        assert seen_top > 10 and seen_clipped > 10
+
+
 class TestFeasibleDims:
     def test_stable_slope_contains_zero(self):
         fd = nhim_feasible_dims(scalar_lin(0.5, -2.0), 60.0)
