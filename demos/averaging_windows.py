@@ -6,6 +6,9 @@ the operator can be tiny even when h is far from constant.  The scan at
 the end looks for levels where the normalized coupling is small.
 """
 
+import pathlib
+import tempfile
+
 import numpy as np
 
 from imhyp import BoxDomain, Multiplier, h2_norm, mean
@@ -55,8 +58,10 @@ for r in reports[:6]:
         f"{r.op_norm:.3e}  {r.eps_eff:.3e}"
     )
 
-sap_reports_to_csv(reports, "/tmp/sap_scan_demo.csv")
-print("full table written to /tmp/sap_scan_demo.csv")
+# the library returns the CSV as text; the caller decides where it goes
+csv_path = pathlib.Path(tempfile.gettempdir()) / "sap_scan_demo.csv"
+csv_path.write_text(sap_reports_to_csv(reports))
+print(f"full table written to {csv_path}")
 
 # more frequencies couple more mode pairs, but zero-coupling windows
 # below 300 survive

@@ -61,10 +61,8 @@ from .reaction_field import (
     fixed_points,
     invariant_region_check,
     lemma33_check,
-    load_field,
     middle_gap,
     prop35_field,
-    save_field,
     solve_prop34,
     verify_prop35,
 )
@@ -96,13 +94,11 @@ from .spatial_averaging import (
     Multiplier,
     SAPWindowReport,
     h2_norm,
-    load_multiplier,
     mean,
     multiplier_from_json_dict,
     multiplier_to_json_dict,
     sap_reports_to_csv,
     sap_scan,
-    save_multiplier,
     window_modes,
     windowed_matrix,
     windowed_norm,

@@ -2,8 +2,11 @@
 
 One subcommand per analysis operation.  Reports are JSON with floats printed
 at 17 significant digits and sorted keys, so identical config and version
-produce identical bytes.  All file output goes through a temp-file-plus-rename
-so readers never observe a half-written report.
+produce identical bytes.  This module is the package's only I/O boundary:
+it reads the config, field and multiplier JSON files (``_read_json``) and
+writes every report, certificate and CSV, which the library modules return
+as text.  All file output goes through a temp-file-plus-rename so readers
+never observe a half-written file.
 """
 
 from __future__ import annotations
@@ -35,17 +38,17 @@ from .reaction_field import (
     delta_of,
     delta_table_to_csv,
     dissipativity_radius,
+    field_from_json_dict,
     fixed_points,
     invariant_region_check,
     lemma33_check,
-    load_field,
     prop35_field,
     solve_prop34,
     verify_prop35,
 )
 from .spatial_averaging import (
     Multiplier,
-    load_multiplier,
+    multiplier_from_json_dict,
     sap_reports_to_csv,
     sap_scan,
 )
@@ -386,10 +389,9 @@ def render_report(report) -> str:
     return "".join(parts)
 
 
-def _atomic_file(path, content) -> None:
-    """Write content to a temp file beside path, then rename it onto path.
+def _atomic_file(path, text: str) -> None:
+    """Write text to a temp file beside path, then rename it onto path.
 
-    content is either the text to write or a writer(tmp_path) callable.
     A path that cannot be written is a ConfigError.
     """
     path = os.fspath(path)
@@ -397,12 +399,8 @@ def _atomic_file(path, content) -> None:
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".imhyp.")
         try:
-            if callable(content):
-                os.close(fd)
-                content(tmp)
-            else:
-                with os.fdopen(fd, "w") as fh:
-                    fh.write(content)
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -412,6 +410,24 @@ def _atomic_file(path, content) -> None:
             raise
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def _read_json(path, what: str) -> dict:
+    """The JSON object in file path, else a ConfigError naming the what file."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot read {what} file {path}: {exc.strerror or exc}"
+        ) from None
+    except ValueError as exc:
+        raise ConfigError(
+            f"cannot read {what} file {path}: not valid JSON: {exc}"
+        ) from None
+    if not isinstance(data, dict):
+        raise ConfigError(f"cannot read {what} file {path}: not a JSON object")
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +464,7 @@ def _planar_field(name: str):
             "planar field"
         )
     if os.path.exists(name):
-        return load_field(name)
+        return field_from_json_dict(_read_json(name, "field"))
     builtins = ", ".join(_BUILTIN_FIELDS)
     raise ConfigError(
         f"field {name!r} is neither a readable JSON file nor a builtin "
@@ -532,7 +548,7 @@ def _analysis_row(a) -> dict:
 def _run_spectrum(p):
     spec = _spectrum(p)
     if p.get("csv"):
-        _atomic_file(p["csv"], spec.to_csv)
+        _atomic_file(p["csv"], spec.to_csv())
     gaps = gap_stats(spec) if len(spec) >= 2 else None
     result = {
         "count": spec.total_count,
@@ -605,7 +621,7 @@ def _run_fixed_points(p):
     else:
         analyses = fixed_points(field, tol=p["tol"])
     if p.get("csv"):
-        _atomic_file(p["csv"], lambda tmp: delta_table_to_csv(analyses, tmp))
+        _atomic_file(p["csv"], delta_table_to_csv(analyses))
     result = {
         "count": len(analyses),
         "points": [_analysis_row(a) for a in analyses],
@@ -803,7 +819,7 @@ def _resolve_multiplier(name: str) -> Multiplier:
     if name == "cos-x1":
         return Multiplier(BoxDomain(dim=3), {(1, 0, 0): 1.0})
     if os.path.exists(name):
-        return load_multiplier(name)
+        return multiplier_from_json_dict(_read_json(name, "multiplier"))
     builtins = ", ".join(_BUILTIN_MULTIPLIERS)
     raise ConfigError(
         f"multiplier {name!r} is neither a readable JSON file nor a builtin "
@@ -815,7 +831,7 @@ def _run_sap_scan(p):
     h = _resolve_multiplier(p["h"])
     reports = sap_scan(h, p["k"], p["rho"], p["lambda-max"])
     if p.get("csv"):
-        _atomic_file(p["csv"], lambda tmp: sap_reports_to_csv(reports, tmp))
+        _atomic_file(p["csv"], sap_reports_to_csv(reports))
     rows = []
     for r in reports:
         row = dict(vars(r))
@@ -918,15 +934,7 @@ def _parse_cli(cmd: str, argv: list) -> dict:
             i += 1
             value = argv[i]
         if key == "config":
-            try:
-                with open(value) as fh:
-                    loaded = json.load(fh)
-            except OSError as exc:
-                raise ConfigError(f"cannot read config file: {exc}") from None
-            except ValueError as exc:
-                raise ConfigError(f"config file is not valid JSON: {exc}") from None
-            if not isinstance(loaded, dict):
-                raise ConfigError("config file must hold a JSON object")
+            loaded = _read_json(value, "config")
             file_cmd = loaded.pop("command", None)
             if file_cmd is not None and file_cmd != cmd:
                 raise ConfigError(

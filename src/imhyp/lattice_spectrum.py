@@ -109,26 +109,25 @@ class Spectrum:
         i = int(np.searchsorted(self.eigenvalues, x, side="right"))
         return int(self._cum[i - 1]) if i else 0
 
-    def to_csv(self, path: str) -> None:
-        with open(path, "w") as fh:
-            fh.write("lambda,multiplicity\n")
-            for lam, m in zip(self.eigenvalues, self.multiplicities):
-                fh.write(f"{lam:.17g},{int(m)}\n")
+    def to_csv(self) -> str:
+        """CSV text: a lambda,multiplicity header, then one row per eigenvalue."""
+        rows = "".join(f"{lam:.17g},{m}\n" for lam, m in self.entries())
+        return "lambda,multiplicity\n" + rows
 
 
-def spectrum_from_csv(path: str) -> Spectrum:
+def spectrum_from_csv(text: str) -> Spectrum:
     eigs, mults = [], []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "lambda,multiplicity":
-            raise ConfigError(f"unexpected spectrum CSV header: {header!r}")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            lam, m = line.split(",")
-            eigs.append(float(lam))
-            mults.append(int(m))
+    lines = text.splitlines()
+    header = lines[0].strip() if lines else ""
+    if header != "lambda,multiplicity":
+        raise ConfigError(f"unexpected spectrum CSV header: {header!r}")
+    for line in lines[1:]:
+        line = line.strip()
+        if not line:
+            continue
+        lam, m = line.split(",")
+        eigs.append(float(lam))
+        mults.append(int(m))
     cutoff = eigs[-1] if eigs else 0.0
     return Spectrum(np.array(eigs), np.array(mults, dtype=np.int64), cutoff=cutoff)
 

@@ -15,7 +15,6 @@ field JSON with string values), so float work never loads it.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import astuple, dataclass
@@ -690,29 +689,14 @@ def field_from_json_dict(data: dict) -> PlanarField:
     raise ConfigError(f"unknown field kind {kind!r}")
 
 
-def load_field(path: str) -> PlanarField:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read field file {path}: {exc}") from None
-    return field_from_json_dict(data)
-
-
-def save_field(field: PlanarField, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(field_to_json_dict(field), fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
-def delta_table_to_csv(analyses, path: str) -> None:
-    """Rows: i,px,py,xi1_re,xi1_im,xi2_re,xi2_im,delta."""
-    with open(path, "w") as fh:
-        fh.write("i,px,py,xi1_re,xi1_im,xi2_re,xi2_im,delta\n")
-        for i, an in enumerate(analyses):
-            x, y = an.point_float
-            xi1, xi2 = map(complex, an.eigenvalues)  # as in the JSON report
-            fh.write(
-                f"{i},{x:.17g},{y:.17g},{xi1.real:.17g},{xi1.imag:.17g},"
-                f"{xi2.real:.17g},{xi2.imag:.17g},{an.delta_float:.17g}\n"
-            )
+def delta_table_to_csv(analyses) -> str:
+    """CSV text with rows i,px,py,xi1_re,xi1_im,xi2_re,xi2_im,delta."""
+    rows = ["i,px,py,xi1_re,xi1_im,xi2_re,xi2_im,delta\n"]
+    for i, an in enumerate(analyses):
+        x, y = an.point_float
+        xi1, xi2 = map(complex, an.eigenvalues)  # as in the JSON report
+        rows.append(
+            f"{i},{x:.17g},{y:.17g},{xi1.real:.17g},{xi1.imag:.17g},"
+            f"{xi2.real:.17g},{xi2.imag:.17g},{an.delta_float:.17g}\n"
+        )
+    return "".join(rows)

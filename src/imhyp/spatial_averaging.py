@@ -19,7 +19,6 @@ independent oracle.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -333,15 +332,16 @@ def sap_scan(
 SAP_CSV_HEADER = "lambda,k,window_modes,op_norm,h2_norm,eps_eff,gap,rho_ok"
 
 
-def sap_reports_to_csv(reports, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(SAP_CSV_HEADER + "\n")
-        for r in reports:
-            fh.write(
-                f"{r.lam:.17g},{r.k:.17g},{r.window_modes},{r.op_norm:.17g},"
-                f"{r.h2_norm:.17g},{r.eps_eff:.17g},{r.gap:.17g},"
-                f"{'true' if r.rho_ok else 'false'}\n"
-            )
+def sap_reports_to_csv(reports) -> str:
+    """CSV text: the SAP_CSV_HEADER line, then one row per window report."""
+    rows = [SAP_CSV_HEADER + "\n"]
+    for r in reports:
+        rows.append(
+            f"{r.lam:.17g},{r.k:.17g},{r.window_modes},{r.op_norm:.17g},"
+            f"{r.h2_norm:.17g},{r.eps_eff:.17g},{r.gap:.17g},"
+            f"{'true' if r.rho_ok else 'false'}\n"
+        )
+    return "".join(rows)
 
 
 def multiplier_to_json_dict(h: Multiplier) -> dict:
@@ -373,18 +373,3 @@ def multiplier_from_json_dict(data: dict) -> Multiplier:
         raise ConfigError(f"multiplier domain needs the key {exc}") from None
     except (AttributeError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed multiplier JSON: {exc}") from None
-
-
-def load_multiplier(path: str) -> Multiplier:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read multiplier file {path}: {exc}") from None
-    return multiplier_from_json_dict(data)
-
-
-def save_multiplier(h: Multiplier, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(multiplier_to_json_dict(h), fh, indent=1, sort_keys=True)
-        fh.write("\n")

@@ -454,6 +454,40 @@ class TestFilesAndConfig:
         assert report["result"]["windows"] > 0
         assert report["result"]["headline"]["eps_eff"] >= 0.0
 
+    @pytest.mark.parametrize("argv, what", [
+        ("gaps --cutoff 30 --config", "config"),
+        ("fixed-points --field", "field"),
+        ("sap-scan --k 1 --rho 1 --lambda-max 10 --h", "multiplier"),
+    ])
+    @pytest.mark.parametrize("text, problem", [
+        ("[1, 2]", "not a JSON object"),
+        ("{kind", "not valid JSON: Expecting property name enclosed in "
+                  "double quotes: line 1 column 2 (char 1)"),
+        (None, "Is a directory"),
+    ])
+    def test_json_input_file_errors(self, capsys, tmp_path, argv, what,
+                                    text, problem):
+        # one reader for every JSON input file, so one message shape
+        path = tmp_path / "input.json"
+        if text is None:
+            path.mkdir()
+        else:
+            path.write_text(text)
+        code, out, err = cli(capsys, *argv.split(), str(path))
+        assert code == 1 and out == ""
+        assert err == (
+            f"imhyp: config error: cannot read {what} file {path}: {problem}\n"
+        )
+
+    def test_missing_config_file(self, capsys, tmp_path):
+        path = tmp_path / "missing.json"
+        code, out, err = cli(capsys, "gaps", "--config", str(path))
+        assert code == 1 and out == ""
+        assert err == (
+            f"imhyp: config error: cannot read config file {path}: "
+            "No such file or directory\n"
+        )
+
     def test_field_and_jacs_conflict(self, capsys):
         code, _, err = cli(
             capsys, "anhim", "--field", "cubic-scalar", "--jacs", "1",

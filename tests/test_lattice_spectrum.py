@@ -115,12 +115,11 @@ class TestEnumerateSpectrum:
         with pytest.raises(ConfigError):
             enumerate_spectrum(BoxDomain(1), -1.0)
 
-    def test_csv_round_trip(self, tmp_path):
+    def test_csv_round_trip(self):
         spec = enumerate_spectrum(BoxDomain(3, bc="neumann"), 30)
-        path = tmp_path / "spec.csv"
-        spec.to_csv(str(path))
-        assert path.read_text().splitlines()[0] == "lambda,multiplicity"
-        back = spectrum_from_csv(str(path))
+        text = spec.to_csv()
+        assert text.splitlines()[0] == "lambda,multiplicity"
+        back = spectrum_from_csv(text)
         assert np.array_equal(back.eigenvalues, spec.eigenvalues)
         assert np.array_equal(back.multiplicities, spec.multiplicities)
 

@@ -1,5 +1,6 @@
 """Compressed multiplier windows: closed-form entries vs quadrature, norms, scans."""
 
+import json
 import math
 
 import numpy as np
@@ -11,13 +12,11 @@ from imhyp.spatial_averaging import (
     Multiplier,
     SAP_CSV_HEADER,
     h2_norm,
-    load_multiplier,
     mean,
     multiplier_from_json_dict,
     multiplier_to_json_dict,
     sap_reports_to_csv,
     sap_scan,
-    save_multiplier,
     window_modes,
     windowed_matrix,
     windowed_norm,
@@ -424,17 +423,13 @@ class TestSapScanWindows:
 
 
 class TestSerialization:
-    def test_json_round_trip(self, tmp_path):
+    def test_json_round_trip(self):
         h = Multiplier(CUBE, {(1, 0, 0): 1.0, (0, 2, 1): -0.25})
         data = multiplier_to_json_dict(h)
         assert data["coeffs"] == [[0, 2, 1, -0.25], [1, 0, 0, 1.0]]
-        back = multiplier_from_json_dict(data)
+        back = multiplier_from_json_dict(json.loads(json.dumps(data)))
         assert back.coeffs == h.coeffs
         assert back.domain.bc == "neumann" and back.domain.dim == 3
-
-        path = tmp_path / "h.json"
-        save_multiplier(h, path)
-        assert load_multiplier(path).coeffs == h.coeffs
 
     def test_json_missing_keys(self):
         with pytest.raises(ConfigError):
@@ -442,11 +437,9 @@ class TestSerialization:
         with pytest.raises(ConfigError):
             multiplier_from_json_dict({"domain": {"dim": 3, "bc": "neumann"}})
 
-    def test_csv_round_trip(self, tmp_path):
+    def test_csv_round_trip(self):
         reports = sap_scan(COS_X1, 1.0, 1.0, 30.0)
-        path = tmp_path / "scan.csv"
-        sap_reports_to_csv(reports, path)
-        lines = path.read_text().strip().split("\n")
+        lines = sap_reports_to_csv(reports).strip().split("\n")
         assert lines[0] == SAP_CSV_HEADER
         assert len(lines) == len(reports) + 1
         first = lines[1].split(",")
