@@ -115,7 +115,13 @@ class Spectrum:
         return "lambda,multiplicity\n" + rows
 
 
-def spectrum_from_csv(text: str) -> Spectrum:
+def spectrum_from_csv(text: str, *, cutoff: float, exact: bool) -> Spectrum:
+    """The spectrum in CSV text written by Spectrum.to_csv.
+
+    The rows do not record how the spectrum was obtained, so the caller
+    supplies the cutoff it is complete up to and whether it is exact; a
+    cutoff below the last eigenvalue is refused.
+    """
     eigs, mults = [], []
     lines = text.splitlines()
     header = lines[0].strip() if lines else ""
@@ -128,8 +134,12 @@ def spectrum_from_csv(text: str) -> Spectrum:
         lam, m = line.split(",")
         eigs.append(float(lam))
         mults.append(int(m))
-    cutoff = eigs[-1] if eigs else 0.0
-    return Spectrum(np.array(eigs), np.array(mults, dtype=np.int64), cutoff=cutoff)
+    if eigs and not cutoff >= eigs[-1]:
+        raise ConfigError(
+            f"cutoff {cutoff} lies below the last CSV eigenvalue {eigs[-1]}"
+        )
+    return Spectrum(np.array(eigs), np.array(mults, dtype=np.int64),
+                    cutoff=float(cutoff), exact=exact)
 
 
 def _axis_terms(domain: BoxDomain, axis: int, cutoff: float, periodic_scaling: str):
@@ -242,28 +252,13 @@ def enumerate_spectrum(
     if total == 0:
         return Spectrum(np.array([]), np.array([], dtype=np.int64), cutoff=float(cutoff))
 
-    if domain.dim == 1:
-        v, w = axes[0]
-        mv, mw = _merge_close(v.astype(float), w)
-        return Spectrum(mv, mw, cutoff=float(cutoff))
-
-    # fold trailing axes into one value/weight grid, then stream axis-0 slabs
-    tv, tw = axes[-1]
-    for v, w in reversed(axes[1:-1]):
-        tv = (v[:, None] + tv[None, :]).ravel()
-        tw = (w[:, None] * tw[None, :]).ravel()
-        keep = tv <= cutoff
-        tv, tw = tv[keep], tw[keep]
-    v0, w0 = axes[0]
-
-    def slab(i: int):
-        vals = v0[i] + tv
-        keep = vals <= cutoff
-        return vals[keep], w0[i] * tw[keep]
-
-    parts = [slab(i) for i in range(len(v0))]
-    values = np.concatenate([p[0] for p in parts])
-    weights = np.concatenate([p[1] for p in parts]).astype(np.int64)
+    # fold the axes, last first, into one value/weight grid below the cutoff
+    values, weights = axes[-1]
+    for v, w in reversed(axes[:-1]):
+        values = (v[:, None] + values[None, :]).ravel()
+        weights = (w[:, None] * weights[None, :]).ravel()
+        keep = values <= cutoff
+        values, weights = values[keep], weights[keep]
     mv, mw = _merge_close(values, weights)
     return Spectrum(mv, mw, cutoff=float(cutoff))
 

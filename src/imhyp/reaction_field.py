@@ -288,18 +288,9 @@ def _newton_candidates(field: GeneralPoly, region: Region):
     px = X.ravel().copy()
     py = Y.ravel().copy()
     step = np.full(px.shape, np.inf)
-
-    def eval_tables(px, py):
-        f1 = np.zeros_like(px)
-        f2 = np.zeros_like(px)
-        for i, j, c in field.f1_coeffs:
-            f1 += c * px**i * py**j
-        for i, j, c in field.f2_coeffs:
-            f2 += c * px**i * py**j
-        return f1, f2
-
     for _ in range(NEWTON_MAX_ITER):
-        f1, f2 = eval_tables(px, py)
+        # a table without terms sums to the scalar 0: broadcast it
+        f1, f2 = np.broadcast_arrays(*field.f((px, py)), px)[:2]
         (j00, j01), (j10, j11) = field.jacobian((px, py))
         det = j00 * j11 - j01 * j10
         with np.errstate(all="ignore"):
@@ -314,7 +305,7 @@ def _newton_candidates(field: GeneralPoly, region: Region):
         step[bad] = np.inf
 
     norm = np.hypot(px, py)
-    f1, f2 = eval_tables(px, py)
+    f1, f2 = field.f((px, py))
     resid = np.hypot(f1, f2)
     ok = (
         (step < NEWTON_STEP_TOL * (1.0 + norm))

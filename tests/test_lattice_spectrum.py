@@ -116,12 +116,23 @@ class TestEnumerateSpectrum:
             enumerate_spectrum(BoxDomain(1), -1.0)
 
     def test_csv_round_trip(self):
-        spec = enumerate_spectrum(BoxDomain(3, bc="neumann"), 30)
-        text = spec.to_csv()
-        assert text.splitlines()[0] == "lambda,multiplicity"
-        back = spectrum_from_csv(text)
-        assert np.array_equal(back.eigenvalues, spec.eigenvalues)
-        assert np.array_equal(back.multiplicities, spec.multiplicities)
+        # the exact pi-cube at 103.5 ends at 102, below its cutoff
+        for domain, cutoff in ((BoxDomain(3), 103.5),
+                               (BoxDomain(2, sides=(2.0, 2.7)), 60.0)):
+            spec = enumerate_spectrum(domain, cutoff)
+            text = spec.to_csv()
+            assert text.splitlines()[0] == "lambda,multiplicity"
+            back = spectrum_from_csv(text, cutoff=spec.cutoff, exact=spec.exact)
+            assert np.array_equal(back.eigenvalues, spec.eigenvalues)
+            assert np.array_equal(back.multiplicities, spec.multiplicities)
+            assert (back.cutoff, back.exact) == (cutoff, domain.is_pi_box)
+
+    def test_csv_cutoff_below_the_last_eigenvalue_refused(self):
+        text = enumerate_spectrum(BoxDomain(3), 103.5).to_csv()
+        assert text.splitlines()[-1].startswith("102,")
+        for cutoff in (101.5, float("nan")):
+            with pytest.raises(ConfigError, match="below the last CSV eigenvalue"):
+                spectrum_from_csv(text, cutoff=cutoff, exact=True)
 
 
 class TestGapStats:

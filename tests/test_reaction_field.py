@@ -131,6 +131,12 @@ class TestFixedPoints:
             assert math.hypot(gx - rx, gy - ry) < 1e-10
             assert abs(g.delta_float - r.delta_float) < 1e-9
 
+    def test_newton_with_an_empty_coefficient_table(self):
+        # an empty table sums to the scalar 0; the fixed points of these
+        # fields fill the plane or a line, so Newton admits none
+        for f1, f2 in (((), ()), ((), ((1, 0, 1.0),))):
+            assert fixed_points(GeneralPoly(f1_coeffs=f1, f2_coeffs=f2)) == []
+
     def test_degenerate_region_rejected(self):
         with pytest.raises(ConfigError):
             fixed_points(prop35_field(exact=False), region=((1.0, 1.0), (0.0, 1.0)))
