@@ -143,45 +143,44 @@ def _parse_value(param: Param, raw):
 
 
 def _schema(*params: Param) -> dict:
-    common = (
-        Param("out", "path"),
-        Param("csv", "path"),
-        Param("cert", "path"),
-        Param("timing", "bool", default=False),
-        Param("seed", "int", default=0),
-        Param("periodic-scaling", "str", default="paper",
-              choices=("paper", "standard")),
-    )
-    table = {p.key: p for p in common}
-    for p in params:
-        table[p.key] = p
-    return table
+    """out and timing, which every command takes, then the command's own keys."""
+    common = (Param("out", "path"), Param("timing", "bool", default=False))
+    return {p.key: p for p in (*common, *params)}
 
 
+_CSV = Param("csv", "path")
+_CERT = Param("cert", "path")
 _DOMAIN = (
     Param("dim", "int", default=3, positive=True),
     Param("bc", "str", default="neumann",
           choices=("neumann", "dirichlet", "periodic")),
     Param("sides", "floats"),
 )
+# the commands that enumerate the box spectrum themselves
+_BOX_SPECTRUM = (
+    *_DOMAIN,
+    Param("periodic-scaling", "str", default="paper",
+          choices=("paper", "standard")),
+    Param("cutoff", "float", required=True, positive=True),
+)
 
 SCHEMAS = {
-    "spectrum": _schema(*_DOMAIN, Param("cutoff", "float", required=True, positive=True)),
-    "gaps": _schema(*_DOMAIN, Param("cutoff", "float", required=True, positive=True)),
+    "spectrum": _schema(*_BOX_SPECTRUM, _CSV),
+    "gaps": _schema(*_BOX_SPECTRUM),
     "jump": _schema(
-        *_DOMAIN,
-        Param("cutoff", "float", required=True, positive=True),
+        *_BOX_SPECTRUM,
         Param("theta", "float", default=JumpQuery.theta),
         Param("lip", "float", default=1.0, positive=True),
         Param("cconst", "float", default=1.0, positive=True),
         Param("nu", "float", default=1.0, positive=True),
     ),
     "gauss-audit": _schema(Param("limit", "int", default=1_000_000, positive=True)),
-    "weyl": _schema(*_DOMAIN, Param("cutoff", "float", required=True, positive=True)),
+    "weyl": _schema(*_BOX_SPECTRUM),
     "fixed-points": _schema(
         Param("field", "str", required=True),
         Param("region", "floats"),
         Param("tol", "float", default=1e-8, positive=True),
+        _CSV,
     ),
     "delta": _schema(
         Param("field", "str", required=True),
@@ -201,6 +200,7 @@ SCHEMAS = {
     "dissipativity": _schema(
         Param("field", "str", required=True),
         Param("samples", "int", default=10_000, positive=True),
+        Param("seed", "int", default=0),
     ),
     "region": _schema(
         Param("field", "str", required=True),
@@ -238,6 +238,7 @@ SCHEMAS = {
         Param("cutoff", "float", required=True, positive=True),
         Param("gap-min", "float", default=1e-6, positive=True),
         Param("max-dims", "int", default=25, positive=True),
+        _CERT,
     ),
     "anhim": _schema(
         *_DOMAIN,
@@ -246,6 +247,7 @@ SCHEMAS = {
         Param("field", "str"),
         Param("labels", "strs"),
         Param("cutoff", "float", required=True, positive=True),
+        _CERT,
     ),
     "lemma41": _schema(
         Param("jac0", "float", required=True),
@@ -257,6 +259,7 @@ SCHEMAS = {
         Param("k", "float", required=True, positive=True),
         Param("rho", "float", required=True, positive=True),
         Param("lambda-max", "float", required=True, positive=True),
+        _CSV,
     ),
 }
 
@@ -497,6 +500,8 @@ def _linearizations(p, domain) -> list:
     jacs = p.get("jacs")
     if (field_name is None) == (jacs is None):
         raise ConfigError("pass exactly one of 'field' or 'jacs'")
+    if jacs is None and p.get("labels") is not None:
+        raise ConfigError("labels name the jacs: pass them with 'jacs'")
     nu = p["nu"]
     if jacs is not None:
         labels = p.get("labels") or tuple(f"eq{i}" for i in range(len(jacs)))
@@ -756,6 +761,11 @@ def _run_profile(p):
 
 def _run_nhim_dims(p):
     lins = _linearizations(p, _build_domain(p))
+    if len(lins) == 1 and p.get("cert"):
+        raise ConfigError(
+            "cert needs two or more equilibria: one equilibrium has no "
+            "common-dimension certificate"
+        )
     cert = nhim_certificate(lins, p["cutoff"], gap_min=p["gap-min"])
     per = []
     for lin, feas in zip(lins, cert.feasible):
@@ -910,7 +920,9 @@ subcommands:
   sap-scan
 
 Every config key doubles as a --key flag; command-line flags override the
-config file.  Common keys: --out REPORT.json --csv FILE.csv --timing true.
+config file.  Every command takes --out REPORT.json and --timing true;
+spectrum, fixed-points and sap-scan take --csv FILE.csv, nhim-dims and
+anhim take --cert FILE.json.
 Exit codes: 0 ok, 1 config error (including an unreadable input or an
 unwritable output file), 2 hypothesis not met, 3 numerical failure,
 4 internal error.  Every error exit prints one line to stderr.

@@ -78,8 +78,62 @@ class TestIntegerKeys:
         )
 
     def test_exact_integers_beyond_2_53_still_accepted(self):
-        report = run({"command": "gaps", "cutoff": 30, "seed": 2**60 + 1})
+        report = run({"command": "dissipativity", "field": "prop34",
+                      "samples": 10, "seed": 2**60 + 1})
         assert report["config"]["seed"] == 2**60 + 1
+
+
+class TestCommandKeys:
+    """A key a command accepts is a key its runner uses."""
+
+    def test_keys_belong_to_the_commands_that_use_them(self):
+        schemas = driver_mod.SCHEMAS
+        owners = {key: sorted(c for c, s in schemas.items() if key in s)
+                  for key in ("csv", "cert", "seed", "periodic-scaling")}
+        assert owners == {
+            "csv": ["fixed-points", "sap-scan", "spectrum"],
+            "cert": ["anhim", "nhim-dims"],
+            "seed": ["dissipativity"],
+            "periodic-scaling": ["gaps", "jump", "spectrum", "weyl"],
+        }
+        assert all({"out", "timing"} <= set(s) for s in schemas.values())
+
+    @pytest.mark.parametrize("argv, key", [
+        # the index of the standard-scaled periodic box would be 3, not the 5
+        # of the paper scaling that an echoed key would have reported
+        ("index --dim 1 --bc periodic --periodic-scaling standard --nu 1 "
+         "--jac 5 --cutoff 50", "periodic-scaling"),
+        ("gaps --cutoff 30 --csv g.csv", "csv"),
+        ("delta --field prop35-float --at 0,0 --csv d.csv", "csv"),
+        ("gauss-audit --limit 100 --cert c.json", "cert"),
+        ("gaps --cutoff 30 --seed 3", "seed"),
+    ])
+    def test_unused_key_refused(self, capsys, tmp_path, monkeypatch, argv, key):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = cli(capsys, *argv.split())
+        assert code == 1 and out == ""
+        assert err.startswith(f"imhyp: config error: unknown key '{key}'")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_nhim_dims_cert_needs_two_equilibria(self, capsys, tmp_path):
+        cert = tmp_path / "one.json"
+        code, out, err = cli(capsys, "nhim-dims", "--jacs", "-1", "--nu", "1",
+                             "--cutoff", "60", "--cert", str(cert))
+        assert code == 1 and out == ""
+        assert err == (
+            "imhyp: config error: cert needs two or more equilibria: one "
+            "equilibrium has no common-dimension certificate\n"
+        )
+        assert not cert.exists()
+
+    @pytest.mark.parametrize("cmd", ["parity", "nhim-dims", "anhim"])
+    def test_labels_need_jacs(self, capsys, cmd):
+        code, out, err = cli(capsys, cmd, "--field", "cubic-scalar",
+                             "--labels", "a,b,c", "--nu", "2", "--cutoff", "60")
+        assert code == 1 and out == ""
+        assert err == (
+            "imhyp: config error: labels name the jacs: pass them with 'jacs'\n"
+        )
 
 
 class TestRun:
