@@ -12,7 +12,8 @@ Five analysis areas plus a reporting driver:
   their norms, gap scans
 - dense_eig: symmetric eigenvalues by batched Jacobi, spectral norms with an
   exact block split, power iteration for large blocks
-- driver: validated run configs, deterministic JSON reports, CLI
+- driver: validated run configs, deterministic JSON reports, CLI, and all
+  file I/O (the other modules return text or dicts)
 """
 
 from types import ModuleType as _ModuleType

@@ -2,11 +2,10 @@
 
 One subcommand per analysis operation.  Reports are JSON with floats printed
 at 17 significant digits and sorted keys, so identical config and version
-produce identical bytes.  This module is the package's only I/O boundary:
-it reads the config, field and multiplier JSON files (``_read_json``) and
-writes every report, certificate and CSV, which the library modules return
-as text.  All file output goes through a temp-file-plus-rename so readers
-never observe a half-written file.
+produce identical bytes.  This module does all of the package's file I/O: it
+reads config, field and multiplier JSON and writes every report, certificate
+and CSV, each through a temp-file-plus-rename so readers never observe a
+half-written file.
 """
 
 from __future__ import annotations
@@ -421,16 +420,14 @@ def _read_json(path, what: str) -> dict:
         with open(path) as fh:
             data = json.load(fh)
     except OSError as exc:
-        raise ConfigError(
-            f"cannot read {what} file {path}: {exc.strerror or exc}"
-        ) from None
+        problem = exc.strerror or str(exc)
     except ValueError as exc:
-        raise ConfigError(
-            f"cannot read {what} file {path}: not valid JSON: {exc}"
-        ) from None
-    if not isinstance(data, dict):
-        raise ConfigError(f"cannot read {what} file {path}: not a JSON object")
-    return data
+        problem = f"not valid JSON: {exc}"
+    else:
+        if isinstance(data, dict):
+            return data
+        problem = "not a JSON object"
+    raise ConfigError(f"cannot read {what} file {path}: {problem}")
 
 
 # ---------------------------------------------------------------------------
@@ -762,10 +759,7 @@ def _run_profile(p):
 def _run_nhim_dims(p):
     lins = _linearizations(p, _build_domain(p))
     if len(lins) == 1 and p.get("cert"):
-        raise ConfigError(
-            "cert needs two or more equilibria: one equilibrium has no "
-            "common-dimension certificate"
-        )
+        raise ConfigError("cert needs two or more equilibria")
     cert = nhim_certificate(lins, p["cutoff"], gap_min=p["gap-min"])
     per = []
     for lin, feas in zip(lins, cert.feasible):

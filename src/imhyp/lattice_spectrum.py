@@ -4,7 +4,8 @@ Enumeration of eigenvalues with multiplicities, gap statistics, the
 spectral-jump ratio scan, the sums-of-three-squares gap audit, and a
 log-log growth-exponent fit.  Eigenvalues of the (negative) Laplacian on
 a box with side lengths pi*a_j are sum_j (l_j/a_j)^2; the admissible
-integer frequencies l_j depend on the boundary condition.
+integer frequencies l_j depend on the boundary condition.  A spectrum
+converts to and from CSV text; reading and writing files is the driver's.
 """
 
 from __future__ import annotations

@@ -10,7 +10,9 @@ reaction-diffusion system.
 Parameters of the named families may be floats or sympy expressions; with
 symbolic parameters every fixed point, Jacobian and delta stays exact.
 sympy is imported only by the exact paths (the exact Prop. 3.5 field and
-field JSON with string values), so float work never loads it.
+field JSON with string values), so float work never loads it.  Fields
+convert to and from JSON dicts and delta tables to CSV text; reading and
+writing files is the driver's.
 """
 
 from __future__ import annotations

@@ -14,7 +14,8 @@ stack.
 Matrix entries are computed in closed form from the coefficient table via
 the per-axis product rule for cosines, so the only floating-point error is
 the final summation; a quadrature route exists in the test suite as an
-independent oracle.
+independent oracle.  Multipliers convert to and from JSON dicts and scan
+reports to CSV text; reading and writing files is the driver's.
 """
 
 from __future__ import annotations
