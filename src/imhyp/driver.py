@@ -155,7 +155,7 @@ _DOMAIN = (
           choices=("neumann", "dirichlet", "periodic")),
     Param("sides", "floats"),
 )
-# the commands that enumerate the box spectrum themselves
+# the box-spectrum commands, the only ones whose enumeration takes a scaling
 _BOX_SPECTRUM = (
     *_DOMAIN,
     Param("periodic-scaling", "str", default="paper",
