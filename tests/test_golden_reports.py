@@ -4,8 +4,9 @@ tests/golden/<name>.json byte for byte, and every file the config writes
 
 The configs cover every subcommand family, the exact pi-box and the float
 enumeration paths, both certificates, an anhim witness, the spectrum,
-fixed-points and sap-scan CSVs, and a field file and a multiplier file read
-from disk.  Configs whose numbers come from LAPACK or BLAS (weyl's polyfit,
+fixed-points and sap-scan CSVs, every exact fixed point of the Prop. 3.5
+field and of an exact coupled field (four of its points off the axes), and
+field files and a multiplier file read from disk.  Configs whose numbers come from LAPACK or BLAS (weyl's polyfit,
 sap-scan windows with a block over 512 modes) are left out so the bytes do
 not depend on the platform.
 
@@ -64,6 +65,10 @@ CONFIGS = {
                         "rho": 1, "lambda-max": 20},
     "fixed-points-poly-file-csv": {"command": "fixed-points",
                                    "field": "field.json", "csv": "fixed.csv"},
+    "fixed-points-prop35-exact-csv": {"command": "fixed-points",
+                                      "field": "prop35", "csv": "fixed.csv"},
+    "fixed-points-coupled-exact-file": {"command": "fixed-points",
+                                        "field": "field.json"},
     "sap-scan-file-csv": {"command": "sap-scan", "h": "h.json", "k": 3,
                           "rho": 1, "lambda-max": 30, "csv": "sap.csv"},
 }
@@ -74,6 +79,10 @@ INPUTS = {
     "fixed-points-poly-file-csv": {"field.json": json.dumps({
         "kind": "poly", "f1": [[1, 0, 1.0], [3, 0, -1.0]],
         "f2": [[0, 1, 2.0], [0, 3, -1.0], [2, 1, -1.0]],
+    })},
+    # exact coupled cubic: nine fixed points, four off the axes
+    "fixed-points-coupled-exact-file": {"field.json": json.dumps({
+        "kind": "cubic_coupled", "k": "1/2", "a": "3", "b": "sqrt(2)/2",
     })},
     "sap-scan-file-csv": {"h.json": json.dumps({
         "domain": {"dim": 2, "bc": "periodic"},
