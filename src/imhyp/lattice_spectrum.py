@@ -128,13 +128,16 @@ def spectrum_from_csv(text: str, *, cutoff: float, exact: bool) -> Spectrum:
     header = lines[0].strip() if lines else ""
     if header != "lambda,multiplicity":
         raise ConfigError(f"unexpected spectrum CSV header: {header!r}")
-    for line in lines[1:]:
+    for number, line in enumerate(lines[1:], start=2):
         line = line.strip()
         if not line:
             continue
-        lam, m = line.split(",")
-        eigs.append(float(lam))
-        mults.append(int(m))
+        try:
+            lam, m = line.split(",")
+            eigs.append(float(lam))
+            mults.append(int(m))
+        except ValueError:
+            raise ConfigError(f"malformed spectrum CSV line {number}: {line!r}") from None
     if eigs and not cutoff >= eigs[-1]:
         raise ConfigError(
             f"cutoff {cutoff} lies below the last CSV eigenvalue {eigs[-1]}"

@@ -13,6 +13,12 @@ sympy is imported only by the exact paths (the exact Prop. 3.5 field and
 field JSON with string values), so float work never loads it.  Fields
 convert to and from JSON dicts and delta tables to CSV text; reading and
 writing files is the driver's.
+
+Exact values stay canonical by ``expand`` and ``sqrtdenest``, not
+``simplify``; signs come from sympy, or from a float where it cannot tell.
+Only the residual keeps one ``simplify`` per point: on fields mixing floats
+with exact values an expanded |f(p)| keeps round-off that fails the
+residual gate or turns complex.
 """
 
 from __future__ import annotations
@@ -49,6 +55,11 @@ def _zero(*vals):
         return 0.0
     import sympy as sym
     return sym.Integer(0)
+
+def _negative(x) -> bool:
+    """Whether the real x is below 0: sympy decides an exact x, float(x) the rest."""
+    negative = getattr(x, "is_negative", None)
+    return float(x) < 0 if negative is None else bool(negative)
 
 def _sqrt(x):
     if not _symbolic(x):
@@ -166,28 +177,27 @@ PlanarField = CubicCoupled | CubicUncoupled | GeneralPoly
 
 
 def _eig2x2(J):
-    """Eigenvalues of a 2x2 matrix via the quadratic formula.
+    """Eigenvalues of a 2x2 matrix by the quadratic formula, discriminant
+    (a-d)^2 + 4bc in exact and in float arithmetic alike.
 
     Returns (xi1, xi2, delta) ordered by descending (Re, Im); delta is the
-    real-part gap, identically 0 for a complex-conjugate pair.
+    real-part gap, identically 0 for a complex-conjugate pair.  An exact
+    triangular matrix returns its diagonal entries, with no root.
     """
     (a, b), (c, d) = J
-    if _symbolic(a, b, c, d):
-        import sympy as sym
-        tr = a + d
-        det = a * d - b * c
-        disc = sym.simplify(sym.expand(tr * tr - 4 * det))
-        negative = disc.is_negative
-        if negative is None:
-            negative = float(disc) < 0
-        if negative:
-            im = sym.sqrt(-disc) / 2
-            return (tr / 2 + sym.I * im, tr / 2 - sym.I * im, sym.Integer(0))
-        root = sym.simplify(sym.sqrt(disc))
-        xi1 = sym.simplify((tr + root) / 2)
-        xi2 = sym.simplify((tr - root) / 2)
-        return (xi1, xi2, root)
-    return _eig2x2_float(a, b, c, d)
+    if not _symbolic(a, b, c, d):
+        return _eig2x2_float(a, b, c, d)
+    import sympy as sym
+    if b * c == 0:
+        gap = sym.expand(a - d)
+        return (d, a, -gap) if _negative(gap) else (a, d, gap)
+    tr = a + d
+    disc = sym.expand((a - d) ** 2 + 4 * b * c)
+    if _negative(disc):
+        im = sym.sqrt(-disc) / 2
+        return (tr / 2 + sym.I * im, tr / 2 - sym.I * im, sym.Integer(0))
+    root = sym.sqrtdenest(sym.sqrt(disc))
+    return (sym.expand((tr + root) / 2), sym.expand((tr - root) / 2), root)
 
 
 @dataclass(frozen=True)
@@ -266,19 +276,15 @@ def _closed_form_candidates(field: PlanarField):
             (zero, c3),
             (zero, -c3),
         ]
-        if float(a) >= 1.0:
+        if not _negative(a - 1):
             x2 = _sqrt((b + 1) / (a * b + 1))
             y2 = _sqrt((a - 1) / (a * b + 1))
             cands += [(sx * x2, sy * y2) for sx in (1, -1) for sy in (1, -1)]
         return cands
     if isinstance(field, CubicUncoupled):
-        xs = (0, field.a, field.b) if _symbolic(field.a) else (0.0, field.a, field.b)
-        ys = (0, field.c, field.d) if _symbolic(field.c) else (0.0, field.c, field.d)
-        if _symbolic(field.a, field.b, field.c, field.d):
-            import sympy as sym
-            xs = tuple(sym.sympify(x) for x in xs)
-            ys = tuple(sym.sympify(y) for y in ys)
-        return [(x, y) for x in xs for y in ys]
+        zero = _zero(field.a, field.b, field.c, field.d)
+        return [(x, y) for x in (zero, field.a, field.b)
+                for y in (zero, field.c, field.d)]
     raise ConfigError(f"no closed forms for {type(field).__name__}")
 
 
@@ -586,27 +592,18 @@ def dissipativity_radius(
         return DissipativityReport(r0=r0, verified=True)
     if isinstance(field, CubicUncoupled):
         a, b, c, d = (float(field.a), float(field.b), float(field.c), float(field.d))
-        r1 = max(a, b)
-        r2 = max(c, d)
-        # component signs: t*f_component(t) <= 0 for |t| >= radius
-        t1 = r1 * (1.0 + rng.random(samples)) * rng.choice((-1.0, 1.0), size=samples)
-        g1 = t1 * (t1 * (a - t1) * (t1 - b))
-        t2 = r2 * (1.0 + rng.random(samples)) * rng.choice((-1.0, 1.0), size=samples)
-        g2 = t2 * (t2 * (c - t2) * (t2 - d))
-        tol1 = 1e-10 * float(np.max(1.0 + np.abs(t1) ** 4))
-        tol2 = 1e-10 * float(np.max(1.0 + np.abs(t2) ** 4))
-        if np.any(g1 > tol1):
-            i = int(np.flatnonzero(g1 > tol1)[0])
-            raise NumericalFailure(
-                f"componentwise sign check failed at v1={float(t1[i])}",
-                witness=(float(t1[i]), 0.0),
-            )
-        if np.any(g2 > tol2):
-            i = int(np.flatnonzero(g2 > tol2)[0])
-            raise NumericalFailure(
-                f"componentwise sign check failed at v2={float(t2[i])}",
-                witness=(0.0, float(t2[i])),
-            )
+        r1, r2 = max(a, b), max(c, d)
+        for axis, (r, p, q) in enumerate(((r1, a, b), (r2, c, d))):
+            # component sign: t*f_component(t) <= 0 for |t| >= r
+            t = r * (1.0 + rng.random(samples)) * rng.choice((-1.0, 1.0), size=samples)
+            g = t * (t * (p - t) * (t - q))
+            bad = np.flatnonzero(g > 1e-10 * float(np.max(1.0 + np.abs(t) ** 4)))
+            if bad.size:
+                w = float(t[bad[0]])
+                raise NumericalFailure(
+                    f"componentwise sign check failed at v{axis + 1}={w}",
+                    witness=(w, 0.0) if axis == 0 else (0.0, w),
+                )
         return DissipativityReport(
             r0=max(r1, r2), verified=True, component_radii=(r1, r2)
         )
@@ -621,13 +618,8 @@ def invariant_region_check(field: CubicCoupled, c) -> bool:
     csq = c * c
     if _symbolic(a, b, c):
         import sympy as sym
-
-        def nonneg(expr):
-            expr = sym.simplify(expr)
-            flag = expr.is_nonnegative
-            return float(expr) >= 0 if flag is None else bool(flag)
-
-        return nonneg(csq - 1 / b) and nonneg((a - 1) - csq)
+        return (not _negative(sym.expand(csq - 1 / b))
+                and not _negative(sym.expand((a - 1) - csq)))
     return 1.0 / float(b) <= float(csq) <= float(a) - 1.0
 
 

@@ -134,6 +134,12 @@ class TestEnumerateSpectrum:
             with pytest.raises(ConfigError, match="below the last CSV eigenvalue"):
                 spectrum_from_csv(text, cutoff=cutoff, exact=True)
 
+    @pytest.mark.parametrize("row", ["1,2,3", "1,x", "x,1", "1"])
+    def test_csv_malformed_row_is_a_config_error(self, row):
+        text = f"lambda,multiplicity\n0,1\n{row}\n"
+        with pytest.raises(ConfigError, match=f"line 3: {row!r}"):
+            spectrum_from_csv(text, cutoff=10.0, exact=True)
+
 
 class TestGapStats:
     def test_single_gap(self):

@@ -10,6 +10,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 import imhyp
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -23,6 +25,15 @@ FLOAT_ARGV = [
     ["fixed-points", "--field", "prop34"],
     ["prop35-verify", "--exact", "false"],
 ]
+
+# exact golden configs, each run cold so that sympy's cache cannot decide the
+# bytes: (golden name: argv)
+EXACT_ARGV = {
+    "delta-prop35-exact": ["delta", "--field", "prop35", "--at", "0,0"],
+    "lemma33-prop35": ["lemma33", "--field", "prop35"],
+    "fixed-points-prop35-exact-csv": ["fixed-points", "--field", "prop35",
+                                      "--csv", "fixed.csv"],
+}
 
 FLOAT_SCRIPT = """
 import contextlib, io, json, sys
@@ -74,13 +85,14 @@ def test_float_paths_never_import_sympy():
     assert len(seen) == len(FLOAT_ARGV) + 1
 
 
-def test_exact_delta_report_bytes_in_a_fresh_interpreter(tmp_path):
-    proc = fresh_python(
-        "-m", "imhyp.driver", "delta", "--field", "prop35", "--at", "0,0",
-        cwd=tmp_path,
-    )
+@pytest.mark.parametrize("name", sorted(EXACT_ARGV))
+def test_exact_report_bytes_in_a_fresh_interpreter(name, tmp_path):
+    proc = fresh_python("-m", "imhyp.driver", *EXACT_ARGV[name], cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == (GOLDEN / "delta-prop35-exact.json").read_text()
+    assert proc.stdout == (GOLDEN / f"{name}.json").read_text()
+    files = GOLDEN / "files" / name
+    want = {f.name: f.read_text() for f in files.iterdir()} if files.is_dir() else {}
+    assert {f.name: f.read_text() for f in tmp_path.iterdir()} == want
 
 
 def test_exact_values_stay_symbolic_in_a_fresh_interpreter():

@@ -95,6 +95,13 @@ class TestFixedPoints:
         f = CubicCoupled(k=1.0, a=0.5, b=2.0)
         assert len(fixed_points(f)) == 5
 
+    def test_exact_a_just_below_one_has_no_interior_branch(self):
+        # float(a) rounds to 1.0; the exact sign of a - 1 keeps the interior
+        # roots, sqrt of a negative, out
+        f = CubicCoupled(k=sym.Integer(1), a=1 - sym.Rational(1, 10**20),
+                         b=sym.Integer(1))
+        assert len(fixed_points(f)) == 5
+
     def test_uncoupled_grid_of_roots(self):
         f = CubicUncoupled(a=1.0, b=2.0, c=3.0, d=4.0)
         pts = {an.point_float for an in fixed_points(f, region=((-5, 5), (-5, 5)))}
@@ -295,6 +302,29 @@ class TestProp35:
             assert sym.simplify(j11 - e11) == 0
             assert sym.simplify(j01) == 0 and sym.simplify(j10) == 0
 
+    def test_exact_fixed_points_simplify_at_most_once_per_point(self, monkeypatch):
+        calls = []
+        simplify = sym.simplify
+        monkeypatch.setattr(sym, "simplify",
+                            lambda *args, **kw: calls.append(1) or simplify(*args, **kw))
+        assert len(fixed_points(prop35_field(exact=True))) == 9
+        assert len(calls) <= 9
+
+    def test_exact_coupled_eigenvalues_solve_the_characteristic_polynomial(self):
+        # four of the nine points have a non-triangular Jacobian
+        field = CubicCoupled(k=sym.Rational(1, 2), a=sym.Integer(3),
+                             b=sym.sqrt(2) / 2)
+        floats = fixed_points(CubicCoupled(k=0.5, a=3.0, b=math.sqrt(2) / 2))
+        analyses = fixed_points(field)
+        assert sum(an.jacobian[0][1] != 0 for an in analyses) == 4
+        for an, fl in zip(analyses, floats):
+            (a, b), (c, d) = an.jacobian
+            assert isinstance(an.delta, sym.Basic)
+            assert abs(an.delta_float - fl.delta_float) < 1e-12
+            for xi in an.eigenvalues:
+                char = xi**2 - (a + d) * xi + (a * d - b * c)
+                assert abs(sym.N(char, 30)) < 1e-25
+
     def test_float_ladder_within_1e_12(self):
         rep = verify_prop35(exact=False)
         assert rep.ladder_ok(1e-12)
@@ -338,6 +368,16 @@ class TestDissipativityAndRegion:
         c = solve_prop34()
         f = CubicCoupled(k=c.k, a=c.a_star, b=c.b)
         assert invariant_region_check(f, math.sqrt(6.0))
+
+    def test_exact_region_check_at_tight_bounds(self):
+        # a=3, b=1/2, c=sqrt(2): c^2 = 1/b = a - 1, so both bounds are tight;
+        # exactly the box is invariant, in floats c*c overshoots a - 1
+        exact = CubicCoupled(k=1, a=sym.Integer(3), b=sym.Rational(1, 2))
+        assert invariant_region_check(exact, sym.sqrt(2))
+        assert not invariant_region_check(exact, sym.sqrt(3))
+        assert not invariant_region_check(exact, sym.Rational(7, 5))
+        assert not invariant_region_check(CubicCoupled(k=1.0, a=3.0, b=0.5),
+                                          math.sqrt(2.0))
 
     def test_region_check_needs_coupled(self):
         with pytest.raises(ConfigError):
