@@ -86,6 +86,7 @@ from .stationary_spectrum import (
     unstable_index,
 )
 from .dense_eig import (
+    edge_norms,
     jacobi_eigenvalues,
     power_spectral_norm,
     spectral_norm,

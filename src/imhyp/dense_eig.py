@@ -2,14 +2,17 @@
 
 A symmetric matrix is block diagonal over the connected components of its
 nonzero pattern, and its spectral norm is the largest block norm: the split
-is a permutation similarity, so it is exact.  ``spectral_norms`` splits each
-input once, gathers the blocks of many matrices by size and solves every
-size as one stack with a batched round-robin Jacobi (Brent & Luk, SIAM J.
-Sci. Stat. Comput. 6 (1985)): a sweep is n-1 steps, and each step applies
-n/2 disjoint rotations to every matrix of the stack at once.  Only blocks
-above 512x512 take power iteration on A*A instead.  No LAPACK routine is
-involved, so the numbers do not depend on the platform.  ``_eig2x2_float``
-serves the field and certificate layers: closed-form 2x2 eigenvalues.
+is a permutation similarity, so it is exact.  ``edge_norms`` takes each
+matrix as its nonzero entries (``spectral_norms`` reads them off a dense
+array), splits it once by min-label propagation over those entries and
+answers 1x1 blocks by their |entry|.  It gathers the larger blocks of many
+matrices by size and solves every size as one stack with a batched
+round-robin Jacobi (Brent & Luk, SIAM J. Sci. Stat. Comput. 6 (1985)): a
+sweep is n-1 steps, and each step applies n/2 disjoint rotations to every
+matrix of the stack at once.  Only blocks above 512x512 take power
+iteration on A*A instead.  No LAPACK routine is involved, so the numbers
+do not depend on the platform.  ``_eig2x2_float`` serves the field and
+certificate layers: closed-form 2x2 eigenvalues.
 """
 
 from __future__ import annotations
@@ -26,14 +29,15 @@ JACOBI_MAX_SWEEPS = 50
 POWER_TOL = 1e-12
 POWER_MAX_ITER = 20_000
 POWER_CROSSOVER = 512
-# spectral_norms solves its pending stacks once they hold this many entries
+# edge_norms solves its pending stacks once they hold this many entries
 STACK_ENTRIES = 1 << 20
 
 
-def _check_symmetric(A) -> np.ndarray:
-    """A as a float array: one symmetric (n, n) matrix or a (B, n, n) stack."""
+def _check_symmetric(A, ndims=(2, 3)) -> np.ndarray:
+    """A as a float array of ndim in ndims: one symmetric (n, n) matrix or a
+    (B, n, n) stack of them."""
     M = np.array(A, dtype=float)
-    if M.ndim not in (2, 3) or M.shape[-1] != M.shape[-2]:
+    if M.ndim not in ndims or M.shape[-1] != M.shape[-2]:
         raise ConfigError(f"matrix must be square, got shape {M.shape}")
     if M.size:
         atol = 1e-12 * (1 + np.abs(M).max(axis=(-2, -1), keepdims=True))
@@ -161,9 +165,15 @@ def jacobi_eigenvalues(
     return eigs if S.ndim == 3 else eigs[0]
 
 
-def _power_norm(
-    M: np.ndarray, tol: float = POWER_TOL, max_iter: int = POWER_MAX_ITER, seed: int = 0
+def power_spectral_norm(
+    A, tol: float = POWER_TOL, max_iter: int = POWER_MAX_ITER, seed: int = 0
 ) -> float:
+    """Spectral norm of a symmetric matrix via power iteration on A @ A.
+
+    A @ A is positive semidefinite with top eigenvalue ||A||^2, so the
+    iteration is monotone and sign-proof.
+    """
+    M = _check_symmetric(A, ndims=(2,))
     n = M.shape[0]
     if n == 0:
         return 0.0
@@ -187,29 +197,12 @@ def _power_norm(
     )
 
 
-def power_spectral_norm(
-    A, tol: float = POWER_TOL, max_iter: int = POWER_MAX_ITER, seed: int = 0
-) -> float:
-    """Spectral norm of a symmetric matrix via power iteration on A @ A.
-
-    A @ A is positive semidefinite with top eigenvalue ||A||^2, so the
-    iteration is monotone and sign-proof.
+def _blocks(n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray):
+    """The diagonal blocks of the n x n matrix with entries values at (rows,
+    cols) over the connected components of that pattern, as (b, s, s) stacks
+    of equal size s.  Components are ordered by their smallest index, with
+    indices ascending inside each; entries outside the blocks are all zero.
     """
-    M = _check_symmetric(A)
-    if M.ndim != 2:
-        raise ConfigError(f"matrix must be square, got shape {M.shape}")
-    return _power_norm(M, tol, max_iter, seed)
-
-
-def _blocks(M: np.ndarray):
-    """The diagonal blocks of M over the connected components of its nonzero
-    pattern, as (b, s, s) stacks of equal size s.
-
-    Components are ordered by their smallest index, with indices ascending
-    inside each; entries outside the blocks are all zero.
-    """
-    n = M.shape[0]
-    rows, cols = np.nonzero(M)
     label = np.arange(n)
     while True:  # min-label propagation with pointer jumping
         new = label.copy()
@@ -224,17 +217,24 @@ def _blocks(M: np.ndarray):
     sizes = np.diff(starts, append=n)
     for s in np.unique(sizes):
         idx = order[starts[sizes == s][:, None] + np.arange(s)]
-        yield M[idx[:, :, None], idx[:, None, :]]
+        where = np.full(n, -1)  # b * s + slot of each index in these blocks
+        where[idx.ravel()] = np.arange(idx.size)
+        e = where[rows] >= 0
+        B = np.zeros((len(idx), s, s))
+        B[where[rows[e]] // s, where[rows[e]] % s, where[cols[e]] % s] = values[e]
+        yield B
 
 
-def spectral_norms(matrices) -> np.ndarray:
-    """max |eigenvalue| of each symmetric matrix in an iterable.
+def edge_norms(matrices) -> np.ndarray:
+    """max |eigenvalue| of each symmetric matrix in an iterable of
+    (n, rows, cols, values): an n x n matrix given by its nonzero entries.
 
-    Each matrix is checked once and split into its blocks; blocks of all
-    matrices are stacked by size (odd sizes padded to the next even one, which
-    sets the rotation schedule) and solved together, whenever the pending
-    stacks reach STACK_ENTRIES entries and at the end, so an iterable that
-    builds its matrices lazily keeps memory bounded.
+    Each matrix is split into its blocks.  A 1x1 block's norm is its |entry|,
+    bitwise what Jacobi returns for it.  Larger blocks of all matrices are
+    stacked by size (odd sizes padded to the next even one, which sets the
+    rotation schedule) and solved together, whenever the pending stacks
+    reach STACK_ENTRIES entries and at the end, so an iterable that builds
+    its matrices lazily keeps memory bounded.
     """
     pending: dict[int, list] = {}
     owners, values = [], []
@@ -245,27 +245,23 @@ def spectral_norms(matrices) -> np.ndarray:
             diag = _jacobi(
                 np.concatenate([blocks for _, _, blocks in parts]),
                 np.concatenate([np.full(len(blocks), s) for _, s, blocks in parts]),
-                JACOBI_TOL,
-                JACOBI_MAX_SWEEPS,
-            )
+                JACOBI_TOL, JACOBI_MAX_SWEEPS)
             values.append(np.abs(diag).max(axis=1))
             owners.append(np.concatenate(
                 [np.full(len(blocks), k) for k, _, blocks in parts]))
         pending.clear()
 
-    for A in matrices:
-        M = _check_symmetric(A)
-        if M.ndim != 2:
-            raise ConfigError(f"matrix must be square, got shape {M.shape}")
-        for blocks in _blocks(M):
+    for matrix in matrices:
+        for blocks in _blocks(*matrix):
             s = blocks.shape[-1]
-            if s > POWER_CROSSOVER:
-                values.append(np.array([_power_norm(b) for b in blocks]))
-                owners.append(np.full(len(blocks), count))
-            else:
+            if 1 < s <= POWER_CROSSOVER:
                 blocks = _padded(blocks)
                 pending.setdefault(blocks.shape[-1], []).append((count, s, blocks))
                 entries += blocks.size
+                continue
+            values.append(np.abs(blocks[:, 0, 0]) if s == 1 else
+                          np.array([power_spectral_norm(b) for b in blocks]))
+            owners.append(np.full(len(blocks), count))
         count += 1
         if entries >= STACK_ENTRIES:
             flush()
@@ -275,6 +271,19 @@ def spectral_norms(matrices) -> np.ndarray:
     if owners:
         np.maximum.at(norms, np.concatenate(owners), np.concatenate(values))
     return norms
+
+
+def _entries(A):
+    """(n, rows, cols, values) of one symmetric (n, n) array, checked."""
+    M = _check_symmetric(A, ndims=(2,))
+    rows, cols = np.nonzero(M)
+    return M.shape[0], rows, cols, M[rows, cols]
+
+
+def spectral_norms(matrices) -> np.ndarray:
+    """max |eigenvalue| of each symmetric (n, n) array in an iterable: each
+    is checked once and its nonzero entries go to edge_norms."""
+    return edge_norms(map(_entries, matrices))
 
 
 def spectral_norm(A) -> float:

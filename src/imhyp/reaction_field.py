@@ -68,8 +68,8 @@ def _sqrt(x):
     return sym.sqrt(x)
 
 def _check_positive(name, value):
-    if float(value) <= 0:
-        raise ConfigError(f"{name} must be positive, got {value}")
+    if not 0 < float(value) < math.inf:  # NaN fails both comparisons
+        raise ConfigError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -645,11 +645,16 @@ def field_to_json_dict(field: PlanarField) -> dict:
 
 
 def field_from_json_dict(data: dict) -> PlanarField:
-    def val(x):
-        if isinstance(x, str):
+    """A field from its JSON dict.  Cubic parameters given as strings are
+    exact, but one JSON number among them makes the whole field a float
+    field, its strings evaluated to floats."""
+    def vals(*names):
+        raw = [data[name] for name in names]
+        strings = [isinstance(x, str) for x in raw]
+        if any(strings):
             import sympy as sym
-            return sym.sympify(x)
-        return float(x)
+            raw = [sym.sympify(x) if s else x for x, s in zip(raw, strings)]
+        return raw if all(strings) else [float(x) for x in raw]
 
     try:
         kind = data["kind"]
@@ -657,11 +662,9 @@ def field_from_json_dict(data: dict) -> PlanarField:
         raise ConfigError("field JSON needs a 'kind' key") from None
     try:
         if kind == "cubic_coupled":
-            return CubicCoupled(k=val(data["k"]), a=val(data["a"]), b=val(data["b"]))
+            return CubicCoupled(*vals("k", "a", "b"))
         if kind == "cubic_uncoupled":
-            return CubicUncoupled(
-                a=val(data["a"]), b=val(data["b"]), c=val(data["c"]), d=val(data["d"])
-            )
+            return CubicUncoupled(*vals("a", "b", "c", "d"))
         if kind == "poly":
             return GeneralPoly(
                 f1_coeffs=tuple(tuple(t) for t in data["f1"]),

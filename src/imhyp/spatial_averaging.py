@@ -6,10 +6,11 @@ mean-free part of that action to the eigenmodes inside a spectral window
 measured against the H2 norm of h, is the effective epsilon of the spatial
 averaging inequality for that window.  The scan walks every wide-enough
 spectral gap and reports the best window found: it enumerates the lattice
-modes once, slices each window out of that sorted list and hands all window
-matrices to ``dense_eig.spectral_norms``, which splits each into the blocks
-of its nonzero pattern and solves equal-size blocks of every window as one
-stack.
+modes once and builds their matrix entries once, as an edge list (row, col,
+value); each window is a slice of the sorted modes with the entries inside
+it, and ``dense_eig.edge_norms`` splits every window into the blocks of its
+pattern and solves equal-size blocks of all windows as one stack.  No
+window becomes a dense n x n array.
 
 Matrix entries are computed in closed form from the coefficient table via
 the per-axis product rule for cosines, so the only floating-point error is
@@ -20,13 +21,13 @@ reports to CSV text; reading and writing files is the driver's.
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dense_eig import spectral_norm, spectral_norms
+from .dense_eig import edge_norms
 from .errors import ConfigError, PreconditionError, ResourceBudgetError
 from .lattice_spectrum import BoxDomain, enumerate_spectrum
 
@@ -97,10 +98,6 @@ def mean(h: Multiplier) -> float:
     return h.coeffs.get((0,) * h.domain.dim, 0.0)
 
 
-def _mode_eigenvalue(domain: BoxDomain, mode) -> float:
-    return sum((m / a) ** 2 for m, a in zip(mode, domain.axis_scales))
-
-
 def _volume(domain: BoxDomain) -> float:
     side = 2.0 * math.pi if domain.bc == "periodic" else math.pi
     return math.prod(side * a for a in domain.axis_scales)
@@ -115,7 +112,7 @@ def h2_norm(h: Multiplier) -> float:
     vol = _volume(h.domain)
     total = 0.0
     for f, c in h.coeffs.items():
-        lam = _mode_eigenvalue(h.domain, f)
+        lam = sum((m / a) ** 2 for m, a in zip(f, h.domain.axis_scales))
         nz = sum(1 for x in f if x != 0)
         total += (1.0 + lam) ** 2 * c * c * vol * 0.5**nz
     return math.sqrt(total)
@@ -127,16 +124,9 @@ def _modes(domain: BoxDomain, lo: float, hi: float) -> tuple[np.ndarray, np.ndar
     dim = domain.dim
     if hi < 0:
         return np.zeros((0, dim), dtype=np.int64), np.zeros(0)
-    axis_vals = []
-    cells = 1
-    for a in domain.axis_scales:
-        top = int(math.floor(a * math.sqrt(hi) + 1e-12))
-        if domain.bc == "neumann":
-            vals = np.arange(0, top + 1)
-        else:
-            vals = np.arange(-top, top + 1)
-        axis_vals.append(vals)
-        cells *= vals.size
+    tops = [int(math.floor(a * math.sqrt(hi) + 1e-12)) for a in domain.axis_scales]
+    axis_vals = [np.arange(0 if domain.bc == "neumann" else -t, t + 1) for t in tops]
+    cells = math.prod(vals.size for vals in axis_vals)
     if cells > 50_000_000:
         raise ResourceBudgetError(
             f"window enumeration needs {cells} lattice cells; lower lam or k"
@@ -169,88 +159,92 @@ def window_modes(domain: BoxDomain, lam: float, k: float) -> list[tuple[int, ...
     return [tuple(m) for m in modes.tolist()]
 
 
-def _axis_tables(idx: np.ndarray, neumann: bool):
-    """f -> one axis of <e_m, cos(f x / a) e_n>, for m, n over the indices idx.
+def _edges(h: Multiplier, modes: np.ndarray):
+    """Nonzero entries <e_m, (h - mean) e_n> for m, n over the (N, dim) mode
+    array, as (rows, cols, values) sorted by (row, col).
 
-    Neumann: cos(mt) cos(ft) cos(nt) = (1/4) sum over s1, s2 = +-1 of
+    The product rule for cosines, axis by axis.  Neumann:
+    cos(mt) cos(ft) cos(nt) = (1/4) sum over s1, s2 = +-1 of
     cos((m + s1 f + s2 n) t), so the integral over (0, pi a) is
     (pi a / 4) N(m) N(n) times the number of sign pairs with
-    m + s1 f + s2 n = 0.  With N(0)^2 = 1/(pi a) and N(m)^2 = 2/(pi a)
-    the side cancels, leaving sqrt(w_m w_n) / 4 per hit, w = 1 or 2.
-    Periodic: the Fourier coefficient (1/2)([m - n = f] + [m - n = -f]),
-    which is [m = n] for f = 0.  Both tables are symmetric entry by entry.
-    The parts that do not depend on f are built once per axis.
-    """
-    diff = idx[:, None] - idx[None, :]
-    if not neumann:
-        return lambda f: 0.5 * ((diff == f).astype(float) + (diff == -f))
-    total = idx[:, None] + idx[None, :]
-    w = np.where(idx > 0, 2.0, 1.0)
-    weight = np.sqrt(np.outer(w, w)) / 4.0
-
-    def table(f):
-        hits = (total == f).astype(float) + (diff == f) + (diff == -f)
-        hits += total == -f
-        return hits * weight
-
-    return table
-
-
-def _compress(h: Multiplier, modes) -> np.ndarray:
-    """E = sum over f != 0 of c_f prod_j T_j^{f_j}[m_j, n_j] over the modes.
-
-    Each T_j is a table over the distinct indices on axis j, gathered to the
-    mode pairs once per call and kept for the call when another coefficient
-    shares the same (axis, f_j).  Every factor is symmetric entry by entry,
-    so E is too, bit for bit.
+    m + s1 f + s2 n = 0.  With N(0)^2 = 1/(pi a) and N(m)^2 = 2/(pi a) the
+    side cancels, leaving sqrt(w_m w_n) / 4 per hit, w = 1 or 2, for the
+    partners n_j in {m_j + f_j, |m_j - f_j|}.  Periodic: the Fourier
+    coefficient (1/2)([m - n = f] + [m - n = -f]), partners n_j = m_j +- f_j.
+    Partners are looked up by integer keys of the modes.  A term is c_f
+    times its axis factors in axis order; terms add in coefficient order,
+    and a sum that cancels to exactly 0 is no entry.  Every factor is
+    symmetric, so the entries are too, bit for bit.
     """
     neumann = h.domain.bc == "neumann"
     M = np.asarray(modes, dtype=np.int64).reshape(len(modes), h.domain.dim)
-    axes = []
-    for col in M.T:
-        idx, inv = np.unique(col, return_inverse=True)
-        axes.append((_axis_tables(idx, neumann), inv[:, None], inv[None, :]))
-    uses = Counter((j, g) for f in h.coeffs if any(f) for j, g in enumerate(f))
-    tables = {}
-    E = np.zeros((M.shape[0], M.shape[0]))
+    found = [(np.zeros(0, np.int64), np.zeros(0))]  # for a constant h or no modes
+    lo, hi = M.min(axis=0, initial=0), M.max(axis=0, initial=0)
+    stride = np.cumprod(np.concatenate(([1], hi[:-1] - lo[:-1] + 1)))
+    order = np.argsort(M @ stride)
+    keys = (M @ stride)[order]
+    # each choice of partner on every axis: m_j + f_j, or the other one
+    pick = np.array(list(itertools.product((False, True), repeat=M.shape[1])))[:, None]
     for f, c in h.coeffs.items():
         if not any(f):
             continue  # the subtracted mean
-        term = np.full(E.shape, c)
-        for j, g in enumerate(f):
-            T = tables.get((j, g))
-            if T is None:
-                table, rows, cols = axes[j]
-                T = table(g)[rows, cols]
-                if uses[j, g] > 1:
-                    tables[j, g] = T
-            term *= T
-        E += term
-    return E
+        f = np.array(f)
+        plus, minus = M + f, (np.abs(M - f) if neumann else M - f)
+        cand = np.where(pick, minus, plus)
+        ok = (cand >= lo) & (cand <= hi) & ((plus != minus) | ~pick)
+        s, m = np.nonzero(ok.all(axis=2))
+        want = cand[s, m] @ stride
+        at = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+        hit = keys[at] == want
+        mm, nn = M[m[hit]], M[order[at[hit]]]
+        if neumann:  # sign-pair hits times sqrt(w_m w_n) / 4
+            total, diff = mm + nn, mm - nn
+            hits = (total == f).astype(float) + (diff == f) + (diff == -f)
+            w = np.where(mm > 0, 2.0, 1.0) * np.where(nn > 0, 2.0, 1.0)
+            factor = (hits + (total == -f)) * (np.sqrt(w) / 4.0)
+        else:
+            factor = 0.5 * ((mm - nn == f).astype(float) + (mm - nn == -f))
+        term = np.full(len(mm), c)
+        for t in factor.T:
+            term *= t
+        found.append((m[hit] * len(M) + order[at[hit]], term))
+    pairs, slot = np.unique(np.concatenate([p for p, _ in found]), return_inverse=True)
+    values, at = np.zeros(pairs.size), 0
+    for _, term in found:  # in coefficient order; a coefficient meets a pair once
+        values[slot[at:at + term.size]] += term
+        at += term.size
+    keep = values != 0.0
+    return pairs[keep] // len(M), pairs[keep] % len(M), values[keep]
+
+
+def _window(h: Multiplier, lam: float, k: float):
+    """(n, rows, cols, values): the modes in (lam-k, lam+k] and _edges."""
+    modes = window_modes(h.domain, lam, k)
+    if not modes:
+        raise PreconditionError(
+            f"window ({lam - k:.6g}, {lam + k:.6g}] contains no modes"
+        )
+    return (len(modes), *_edges(h, modes))
 
 
 def windowed_matrix(h: Multiplier, lam: float, k: float) -> np.ndarray:
     """Mean-free multiplier compressed to the modes in (lam-k, lam+k].
 
     Entries <e_m, (h - mean) e_n> for orthonormal eigenmodes, in closed form
-    from the coefficient table.  Modes and cosine terms factor over the
-    axes, so each entry is sum over f != 0 of c_f times a product of 1-D
-    factors t_j(m_j, n_j, f_j) (the cosine product rule, see _axis_tables).
+    from the coefficient table (see _edges), scattered into a dense array.
     The result is symmetric exactly.  A diagonal entry (m, m) is zero unless
     some f != 0 has f_j in {0, 2 m_j} on every axis, which only a Neumann
     box allows.
     """
-    modes = window_modes(h.domain, lam, k)
-    if not modes:
-        raise PreconditionError(
-            f"window ({lam - k:.6g}, {lam + k:.6g}] contains no modes"
-        )
-    return _compress(h, modes)
+    n, rows, cols, values = _window(h, lam, k)
+    E = np.zeros((n, n))
+    E[rows, cols] = values
+    return E
 
 
 def windowed_norm(h: Multiplier, lam: float, k: float) -> float:
     """Operator norm of the windowed compression (the largest block norm)."""
-    return spectral_norm(windowed_matrix(h, lam, k))
+    return float(edge_norms([_window(h, lam, k)])[0])
 
 
 @dataclass(frozen=True)
@@ -275,10 +269,11 @@ def sap_scan(
     entry is the scan's best window.  A window containing no modes yields an
     op_norm of 0 (the compression is the zero operator there).
 
-    The modes of all windows are enumerated once and each window is a
-    searchsorted slice of them, equal entry for entry to window_modes; the
-    window matrices are built lazily and solved together, so every row's
-    op_norm equals windowed_norm at its lambda bit for bit.
+    The modes of all windows are enumerated once and their entries built
+    once; each window is a searchsorted slice of the modes, equal entry for
+    entry to window_modes, and takes the entries with both ends inside it.
+    All windows are solved together, so every row's op_norm equals
+    windowed_norm at its lambda bit for bit.
     """
     if k <= 0 or rho <= 0:
         raise ConfigError("k and rho must be positive")
@@ -301,30 +296,25 @@ def sap_scan(
         return []
     # one enumeration serves every window: slice it on (mid-k, mid+k]
     modes, mode_eigs = _modes(h.domain, mids[0] - k, mids[-1] + k)
-    bounds = [
-        (np.searchsorted(mode_eigs, mid - k, "right"),
-         np.searchsorted(mode_eigs, mid + k, "right"))
-        for mid in mids
-    ]
-    norms = spectral_norms(_compress(h, modes[a:b]) for a, b in bounds)
+    bounds = list(zip(np.searchsorted(mode_eigs, np.subtract(mids, k), "right"),
+                      np.searchsorted(mode_eigs, np.add(mids, k), "right")))
+    rows, cols, values = _edges(h, modes)
+
+    def window(a, b):
+        lo, hi = np.searchsorted(rows, (a, b))
+        inside = (cols[lo:hi] >= a) & (cols[lo:hi] < b)
+        return (b - a, rows[lo:hi][inside] - a, cols[lo:hi][inside] - a,
+                values[lo:hi][inside])
+
+    norms = edge_norms(window(a, b) for a, b in bounds)
     hnorm = h2_norm(h)
-    reports = []
-    for mid, gap, (a, b), op in zip(mids, gaps, bounds, norms):
-        op = float(op)
-        reports.append(
-            SAPWindowReport(
-                lam=mid,
-                k=k,
-                window_modes=int(b - a),
-                op_norm=op,
-                h2_norm=hnorm,
-                eps_eff=op / hnorm if hnorm > 0.0 else 0.0,
-                gap=gap,
-                rho_ok=gap >= rho,
-            )
-        )
-    reports.sort(key=lambda r: (r.eps_eff, r.lam))
-    return reports
+    reports = [
+        SAPWindowReport(lam=mid, k=k, window_modes=int(b - a), op_norm=op,
+                        h2_norm=hnorm, eps_eff=op / hnorm if hnorm > 0.0 else 0.0,
+                        gap=gap, rho_ok=gap >= rho)
+        for mid, gap, (a, b), op in zip(mids, gaps, bounds, norms.tolist())
+    ]
+    return sorted(reports, key=lambda r: (r.eps_eff, r.lam))
 
 
 # ---------------------------------------------------------------------------

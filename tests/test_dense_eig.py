@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from imhyp.dense_eig import (
+    edge_norms,
     jacobi_eigenvalues,
     power_spectral_norm,
     spectral_norm,
@@ -161,6 +162,24 @@ class TestSpectralNorm:
         assert got.shape == (30,)
         assert [float(x) for x in got] == [spectral_norm(A) for A in mats]
         assert spectral_norms([]).shape == (0,)
+
+    def test_edge_norms_take_entries_in_any_order(self):
+        rng = np.random.default_rng(52)
+        for _ in range(20):
+            n = int(rng.integers(1, 20))
+            A = random_symmetric(rng, n)
+            A[np.abs(A) < 0.8] = 0.0
+            rows, cols = np.nonzero(A)
+            p = rng.permutation(rows.size)
+            got = edge_norms([(n, rows[p], cols[p], A[rows, cols][p])])
+            assert float(got[0]) == spectral_norm(A)
+        # 1x1 blocks skip Jacobi and give what it gives, |entry|
+        d = rng.normal(size=7)
+        d[2] = 0.0
+        idx = np.flatnonzero(d)
+        got = edge_norms([(7, idx, idx, d[idx])] + [(1, idx[:0], idx[:0], d[:0])])
+        assert float(got[0]) == float(np.abs(jacobi_eigenvalues(np.diag(d))).max())
+        assert got[1] == 0.0
 
     def test_stacking_cap_does_not_change_norms(self, monkeypatch):
         import imhyp.dense_eig as dense_eig

@@ -392,6 +392,32 @@ class TestMainExitCodes:
         assert code == 1 and out == ""
         assert err.startswith("imhyp: config error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["fixed-points", "dissipativity"])
+    @pytest.mark.parametrize("k", ["NaN", "Infinity", "-1"])
+    def test_non_finite_field_parameter_refused(self, capsys, tmp_path, command, k):
+        # NaN fails every comparison, so `value <= 0` alone lets it through
+        path = tmp_path / "field.json"
+        path.write_text(f'{{"kind": "cubic_coupled", "k": {k}, "a": 3, "b": 1}}')
+        code, out, err = cli(capsys, command, "--field", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("imhyp: config error: k must be positive and finite")
+
+    def test_mixed_exact_and_float_field_is_a_float_field(self, capsys, tmp_path):
+        import sympy
+
+        mixed = {"kind": "cubic_coupled", "k": 3.4641016151377544,
+                 "a": "sqrt(5)/3 + 3/2", "b": 0.5590169943749475}
+        floats = dict(mixed, a=float(sympy.sympify(mixed["a"])))
+        results = []
+        for name, field in (("mixed", mixed), ("floats", floats)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(field))
+            code, _, err = cli(capsys, "fixed-points", "--field", str(path))
+            assert (code, err) == (0, "")
+            results.append(run({"command": "fixed-points", "field": str(path)})["result"])
+        assert results[0] == results[1]
+        assert results[0]["count"] == 9
+
     @pytest.mark.parametrize("flag", ["--out", "--csv"])
     def test_unwritable_output_path(self, capsys, tmp_path, flag):
         target = tmp_path / "missing" / "file"

@@ -402,6 +402,21 @@ class TestSerialization:
         f = field_from_json_dict(d)
         assert sym.simplify(f.b - sym.sqrt(3)) == 0
 
+    def test_one_number_makes_a_float_field(self):
+        f = field_from_json_dict({"kind": "cubic_uncoupled", "a": "2", "b": "sqrt(3)",
+                                  "c": "sqrt(6)", "d": 1.5})
+        params = (f.a, f.b, f.c, f.d)
+        assert params == (2.0, math.sqrt(3), math.sqrt(6), 1.5)
+        assert all(type(x) is float for x in params)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, "nan", "oo", "-1"])
+    def test_non_finite_or_non_positive_parameter(self, value):
+        # an all-string field is exact: "nan" and "oo" reach the check as sympy values
+        other = "1" if isinstance(value, str) else 1.0
+        with pytest.raises(ConfigError, match="b must be positive and finite"):
+            field_from_json_dict(
+                {"kind": "cubic_coupled", "k": other, "a": other, "b": value})
+
     def test_bad_kind(self):
         with pytest.raises(ConfigError, match="kind"):
             field_from_json_dict({"kind": "quartic"})

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -256,6 +257,22 @@ class TestWindowedMatrix:
         with pytest.raises(PreconditionError):
             windowed_matrix(COS_X1, 6.5, 0.3)
 
+    def test_cancelled_entry_is_no_entry(self):
+        # h = cos x - cos 3x on (0, pi): <e_1, h e_2> = 1/2 - 1/2 is exactly 0,
+        # and like np.nonzero on the dense matrix, the entry list skips it
+        h = Multiplier(BoxDomain(dim=1), {(1,): 1.0, (3,): -1.0})
+        rows, _, values = spatial_averaging._edges(h, [(1,), (2,)])
+        assert rows.size == 0 and values.size == 0
+        assert np.array_equal(windowed_matrix(h, 2.5, 2.0), np.zeros((2, 2)))
+        assert windowed_norm(h, 2.5, 2.0) == 0.0
+        modes = [(0,), (1,), (2,), (3,), (4,)]
+        rows, cols, values = spatial_averaging._edges(h, modes)
+        E = np.zeros((5, 5))
+        E[rows, cols] = values
+        assert np.all(values != 0.0) and E[1, 2] == E[2, 1] == 0.0
+        assert np.array_equal(np.argwhere(E), np.stack([rows, cols], axis=1))
+        assert E[0, 1] == math.sqrt(2.0) / 2.0 and E[0, 3] == -math.sqrt(2.0) / 2.0
+
     def test_mean_shift_is_exact(self):
         rng = np.random.default_rng(24)
         h = random_multiplier(rng, CUBE)
@@ -400,20 +417,42 @@ class TestSapScanWindows:
 
     @pytest.mark.parametrize("scan", range(len(SCANS)))
     def test_window_slices_equal_window_modes(self, scan, monkeypatch):
+        # each window the scan solves has as many modes as window_modes and,
+        # scattered, is windowed_matrix at its midpoint bit for bit
         h, k, rho, lambda_max = SCANS[scan]
         seen = []
-        compress = spatial_averaging._compress
+        edge_norms = spatial_averaging.edge_norms
 
-        def record(h_, modes):
-            seen.append([tuple(m) for m in np.asarray(modes).tolist()])
-            return compress(h_, modes)
+        def record(matrices):
+            matrices = list(matrices)
+            seen.extend(matrices)
+            return edge_norms(matrices)
 
-        monkeypatch.setattr(spatial_averaging, "_compress", record)
+        monkeypatch.setattr(spatial_averaging, "edge_norms", record)
         reports = sap_scan(h, k, rho, lambda_max)
+        monkeypatch.undo()
         mids = sorted(r.lam for r in reports)
         assert len(seen) == len(mids)
-        for mid, modes in zip(mids, seen):
-            assert modes == window_modes(h.domain, mid, k)
+        for mid, (n, rows, cols, values) in zip(mids, seen):
+            assert n == len(window_modes(h.domain, mid, k))
+            if n:
+                E = np.zeros((n, n))
+                E[rows, cols] = values
+                assert np.array_equal(E, windowed_matrix(h, mid, k))
+                assert np.all(values != 0.0)
+
+    def test_scan_peak_memory_below_one_dense_window(self):
+        # the k=40 window at lambda 111.5 has n=762 modes and 1,258 entries; a
+        # dense n x n float array alone would take 8 n^2 bytes (4.43 MiB)
+        tracemalloc.start()
+        try:
+            reports = sap_scan(COS_X1, 40.0, 3.0, 120.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n = reports[0].window_modes
+        assert len(reports) == 1 and n == 762
+        assert peak < 8 * n * n
 
     def test_stacking_cap_does_not_change_scan(self, monkeypatch):
         h, k, rho, lambda_max = SCANS[0]
