@@ -1,11 +1,13 @@
 """Command-line front end: config validation, dispatch, reproducible reports.
 
-One subcommand per analysis operation.  Reports are JSON with floats printed
-at 17 significant digits and sorted keys, so identical config and version
-produce identical bytes.  This module does all of the package's file I/O: it
-reads config, field and multiplier JSON and writes every report, certificate
-and CSV, each through a temp-file-plus-rename so readers never observe a
-half-written file.
+One subcommand per analysis operation.  Each subcommand is declared once, by
+the @_command decorator on its runner: the decorator names the command, lists
+its config keys and fills SCHEMAS and RUNNERS.  Reports are JSON with floats
+printed at 17 significant digits and sorted keys, so identical config and
+version produce identical bytes.  This module does all of the package's file
+I/O: it reads config, field and multiplier JSON and writes every report,
+certificate and CSV, each through a temp-file-plus-rename so readers never
+observe a half-written file.
 """
 
 from __future__ import annotations
@@ -18,12 +20,15 @@ import os
 import sys
 import tempfile
 import time
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .errors import ConfigError, HypothesisNotMet, NumericalFailure
 from .lattice_spectrum import (
+    BOUNDARY_CONDITIONS,
+    PERIODIC_SCALINGS,
     BoxDomain,
     JumpQuery,
     enumerate_spectrum,
@@ -33,6 +38,8 @@ from .lattice_spectrum import (
     weyl_fit,
 )
 from .reaction_field import (
+    DEDUPE_TOL,
+    DEFAULT_REGION,
     CubicCoupled,
     delta_of,
     delta_table_to_csv,
@@ -52,6 +59,8 @@ from .spatial_averaging import (
     sap_scan,
 )
 from .stationary_spectrum import (
+    GAP_MIN_DEFAULT,
+    ZERO_TOL_DEFAULT,
     Linearization,
     Witness,
     anhim_common_gamma,
@@ -62,26 +71,18 @@ from .stationary_spectrum import (
     unstable_index,
 )
 
-_BUILTIN_FIELDS = ("cubic-scalar", "prop34", "prop35", "prop35-float")
-_BUILTIN_MULTIPLIERS = ("cos-x1",)
-
-
 # ---------------------------------------------------------------------------
 # parameter schema
 
-class Param:
+class Param(NamedTuple):
     """One config key: how to parse it and what values are legal."""
 
-    __slots__ = ("key", "kind", "default", "required", "positive", "choices")
-
-    def __init__(self, key, kind, default=None, *, required=False,
-                 positive=False, choices=None):
-        self.key = key
-        self.kind = kind
-        self.default = default
-        self.required = required
-        self.positive = positive
-        self.choices = choices
+    key: str
+    kind: str
+    default: object = None
+    required: bool = False
+    positive: bool = False
+    choices: tuple | None = None
 
 
 def _parse_bool(raw):
@@ -95,9 +96,16 @@ def _parse_bool(raw):
     raise ValueError(f"expected true or false, got {raw!r}")
 
 
+def _parse_float(raw) -> float:
+    # float() reads the JSON booleans true and false as 1.0 and 0.0
+    if isinstance(raw, bool):
+        raise ValueError(f"expected a number, got {raw!r}")
+    return float(raw)
+
+
 def _parse_floats(raw):
     if isinstance(raw, (list, tuple)):
-        return tuple(float(x) for x in raw)
+        return tuple(_parse_float(x) for x in raw)
     parts = [p for p in str(raw).split(",") if p.strip()]
     return tuple(float(p) for p in parts)
 
@@ -118,7 +126,7 @@ def _parse_value(param: Param, raw):
             raise ValueError(f"expected an integer, got {raw!r}")
         return val
     if kind == "float":
-        val = float(raw)
+        val = _parse_float(raw)
         if not math.isfinite(val):
             raise ValueError("expected a finite number")
         return val
@@ -141,126 +149,49 @@ def _parse_value(param: Param, raw):
     raise ValueError(f"unhandled parameter kind {kind!r}")
 
 
-def _schema(*params: Param) -> dict:
-    """out and timing, which every command takes, then the command's own keys."""
+# command name -> {config key: Param}, and command name -> runner; both are
+# filled by @_command
+SCHEMAS = {}
+RUNNERS = {}
+
+
+def _command(name: str, *params: Param):
+    """Register the decorated runner as subcommand name, taking out and
+    timing, which every command takes, then params."""
     common = (Param("out", "path"), Param("timing", "bool", default=False))
-    return {p.key: p for p in (*common, *params)}
+
+    def register(runner):
+        SCHEMAS[name] = {p.key: p for p in (*common, *params)}
+        RUNNERS[name] = runner
+        return runner
+    return register
 
 
 _CSV = Param("csv", "path")
 _CERT = Param("cert", "path")
+_FIELD = Param("field", "str", required=True)
+_NU = Param("nu", "float", required=True, positive=True)
+_CUTOFF = Param("cutoff", "float", required=True, positive=True)
 _DOMAIN = (
     Param("dim", "int", default=3, positive=True),
-    Param("bc", "str", default="neumann",
-          choices=("neumann", "dirichlet", "periodic")),
+    Param("bc", "str", default="neumann", choices=BOUNDARY_CONDITIONS),
     Param("sides", "floats"),
 )
 # the box-spectrum commands, the only ones whose enumeration takes a scaling
 _BOX_SPECTRUM = (
     *_DOMAIN,
-    Param("periodic-scaling", "str", default="paper",
-          choices=("paper", "standard")),
-    Param("cutoff", "float", required=True, positive=True),
+    Param("periodic-scaling", "str", default="paper", choices=PERIODIC_SCALINGS),
+    _CUTOFF,
 )
-
-SCHEMAS = {
-    "spectrum": _schema(*_BOX_SPECTRUM, _CSV),
-    "gaps": _schema(*_BOX_SPECTRUM),
-    "jump": _schema(
-        *_BOX_SPECTRUM,
-        Param("theta", "float", default=JumpQuery.theta),
-        Param("lip", "float", default=1.0, positive=True),
-        Param("cconst", "float", default=1.0, positive=True),
-        Param("nu", "float", default=1.0, positive=True),
-    ),
-    "gauss-audit": _schema(Param("limit", "int", default=1_000_000, positive=True)),
-    "weyl": _schema(*_BOX_SPECTRUM),
-    "fixed-points": _schema(
-        Param("field", "str", required=True),
-        Param("region", "floats"),
-        Param("tol", "float", default=1e-8, positive=True),
-        _CSV,
-    ),
-    "delta": _schema(
-        Param("field", "str", required=True),
-        Param("at", "floats", required=True),
-    ),
-    "lemma33": _schema(
-        Param("field", "str", required=True),
-        Param("region", "floats"),
-        Param("tol", "float", default=1e-6, positive=True),
-    ),
-    "prop34": _schema(
-        Param("tol", "float", default=1e-10, positive=True),
-        Param("bracket-lo", "float", default=7.0, positive=True),
-        Param("bracket-hi", "float", default=20.0, positive=True),
-    ),
-    "prop35-verify": _schema(Param("exact", "bool", default=True)),
-    "dissipativity": _schema(
-        Param("field", "str", required=True),
-        Param("samples", "int", default=10_000, positive=True),
-        Param("seed", "int", default=0),
-    ),
-    "region": _schema(
-        Param("field", "str", required=True),
-        Param("c", "float", required=True, positive=True),
-    ),
-    "index": _schema(
-        *_DOMAIN,
-        Param("nu", "float", required=True, positive=True),
-        Param("jac", "floats", required=True),
-        Param("cutoff", "float", required=True, positive=True),
-        Param("zero-tol", "float", default=1e-9, positive=True),
-    ),
-    "parity": _schema(
-        *_DOMAIN,
-        Param("nu", "float", required=True, positive=True),
-        Param("jacs", "jacs"),
-        Param("field", "str"),
-        Param("labels", "strs"),
-        Param("cutoff", "float", required=True, positive=True),
-        Param("zero-tol", "float", default=1e-9, positive=True),
-    ),
-    "profile": _schema(
-        *_DOMAIN,
-        Param("nu", "float", required=True, positive=True),
-        Param("jac", "floats", required=True),
-        Param("cutoff", "float", required=True, positive=True),
-        Param("gap-min", "float", default=1e-6, positive=True),
-    ),
-    "nhim-dims": _schema(
-        *_DOMAIN,
-        Param("nu", "float", required=True, positive=True),
-        Param("jacs", "jacs"),
-        Param("field", "str"),
-        Param("labels", "strs"),
-        Param("cutoff", "float", required=True, positive=True),
-        Param("gap-min", "float", default=1e-6, positive=True),
-        Param("max-dims", "int", default=25, positive=True),
-        _CERT,
-    ),
-    "anhim": _schema(
-        *_DOMAIN,
-        Param("nu", "float", required=True, positive=True),
-        Param("jacs", "jacs"),
-        Param("field", "str"),
-        Param("labels", "strs"),
-        Param("cutoff", "float", required=True, positive=True),
-        _CERT,
-    ),
-    "lemma41": _schema(
-        Param("jac0", "float", required=True),
-        Param("jac1", "float", required=True),
-        Param("gap-bound", "float", required=True, positive=True),
-    ),
-    "sap-scan": _schema(
-        Param("h", "str", required=True),
-        Param("k", "float", required=True, positive=True),
-        Param("rho", "float", required=True, positive=True),
-        Param("lambda-max", "float", required=True, positive=True),
-        _CSV,
-    ),
-}
+# the keys of the commands that linearize equilibria (see _linearizations)
+_EQUILIBRIA = (
+    *_DOMAIN,
+    _NU,
+    Param("jacs", "jacs"),
+    Param("field", "str"),
+    Param("labels", "strs"),
+    _CUTOFF,
+)
 
 
 def validate(config) -> list:
@@ -434,14 +365,10 @@ def _read_json(path, what: str) -> dict:
 # shared builders
 
 def _build_domain(p) -> BoxDomain:
-    sides = p.get("sides")
-    if sides is not None:
-        if len(sides) != p["dim"]:
-            raise ConfigError(
-                f"sides has {len(sides)} entries for dim {p['dim']}"
-            )
-        return BoxDomain(dim=p["dim"], sides=tuple(sides), bc=p["bc"])
-    return BoxDomain(dim=p["dim"], bc=p["bc"])
+    sides = p["sides"]
+    if sides is not None and len(sides) != p["dim"]:
+        raise ConfigError(f"sides has {len(sides)} entries for dim {p['dim']}")
+    return BoxDomain(dim=p["dim"], sides=sides, bc=p["bc"])
 
 
 def _spectrum(p):
@@ -450,32 +377,51 @@ def _spectrum(p):
     )
 
 
-def _planar_field(name: str):
-    if name == "prop34":
-        consts = solve_prop34()
-        return CubicCoupled(k=consts.k, a=consts.a_star, b=consts.b)
-    if name == "prop35":
-        return prop35_field(exact=True)
-    if name == "prop35-float":
-        return prop35_field(exact=False)
-    if name == "cubic-scalar":
-        raise ConfigError(
-            "field 'cubic-scalar' is one-dimensional; this command needs a "
-            "planar field"
-        )
-    if os.path.exists(name):
-        return field_from_json_dict(_read_json(name, "field"))
-    builtins = ", ".join(_BUILTIN_FIELDS)
+def _scalar_field():
     raise ConfigError(
-        f"field {name!r} is neither a readable JSON file nor a builtin "
-        f"({builtins})"
+        "field 'cubic-scalar' is one-dimensional; this command needs a "
+        "planar field"
     )
 
 
+def _prop34_field():
+    consts = solve_prop34()
+    return CubicCoupled(k=consts.k, a=consts.a_star, b=consts.b)
+
+
+# builtin name -> its planar field; cubic-scalar, f(u) = u - u^3, has none and
+# serves only the equilibria commands (see _linearizations)
+_BUILTIN_FIELDS = {
+    "cubic-scalar": _scalar_field,
+    "prop34": _prop34_field,
+    "prop35": lambda: prop35_field(exact=True),
+    "prop35-float": lambda: prop35_field(exact=False),
+}
+_BUILTIN_MULTIPLIERS = {
+    "cos-x1": lambda: Multiplier(BoxDomain(dim=3), {(1, 0, 0): 1.0}),
+}
+
+
+def _builtin_or_file(name: str, builtins: dict, what: str, from_json):
+    """The builtin called name, else from_json of the JSON in file name."""
+    if name in builtins:
+        return builtins[name]()
+    if os.path.exists(name):
+        return from_json(_read_json(name, what))
+    raise ConfigError(
+        f"{what} {name!r} is neither a readable JSON file nor a builtin "
+        f"({', '.join(builtins)})"
+    )
+
+
+def _planar_field(name: str):
+    return _builtin_or_file(name, _BUILTIN_FIELDS, "field", field_from_json_dict)
+
+
 def _region(p):
-    region = p.get("region")
+    region = p["region"]
     if region is None:
-        return None
+        return DEFAULT_REGION
     if len(region) != 4:
         raise ConfigError("region needs 4 numbers: x_lo,x_hi,y_lo,y_hi")
     return ((region[0], region[1]), (region[2], region[3]))
@@ -547,6 +493,7 @@ def _analysis_row(a) -> dict:
 # subcommand runners: each returns (result, verdict line); the result may hold
 # library dataclasses and arrays, which run() turns into plain JSON types
 
+@_command("spectrum", *_BOX_SPECTRUM, _CSV)
 def _run_spectrum(p):
     spec = _spectrum(p)
     if p.get("csv"):
@@ -566,6 +513,7 @@ def _run_spectrum(p):
     return result, verdict
 
 
+@_command("gaps", *_BOX_SPECTRUM)
 def _run_gaps(p):
     spec = _spectrum(p)
     if len(spec) < 2:
@@ -578,6 +526,11 @@ def _run_gaps(p):
     return report, f"max gap {report.max_gap:g} at ({lo:g}, {hi:g})"
 
 
+@_command("jump", *_BOX_SPECTRUM,
+          Param("theta", "float", default=JumpQuery.theta),
+          Param("lip", "float", default=JumpQuery.lip, positive=True),
+          Param("cconst", "float", default=JumpQuery.cconst, positive=True),
+          Param("nu", "float", default=JumpQuery.nu, positive=True))
 def _run_jump(p):
     query = JumpQuery(theta=p["theta"], lip=p["lip"], cconst=p["cconst"],
                       nu=p["nu"])
@@ -589,6 +542,7 @@ def _run_jump(p):
     return scan, verdict
 
 
+@_command("gauss-audit", Param("limit", "int", default=1_000_000, positive=True))
 def _run_gauss_audit(p):
     audit = three_square_gap_audit(p["limit"])
     result = {
@@ -606,6 +560,7 @@ def _run_gauss_audit(p):
     return result, verdict
 
 
+@_command("weyl", *_BOX_SPECTRUM)
 def _run_weyl(p):
     fit = weyl_fit(_spectrum(p), p["dim"])
     verdict = (
@@ -615,13 +570,11 @@ def _run_weyl(p):
     return fit, verdict
 
 
+@_command("fixed-points", _FIELD, Param("region", "floats"),
+          Param("tol", "float", default=DEDUPE_TOL, positive=True), _CSV)
 def _run_fixed_points(p):
-    field = _planar_field(p["field"])
-    region = _region(p)
-    if region is not None:
-        analyses = fixed_points(field, region=region, tol=p["tol"])
-    else:
-        analyses = fixed_points(field, tol=p["tol"])
+    analyses = fixed_points(_planar_field(p["field"]), region=_region(p),
+                            tol=p["tol"])
     if p.get("csv"):
         _atomic_file(p["csv"], delta_table_to_csv(analyses))
     result = {
@@ -633,6 +586,7 @@ def _run_fixed_points(p):
     return result, verdict
 
 
+@_command("delta", _FIELD, Param("at", "floats", required=True))
 def _run_delta(p):
     field = _planar_field(p["field"])
     at = p["at"]
@@ -643,13 +597,11 @@ def _run_delta(p):
     return _analysis_row(analysis), verdict
 
 
+@_command("lemma33", _FIELD, Param("region", "floats"),
+          Param("tol", "float", default=1e-6, positive=True))
 def _run_lemma33(p):
-    field = _planar_field(p["field"])
-    region = _region(p)
-    kwargs = {"tol": p["tol"]}
-    if region is not None:
-        kwargs["region"] = region
-    check = lemma33_check(field, **kwargs)
+    check = lemma33_check(_planar_field(p["field"]), region=_region(p),
+                          tol=p["tol"])
     result = {
         "ladder_found": check.verdict,
         "matches": {t: _analysis_row(a) for t, a in check.matches.items()},
@@ -662,6 +614,9 @@ def _run_lemma33(p):
     return result, verdict
 
 
+@_command("prop34", Param("tol", "float", default=1e-10, positive=True),
+          Param("bracket-lo", "float", default=7.0, positive=True),
+          Param("bracket-hi", "float", default=20.0, positive=True))
 def _run_prop34(p):
     consts = solve_prop34(tol=p["tol"], bracket=(p["bracket-lo"], p["bracket-hi"]))
     ok = consts.checklist.all_pass()
@@ -672,6 +627,7 @@ def _run_prop34(p):
     return consts, verdict
 
 
+@_command("prop35-verify", Param("exact", "bool", default=True))
 def _run_prop35_verify(p):
     report = verify_prop35(exact=p["exact"])
     ok = report.ladder_ok()
@@ -690,6 +646,9 @@ def _run_prop35_verify(p):
     return result, verdict
 
 
+@_command("dissipativity", _FIELD,
+          Param("samples", "int", default=10_000, positive=True),
+          Param("seed", "int", default=0))
 def _run_dissipativity(p):
     field = _planar_field(p["field"])
     report = dissipativity_radius(field, samples=p["samples"], seed=p["seed"])
@@ -701,6 +660,7 @@ def _run_dissipativity(p):
     return report, verdict
 
 
+@_command("region", _FIELD, Param("c", "float", required=True, positive=True))
 def _run_region(p):
     field = _planar_field(p["field"])
     invariant = invariant_region_check(field, p["c"])
@@ -711,6 +671,9 @@ def _run_region(p):
     return result, verdict
 
 
+@_command("index", *_DOMAIN, _NU, Param("jac", "floats", required=True),
+          _CUTOFF,
+          Param("zero-tol", "float", default=ZERO_TOL_DEFAULT, positive=True))
 def _run_index(p):
     lin = Linearization(_build_domain(p), p["nu"], _jac_matrix(p["jac"]))
     index, hyperbolic = unstable_index(lin, p["cutoff"], zero_tol=p["zero-tol"])
@@ -722,6 +685,8 @@ def _run_index(p):
     return result, verdict
 
 
+@_command("parity", *_EQUILIBRIA,
+          Param("zero-tol", "float", default=ZERO_TOL_DEFAULT, positive=True))
 def _run_parity(p):
     lins = _linearizations(p, _build_domain(p))
     report = parity_report(lins, p["cutoff"], zero_tol=p["zero-tol"])
@@ -744,6 +709,9 @@ def _run_parity(p):
     return result, verdict
 
 
+@_command("profile", *_DOMAIN, _NU, Param("jac", "floats", required=True),
+          _CUTOFF,
+          Param("gap-min", "float", default=GAP_MIN_DEFAULT, positive=True))
 def _run_profile(p):
     lin = Linearization(_build_domain(p), p["nu"], _jac_matrix(p["jac"]))
     profile = count_profile(lin, p["cutoff"])
@@ -756,6 +724,9 @@ def _run_profile(p):
     return {**vars(profile), "gaps_below_zero": gaps}, verdict
 
 
+@_command("nhim-dims", *_EQUILIBRIA,
+          Param("gap-min", "float", default=GAP_MIN_DEFAULT, positive=True),
+          Param("max-dims", "int", default=25, positive=True), _CERT)
 def _run_nhim_dims(p):
     lins = _linearizations(p, _build_domain(p))
     if len(lins) == 1 and p.get("cert"):
@@ -791,6 +762,7 @@ def _run_nhim_dims(p):
     return result, verdict
 
 
+@_command("anhim", *_EQUILIBRIA, _CERT)
 def _run_anhim(p):
     lins = _linearizations(p, _build_domain(p))
     cert = anhim_common_gamma(lins, p["cutoff"])
@@ -807,6 +779,9 @@ def _run_anhim(p):
     return result, verdict
 
 
+@_command("lemma41", Param("jac0", "float", required=True),
+          Param("jac1", "float", required=True),
+          Param("gap-bound", "float", required=True, positive=True))
 def _run_lemma41(p):
     threshold = lemma41_threshold(p["jac0"], p["jac1"], p["gap-bound"])
     result = {
@@ -819,20 +794,13 @@ def _run_lemma41(p):
     return result, verdict
 
 
-def _resolve_multiplier(name: str) -> Multiplier:
-    if name == "cos-x1":
-        return Multiplier(BoxDomain(dim=3), {(1, 0, 0): 1.0})
-    if os.path.exists(name):
-        return multiplier_from_json_dict(_read_json(name, "multiplier"))
-    builtins = ", ".join(_BUILTIN_MULTIPLIERS)
-    raise ConfigError(
-        f"multiplier {name!r} is neither a readable JSON file nor a builtin "
-        f"({builtins})"
-    )
-
-
+@_command("sap-scan", Param("h", "str", required=True),
+          Param("k", "float", required=True, positive=True),
+          Param("rho", "float", required=True, positive=True),
+          Param("lambda-max", "float", required=True, positive=True), _CSV)
 def _run_sap_scan(p):
-    h = _resolve_multiplier(p["h"])
+    h = _builtin_or_file(p["h"], _BUILTIN_MULTIPLIERS, "multiplier",
+                         multiplier_from_json_dict)
     reports = sap_scan(h, p["k"], p["rho"], p["lambda-max"])
     if p.get("csv"):
         _atomic_file(p["csv"], sap_reports_to_csv(reports))
@@ -855,29 +823,6 @@ def _run_sap_scan(p):
     else:
         verdict = "no spectral gap wide enough for the requested rho"
     return result, verdict
-
-
-RUNNERS = {
-    "spectrum": _run_spectrum,
-    "gaps": _run_gaps,
-    "jump": _run_jump,
-    "gauss-audit": _run_gauss_audit,
-    "weyl": _run_weyl,
-    "fixed-points": _run_fixed_points,
-    "delta": _run_delta,
-    "lemma33": _run_lemma33,
-    "prop34": _run_prop34,
-    "prop35-verify": _run_prop35_verify,
-    "dissipativity": _run_dissipativity,
-    "region": _run_region,
-    "index": _run_index,
-    "parity": _run_parity,
-    "profile": _run_profile,
-    "nhim-dims": _run_nhim_dims,
-    "anhim": _run_anhim,
-    "lemma41": _run_lemma41,
-    "sap-scan": _run_sap_scan,
-}
 
 
 def run(config) -> dict:

@@ -83,6 +83,19 @@ class TestIntegerKeys:
         assert report["config"]["seed"] == 2**60 + 1
 
 
+class TestFloatKeys:
+    @pytest.mark.parametrize("config, key, raw", [
+        ({"command": "gaps", "cutoff": True}, "cutoff", True),
+        ({"command": "jump", "cutoff": 30, "theta": False}, "theta", False),
+        ({"command": "delta", "field": "prop35", "at": [True, 0]}, "at", True),
+        ({"command": "anhim", "jacs": [[-1], [False]], "nu": 1, "cutoff": 10},
+         "jacs", False),
+    ], ids=["float", "float-false", "floats", "jacs"])
+    def test_booleans_refused(self, config, key, raw):
+        # float() would read the JSON booleans as 1.0 and 0.0
+        assert validate(config) == [f"{key}: expected a number, got {raw!r}"]
+
+
 class TestCommandKeys:
     """A key a command accepts is a key its runner uses."""
 
@@ -161,6 +174,16 @@ class TestRun:
     def test_invalid_config_raises(self):
         with pytest.raises(ConfigError):
             run({"command": "gaps", "cutoff": -1})
+
+    def test_weyl_exponent_of_the_cube(self):
+        # polyfit runs in LAPACK, so the fit is checked to a tolerance and
+        # kept out of the golden reports
+        report = run({"command": "weyl", "cutoff": 500})
+        fit = report["result"]
+        assert fit["exponent"] == pytest.approx(0.6910, abs=1e-4)
+        assert fit["expected"] == 2 / 3
+        assert fit["n_used"] == 3236
+        assert report["verdict"].endswith("(expected 0.6667 in dim 3)")
 
     def test_float_rendering_17_digits(self):
         assert '"x": 0.10000000000000001' in render_report({"x": 0.1})
@@ -358,6 +381,22 @@ class TestMainExitCodes:
         assert cli(capsys, "--help")[0] == 0
         code, out, _ = cli(capsys, "--version")
         assert code == 0 and out.startswith("imhyp ")
+
+    def test_help_names_every_subcommand(self, capsys):
+        code, out, _ = cli(capsys, "--help")
+        listed = out.split("subcommands:\n", 1)[1].split("\n\n", 1)[0].split()
+        assert code == 0 and sorted(listed) == sorted(driver_mod.RUNNERS)
+
+    def test_key_equals_value_flags(self, capsys):
+        code, out, err = cli(capsys, "gaps", "--cutoff=30", "--bc=dirichlet")
+        assert code == 0 and err == ""
+        config = json.loads(out)["config"]
+        assert (config["cutoff"], config["bc"]) == (30.0, "dirichlet")
+
+    def test_bare_token_refused(self, capsys):
+        code, out, err = cli(capsys, "gaps", "--cutoff", "30", "40")
+        assert code == 1 and out == ""
+        assert err == "imhyp: config error: expected --key, got '40'\n"
 
     def test_flag_without_value(self, capsys):
         code, _, err = cli(capsys, "gaps", "--cutoff")
@@ -587,6 +626,16 @@ class TestFilesAndConfig:
         )
         assert code == 1
         assert "neither" in err
+
+    def test_unknown_builtin_multiplier(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = cli(capsys, "sap-scan", "--h", "cos-x2", "--k", "1",
+                             "--rho", "1", "--lambda-max", "10")
+        assert code == 1 and out == ""
+        assert err == (
+            "imhyp: config error: multiplier 'cos-x2' is neither a readable "
+            "JSON file nor a builtin (cos-x1)\n"
+        )
 
     def test_scalar_field_rejected_for_planar_command(self, capsys):
         code, _, err = cli(capsys, "fixed-points", "--field", "cubic-scalar")

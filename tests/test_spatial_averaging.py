@@ -368,6 +368,25 @@ class TestSapScan:
         # integer cube gaps never exceed 3
         assert sap_scan(COS_X1, 1.0, 10.0, 500.0) == []
 
+    def test_cutoff_doubles_until_a_mode_exceeds_lambda_max(self, monkeypatch):
+        # on (0, 0.3) the eigenvalues are (n pi / 0.3)^2 = 0, 109.66, ...: the
+        # first cutoff, 50 + 2k + 5 = 95, holds none above lambda_max = 50
+        h = Multiplier(BoxDomain(1, sides=(0.3,)), {(1,): 1.0})
+        cutoffs = []
+        enumerate_spectrum = spatial_averaging.enumerate_spectrum
+
+        def record(domain, cutoff, **kwargs):
+            cutoffs.append(cutoff)
+            return enumerate_spectrum(domain, cutoff, **kwargs)
+
+        monkeypatch.setattr(spatial_averaging, "enumerate_spectrum", record)
+        reports = sap_scan(h, 20, 1, 50)
+        assert cutoffs == [95.0, 190.0]
+        assert len(reports) == 1
+        r = reports[0]
+        assert (r.gap, r.lam) == (109.6622711232151, 109.6622711232151 / 2)
+        assert (r.window_modes, r.op_norm, r.eps_eff) == (0, 0.0, 0.0)
+
     def test_constant_multiplier_all_zero(self):
         h = Multiplier(CUBE, {(0, 0, 0): 2.0})
         reports = sap_scan(h, 1.0, 1.0, 60.0)
