@@ -103,6 +103,13 @@ def _parse_float(raw) -> float:
     return float(raw)
 
 
+def _parse_str(raw) -> str:
+    # str() would turn a JSON true or 7 into the name "True" or "7"
+    if not isinstance(raw, str):
+        raise ValueError(f"expected a string, got {raw!r}")
+    return raw
+
+
 def _parse_floats(raw):
     if isinstance(raw, (list, tuple)):
         return tuple(_parse_float(x) for x in raw)
@@ -133,13 +140,13 @@ def _parse_value(param: Param, raw):
     if kind == "bool":
         return _parse_bool(raw)
     if kind in ("str", "path"):
-        return str(raw)
+        return _parse_str(raw)
     if kind == "floats":
         return _parse_floats(raw)
     if kind == "strs":
         if isinstance(raw, (list, tuple)):
-            return tuple(str(x) for x in raw)
-        return tuple(p.strip() for p in str(raw).split(",") if p.strip())
+            return tuple(_parse_str(x) for x in raw)
+        return tuple(p.strip() for p in _parse_str(raw).split(",") if p.strip())
     if kind == "jacs":
         if isinstance(raw, (list, tuple)):
             return tuple(_parse_floats(r) for r in raw)

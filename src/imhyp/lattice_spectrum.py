@@ -4,8 +4,11 @@ Enumeration of eigenvalues with multiplicities, gap statistics, the
 spectral-jump ratio scan, the sums-of-three-squares gap audit, and a
 log-log growth-exponent fit.  Eigenvalues of the (negative) Laplacian on
 a box with side lengths pi*a_j are sum_j (l_j/a_j)^2; the admissible
-integer frequencies l_j depend on the boundary condition.  A spectrum
-converts to and from CSV text; reading and writing files is the driver's.
+integer frequencies l_j depend on the boundary condition.  On pi-sided
+boxes these are integers, and one fold of per-axis (value, weight) tables
+(`_fold`) yields both the exact multiplicities and, in bool over three
+axes of squares, the audit's sums of three squares.  A spectrum converts
+to and from CSV text; reading and writing files is the driver's.
 """
 
 from __future__ import annotations
@@ -157,8 +160,6 @@ def _axis_terms(domain: BoxDomain, axis: int, cutoff: float, periodic_scaling: s
     step = 1.0
     if bc == "periodic" and periodic_scaling == "standard":
         step = 2.0
-    if cutoff < 0:
-        return np.array([]), np.array([], dtype=np.int64)
     lmax = int(math.floor(a * math.sqrt(cutoff) / step + 1e-12))
     if bc == "dirichlet":
         ls = np.arange(1, lmax + 1, dtype=np.int64)
@@ -174,11 +175,31 @@ def _axis_terms(domain: BoxDomain, axis: int, cutoff: float, periodic_scaling: s
     return vals[keep], weights[keep]
 
 
-def _axis_int_terms(domain: BoxDomain, axis: int, limit: int, periodic_scaling: str):
-    """Integer variant of _axis_terms for pi-sided boxes: values are exact ints."""
-    vals, weights = _axis_terms(domain, axis, float(limit), periodic_scaling)
-    ivals = np.rint(vals).astype(np.int64)
-    return ivals, weights
+def _fold(axes, cells: int, dtype) -> np.ndarray:
+    """Table t[n], n < cells: the total weight of the lattice points whose
+    axis values sum to n (for bool: whether any point does).
+
+    `axes` holds integer (values, weights) per axis, values ascending and
+    below `cells`.  The second axis is added to the first row by row of their
+    outer sum (never built whole), each further axis by shifted slices.
+    """
+    (v0, w0), *rest = [(v, w.astype(dtype)) for v, w in axes]
+    table = np.zeros(cells, dtype)
+    if not rest:
+        table[v0] = w0
+    else:
+        (v1, w1), *rest = rest
+        ends = np.searchsorted(v1, cells - v0).tolist()  # v + v1[:k] < cells
+        for v, w, k in zip(v0.tolist(), w0.tolist(), ends):
+            # one row holds distinct sums, so += adds each weight once
+            table[v + v1[:k]] += w * w1[:k]
+    for values, weights in rest:
+        folded = np.zeros_like(table)
+        for v, w in zip(values.tolist(), weights.tolist()):
+            # folded[n] += w * table[n - v] for all n >= v
+            folded[v:] += table[: cells - v] if w == 1 else w * table[: cells - v]
+        table = folded
+    return table
 
 
 def _merge_close(values: np.ndarray, weights: np.ndarray):
@@ -225,36 +246,20 @@ def enumerate_spectrum(
                 f"enumeration needs a table of {cells} cells, over the budget of "
                 f"{budget} lattice cells; raise `budget` to allow it"
             )
-        counts = None
-        for axis in range(domain.dim):
-            vals, weights = _axis_int_terms(domain, axis, limit, periodic_scaling)
-            if counts is None:
-                counts = np.zeros(cells, dtype=np.int64)
-                counts[vals] = weights
-                continue
-            folded = np.zeros(cells, dtype=np.int64)
-            for v, w in zip(vals.tolist(), weights.tolist()):
-                # folded[n] += w * counts[n - v] for all n >= v
-                folded[v:] += w * counts[: cells - v]
-            counts = folded
+        axes = [_axis_terms(domain, ax, float(limit), periodic_scaling)
+                for ax in range(domain.dim)]
+        counts = _fold([(np.rint(v).astype(np.int64), w) for v, w in axes],
+                       cells, np.int64)
         eigs = np.flatnonzero(counts)
-        spec = Spectrum(
-            eigs.astype(float), counts[eigs], cutoff=float(cutoff), exact=True
-        )
-        return spec
+        return Spectrum(eigs.astype(float), counts[eigs], cutoff=float(cutoff), exact=True)
 
     axes = [_axis_terms(domain, ax, cutoff, periodic_scaling) for ax in range(domain.dim)]
-    lens = [len(v) for v, _ in axes]
-    total = 1
-    for n in lens:
-        total *= n
+    total = math.prod(len(v) for v, _ in axes)
     if total > budget:
         raise ResourceBudgetError(
             f"enumeration visits {total} lattice points, over the budget of "
             f"{budget} lattice cells; raise `budget` to allow it"
         )
-    if total == 0:
-        return Spectrum(np.array([]), np.array([], dtype=np.int64), cutoff=float(cutoff))
 
     # fold the axes, last first, into one value/weight grid below the cutoff
     values, weights = axes[-1]
@@ -277,15 +282,19 @@ class GapReport:
     sup_trend: list[tuple[float, float]]
 
 
-def _geometric_checkpoints(cutoff: float) -> list[float]:
-    # 1, 2, 4, ... then the cutoff itself
+def _running_max_trend(right: np.ndarray, values: np.ndarray, top: float):
+    """(checkpoint, max of values[i] over right[i] <= checkpoint, or 0.0 when
+    there is none) at checkpoints 1, 2, 4, ... below `top`, then `top`."""
     cps = []
     c = 1.0
-    while c < cutoff:
+    while c < top:
         cps.append(c)
         c *= 2.0
-    cps.append(float(cutoff))
-    return cps
+    cps.append(float(top))
+    runmax = np.maximum.accumulate(values)
+    ends = np.searchsorted(right, cps, side="right") - 1
+    return [(cp, float(runmax[j]) if j >= 0 else 0.0)
+            for cp, j in zip(cps, ends.tolist())]
 
 
 def gap_stats(spectrum: Spectrum) -> GapReport:
@@ -299,12 +308,7 @@ def gap_stats(spectrum: Spectrum) -> GapReport:
     hist_keys = np.round(diffs, 9)
     uniq, counts = np.unique(hist_keys, return_counts=True)
     histogram = [(float(g), int(c)) for g, c in zip(uniq, counts)]
-    runmax = np.maximum.accumulate(diffs)
-    right = eigs[1:]
-    trend = []
-    for cp in _geometric_checkpoints(spectrum.cutoff):
-        j = int(np.searchsorted(right, cp, side="right")) - 1
-        trend.append((cp, float(runmax[j]) if j >= 0 else 0.0))
+    trend = _running_max_trend(eigs[1:], diffs, spectrum.cutoff)
     return GapReport(float(diffs[i]), witness, histogram, trend)
 
 
@@ -348,32 +352,13 @@ def jump_condition_scan(spectrum: Spectrum, query: JumpQuery) -> JumpScanResult:
     j = int(np.argmax(ratios))
     cum = np.cumsum(spectrum.multiplicities)
     best_n = int(cum[j])
-    runmax = np.maximum.accumulate(ratios)
-    right = mu[1:]
-    trend = []
-    for cp in _geometric_checkpoints(float(mu[-1])):
-        idx = int(np.searchsorted(right, cp, side="right")) - 1
-        trend.append((cp, float(runmax[idx]) if idx >= 0 else 0.0))
     return JumpScanResult(
         best_n=best_n,
         best_ratio=float(ratios[j]),
         satisfied=bool(ratios[j] > query.cconst * query.lip),
         best_pair=(float(mu[j]), float(mu[j + 1])),
-        ratio_trend=trend,
+        ratio_trend=_running_max_trend(mu[1:], ratios, float(mu[-1])),
     )
-
-
-def _sum_of_three_squares_sieve(limit: int) -> np.ndarray:
-    """Boolean table: n <= limit representable as l1^2+l2^2+l3^2, l_j >= 0."""
-    roots = np.arange(math.isqrt(limit) + 1, dtype=np.int64)
-    squares = roots * roots
-    two = np.zeros(limit + 1, dtype=bool)
-    pair = (squares[:, None] + squares[None, :]).ravel()
-    two[pair[pair <= limit]] = True
-    three = np.zeros(limit + 1, dtype=bool)
-    for s in squares.tolist():
-        three[s:] |= two[: limit + 1 - s]
-    return three
 
 
 def _excluded_closed_form(limit: int) -> np.ndarray:
@@ -396,32 +381,35 @@ class ThreeSquareAudit:
 def three_square_gap_audit(limit: int) -> ThreeSquareAudit:
     """Enumerate non-sums-of-three-squares <= limit and audit the induced gaps.
 
-    The sieve enumeration is cross-checked against the 4^a(8b+7) closed form;
-    any mismatch raises NumericalFailure.  max_gap is the largest spacing
-    between consecutive representable integers, max_excluded_run the longest
-    run of consecutive excluded integers.
+    The representable integers are the bool fold of three axes of squares
+    0, 1, 4, ... (the Neumann pi-cube's lattice), cross-checked against the
+    4^a(8b+7) closed form; any mismatch raises NumericalFailure.  max_gap is
+    the largest spacing between consecutive representable integers,
+    max_excluded_run the longest run of consecutive excluded integers.
+    Limits whose tables exceed DEFAULT_BUDGET cells raise ResourceBudgetError.
     """
     if limit < 8:
         raise PreconditionError(f"audit needs limit >= 8, got {limit}")
-    representable = _sum_of_three_squares_sieve(limit)
+    if limit + 1 > DEFAULT_BUDGET:
+        raise ResourceBudgetError(
+            f"audit needs a table of {limit + 1} cells, over the budget of "
+            f"{DEFAULT_BUDGET} lattice cells"
+        )
+    squares = np.arange(math.isqrt(limit) + 1, dtype=np.int64) ** 2
+    representable = _fold([(squares, np.ones_like(squares))] * 3, limit + 1, bool)
     closed = _excluded_closed_form(limit)
-    if not np.array_equal(~representable, closed):
-        bad = np.flatnonzero((~representable) != closed)
+    bad = np.flatnonzero(representable == closed)  # the two must be complements
+    if bad.size:
         raise NumericalFailure(
-            "sieve and 4^a(8b+7) closed form disagree", witness=int(bad[0])
+            "three-squares fold and 4^a(8b+7) closed form disagree", witness=int(bad[0])
         )
     rep_values = np.flatnonzero(representable)
     gaps = np.diff(rep_values)
     i = int(np.argmax(gaps))
-    excluded = np.flatnonzero(~representable)
-    if excluded.size:
-        # longest run of consecutive excluded integers
-        breaks = np.flatnonzero(np.diff(excluded) != 1)
-        starts = np.concatenate(([0], breaks + 1))
-        ends = np.concatenate((breaks, [excluded.size - 1]))
-        max_run = int(np.max(ends - starts + 1))
-    else:
-        max_run = 0
+    excluded = np.flatnonzero(closed)  # holds 7, as limit >= 8
+    # longest run of consecutive excluded integers: steps between the run ends
+    breaks = np.flatnonzero(np.diff(excluded) != 1)
+    max_run = int(np.max(np.diff(np.concatenate(([-1], breaks, [excluded.size - 1])))))
     return ThreeSquareAudit(
         excluded=excluded,
         max_gap=int(gaps[i]),
@@ -450,14 +438,15 @@ def weyl_fit(spectrum: Spectrum, dim: int) -> WeylFit:
         raise PreconditionError(
             f"growth fit needs >= 100 eigenvalues with multiplicity, got {total}"
         )
-    n = np.arange(1, total + 1, dtype=float)
     lo = total // 2
-    lam_u, n_u = lam[lo:], n[lo:]
+    lam_u, n_u = lam[lo:], np.arange(lo + 1, total + 1, dtype=float)
     if np.any(lam_u <= 0):
         raise PreconditionError("upper half of the spectrum must be positive for the log fit")
-    slope, intercept = np.polyfit(np.log(n_u), np.log(lam_u), 1)
-    fitted = slope * np.log(n_u) + intercept
-    residual = float(np.sqrt(np.mean((np.log(lam_u) - fitted) ** 2)))
+    # closed-form least squares in numpy reductions: no platform LAPACK or BLAS
+    x, y = np.log(n_u), np.log(lam_u)
+    dx, dy = x - np.mean(x), y - np.mean(y)
+    slope = np.sum(dx * dy) / np.sum(dx * dx)
+    residual = float(np.sqrt(np.mean((dy - slope * dx) ** 2)))
     return WeylFit(
         exponent=float(slope), residual=residual, expected=2.0 / dim, n_used=int(n_u.size)
     )

@@ -96,6 +96,27 @@ class TestFloatKeys:
         assert validate(config) == [f"{key}: expected a number, got {raw!r}"]
 
 
+class TestStringKeys:
+    @pytest.mark.parametrize("config, key, raw", [
+        ({"command": "gaps", "cutoff": 30, "out": True}, "out", True),
+        ({"command": "fixed-points", "field": 7}, "field", 7),
+        ({"command": "parity", "jacs": "1;-2", "labels": [True, 3], "nu": 1,
+          "cutoff": 10}, "labels", True),
+    ], ids=["path", "str", "strs"])
+    def test_non_strings_refused(self, config, key, raw):
+        # str() would name a report file "True" and an equilibrium "3"
+        assert validate(config) == [f"{key}: expected a string, got {raw!r}"]
+
+    def test_non_string_out_exits_1_and_writes_nothing(self, capsys, tmp_path,
+                                                       monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({"cutoff": 30, "out": True}))
+        code, out, err = cli(capsys, "gaps", "--config", "cfg.json")
+        assert code == 1 and out == ""
+        assert err == "imhyp: config error: out: expected a string, got True\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 class TestCommandKeys:
     """A key a command accepts is a key its runner uses."""
 
@@ -176,8 +197,7 @@ class TestRun:
             run({"command": "gaps", "cutoff": -1})
 
     def test_weyl_exponent_of_the_cube(self):
-        # polyfit runs in LAPACK, so the fit is checked to a tolerance and
-        # kept out of the golden reports
+        # the weyl golden pins every byte; this states what the numbers mean
         report = run({"command": "weyl", "cutoff": 500})
         fit = report["result"]
         assert fit["exponent"] == pytest.approx(0.6910, abs=1e-4)
@@ -516,6 +536,16 @@ def test_edge_configs_end_in_a_documented_exit(
         assert err == ""
     else:
         assert err.startswith("imhyp: ") and err.count("\n") == 1
+
+
+def test_audit_over_the_budget_exits_1(capsys):
+    # refused before the table is allocated: no MemoryError, no OOM kill
+    code, out, err = cli(capsys, "gauss-audit", "--limit", "1e12")
+    assert code == 1 and out == ""
+    assert err == (
+        "imhyp: config error: audit needs a table of 1000000000001 cells, "
+        "over the budget of 100000000 lattice cells\n"
+    )
 
 
 class TestFilesAndConfig:

@@ -5,10 +5,11 @@ tests/golden/<name>.json byte for byte, and every file the config writes
 The configs cover every subcommand family, the exact pi-box and the float
 enumeration paths, both certificates, an anhim witness, the spectrum,
 fixed-points and sap-scan CSVs, every exact fixed point of the Prop. 3.5
-field and of an exact coupled field (four of its points off the axes), and
-field files and a multiplier file read from disk.  Configs whose numbers come from LAPACK or BLAS (weyl's polyfit,
-sap-scan windows with a block over 512 modes) are left out so the bytes do
-not depend on the platform.
+field and of an exact coupled field (four of its points off the axes),
+field files and a multiplier file read from disk, and the weyl growth fit
+(closed-form least squares in numpy reductions).  Configs whose numbers come
+from BLAS (sap-scan windows with a block over 512 modes) are left out so the
+bytes do not depend on the platform.
 
 A change that alters golden bytes on purpose regenerates the files with
 ``python tests/test_golden_reports.py`` and names each changed byte: the
@@ -40,6 +41,7 @@ CONFIGS = {
                                "periodic-scaling": "standard", "cutoff": 100},
     "jump": {"command": "jump", "cutoff": 300},
     "gauss-audit": {"command": "gauss-audit", "limit": 10000},
+    "weyl": {"command": "weyl", "cutoff": 500},
     "fixed-points-prop34": {"command": "fixed-points", "field": "prop34"},
     "delta-prop35-exact": {"command": "delta", "field": "prop35", "at": "0,0"},
     "lemma33-prop35": {"command": "lemma33", "field": "prop35"},

@@ -19,6 +19,7 @@ from imhyp import (
     three_square_gap_audit,
     weyl_fit,
 )
+import imhyp.lattice_spectrum as lattice_spectrum
 from imhyp.lattice_spectrum import _excluded_closed_form, spectrum_from_csv
 
 from oracles import brute_lattice_entries, three_squares_by_enumeration
@@ -54,13 +55,18 @@ class TestEnumerateSpectrum:
         assert entries_dict(default) == {0.0: 1, 1.0: 2, 4.0: 2, 9.0: 2, 16.0: 2}
         assert entries_dict(std) == {0.0: 1, 4.0: 2, 16.0: 2}
 
-    @pytest.mark.parametrize("dim", [1, 2, 3])
-    @pytest.mark.parametrize("bc", ["dirichlet", "neumann", "periodic"])
-    def test_brute_force_oracle_pi_box(self, dim, bc):
+    @pytest.mark.parametrize("bc, dim, scaling", [
+        pytest.param(bc, dim, scaling,
+                     id=f"{bc}-{dim}" + ("" if scaling == "paper" else "-standard"))
+        for scaling in ("paper", "standard")
+        for bc in ("dirichlet", "neumann", "periodic")
+        for dim in (1, 2, 3)
+    ])
+    def test_brute_force_oracle_pi_box(self, bc, dim, scaling):
         cutoff = 60 if dim == 3 else 500
         dom = BoxDomain(dim, bc=bc)
-        spec = enumerate_spectrum(dom, cutoff)
-        oracle = brute_lattice_entries(dom, cutoff)
+        spec = enumerate_spectrum(dom, cutoff, periodic_scaling=scaling)
+        oracle = brute_lattice_entries(dom, cutoff, periodic_scaling=scaling)
         assert {int(lam): m for lam, m in spec.entries()} == oracle
         assert spec.total_count == sum(oracle.values())
 
@@ -275,6 +281,11 @@ class TestThreeSquareAudit:
     def test_limit_precondition(self):
         with pytest.raises(PreconditionError):
             three_square_gap_audit(7)
+
+    def test_table_over_the_budget_refused(self, monkeypatch):
+        monkeypatch.setattr(lattice_spectrum, "DEFAULT_BUDGET", 1000)
+        with pytest.raises(ResourceBudgetError, match="table of 10001 cells"):
+            three_square_gap_audit(10**4)
 
     def test_closed_form_table(self):
         rep = three_squares_by_enumeration(3000)
