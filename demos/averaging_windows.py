@@ -47,7 +47,7 @@ for lam in (10.0, 50.0, 111.5, 200.0):
 
 # scan all gap-centered windows below a cutoff; the report is sorted by
 # eps_eff = op_norm / h2_norm so the quietest windows come first
-from imhyp import sap_reports_to_csv, sap_scan
+from imhyp import sap_scan
 
 reports = sap_scan(h, k=1.0, rho=2.0, lambda_max=300.0)
 print(f"\nscan, half-width 1: {len(reports)} gap-centered windows")
@@ -58,10 +58,14 @@ for r in reports[:6]:
         f"{r.op_norm:.3e}  {r.eps_eff:.3e}"
     )
 
-# the library returns the CSV as text; the caller decides where it goes
+# the library returns reports and writes no files; the driver's sap-scan
+# command runs the same scan (its builtin cos-x1 is h) and writes the table
+from imhyp.driver import run
+
 csv_path = pathlib.Path(tempfile.gettempdir()) / "sap_scan_demo.csv"
-csv_path.write_text(sap_reports_to_csv(reports))
-print(f"full table written to {csv_path}")
+report = run({"command": "sap-scan", "h": "cos-x1", "k": 1.0, "rho": 2.0,
+              "lambda-max": 300.0, "csv": str(csv_path)})
+print(f"full table of {report['result']['windows']} windows written to {csv_path}")
 
 # more frequencies couple more mode pairs, but zero-coupling windows
 # below 300 survive

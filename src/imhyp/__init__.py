@@ -12,8 +12,8 @@ Five analysis areas plus a reporting driver:
   their norms, gap scans
 - dense_eig: symmetric eigenvalues by batched Jacobi, spectral norms with an
   exact block split, power iteration for large blocks
-- driver: validated run configs, deterministic JSON reports, CLI, and all
-  file I/O (the other modules return text or dicts)
+- driver: validated run configs, CLI, all file I/O and all report text (the
+  other modules return results, dicts and Spectrum.to_csv's CSV)
 """
 
 from types import ModuleType as _ModuleType
@@ -55,7 +55,6 @@ from .reaction_field import (
     Prop35Report,
     coupled_ladder_params,
     delta_of,
-    delta_table_to_csv,
     dissipativity_radius,
     field_from_json_dict,
     field_to_json_dict,
@@ -99,7 +98,6 @@ from .spatial_averaging import (
     mean,
     multiplier_from_json_dict,
     multiplier_to_json_dict,
-    sap_reports_to_csv,
     sap_scan,
     window_modes,
     windowed_matrix,

@@ -2,12 +2,12 @@
 
 One subcommand per analysis operation.  Each subcommand is declared once, by
 the @_command decorator on its runner: the decorator names the command, lists
-its config keys and fills SCHEMAS and RUNNERS.  Reports are JSON with floats
-printed at 17 significant digits and sorted keys, so identical config and
-version produce identical bytes.  This module does all of the package's file
-I/O: it reads config, field and multiplier JSON and writes every report,
-certificate and CSV, each through a temp-file-plus-rename so readers never
-observe a half-written file.
+its config keys and fills SCHEMAS and RUNNERS.  One scalar table renders
+every value of a report, certificate or report CSV (floats at 17 significant
+digits); reports are JSON with sorted keys, so identical config and version
+produce identical bytes.  This module does all of the package's file I/O:
+it reads config, field and multiplier JSON and writes every report,
+certificate and CSV, each through a temp-file-plus-rename.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from .reaction_field import (
     DEFAULT_REGION,
     CubicCoupled,
     delta_of,
-    delta_table_to_csv,
     dissipativity_radius,
     field_from_json_dict,
     fixed_points,
@@ -55,7 +54,6 @@ from .reaction_field import (
 from .spatial_averaging import (
     Multiplier,
     multiplier_from_json_dict,
-    sap_reports_to_csv,
     sap_scan,
 )
 from .stationary_spectrum import (
@@ -252,9 +250,23 @@ def _parse_config(config) -> tuple[list, dict]:
 
 
 # ---------------------------------------------------------------------------
-# deterministic JSON rendering (17 significant digits, sorted keys)
+# report text: every scalar of a report, certificate or CSV goes through
+# _SCALARS, which refuses the inf and nan that JSON cannot hold
 
-_SCALARS = (str, int, float, bool, type(None))
+def _float_text(x: float) -> str:
+    if not math.isfinite(x):
+        raise NumericalFailure(f"a report value is {x}, which JSON cannot hold")
+    return "%.17g" % x
+
+
+# JSON scalar type -> its text; _plain keeps exactly these types
+_SCALARS = {
+    float: _float_text,
+    int: str,
+    str: json.dumps,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
 
 
 def _plain(obj):
@@ -280,53 +292,29 @@ def _plain(obj):
     raise TypeError(f"cannot put {type(obj).__name__} in a report")
 
 
-def _fmt_float(x: float) -> str:
-    return "%.17g" % float(x)
-
-
-def _render(obj, level, parts):
-    pad = " " * level
+def _render(obj, pad: str) -> str:
+    """Plain JSON obj as text; pad starts its closing line, and each nested
+    line is indented one space further, with dict keys sorted."""
+    inner = pad + " "
     if isinstance(obj, dict):
-        if not obj:
-            parts.append("{}")
-            return
-        keys = sorted(obj, key=str)
-        parts.append("{\n")
-        for i, k in enumerate(keys):
-            parts.append(" " * (level + 1) + json.dumps(str(k)) + ": ")
-            _render(obj[k], level + 1, parts)
-            parts.append(",\n" if i + 1 < len(keys) else "\n")
-        parts.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        seq = list(obj)
-        if not seq:
-            parts.append("[]")
-            return
-        parts.append("[\n")
-        for i, item in enumerate(seq):
-            parts.append(" " * (level + 1))
-            _render(item, level + 1, parts)
-            parts.append(",\n" if i + 1 < len(seq) else "\n")
-        parts.append(pad + "]")
-    elif isinstance(obj, bool):
-        parts.append("true" if obj else "false")
-    elif obj is None:
-        parts.append("null")
-    elif isinstance(obj, int):
-        parts.append(str(obj))
-    elif isinstance(obj, float):
-        parts.append(_fmt_float(obj))
-    elif isinstance(obj, str):
-        parts.append(json.dumps(obj))
-    else:
-        raise TypeError(f"cannot render {type(obj).__name__} in a report")
+        items = [f"{inner}{json.dumps(k)}: {_render(obj[k], inner)}"
+                 for k in sorted(obj)]
+        return "{" + ",".join(items) + pad + "}" if items else "{}"
+    if isinstance(obj, (list, tuple)):
+        items = [inner + _render(x, inner) for x in obj]
+        return "[" + ",".join(items) + pad + "]" if items else "[]"
+    return _SCALARS[type(obj)](obj)
 
 
 def render_report(report) -> str:
-    parts = []
-    _render(report, 0, parts)
-    parts.append("\n")
-    return "".join(parts)
+    """A report (or certificate) of plain JSON types as deterministic text."""
+    return _render(report, "\n") + "\n"
+
+
+def _csv(header: str, rows: list) -> str:
+    """CSV text: the header line, then one line per row of JSON scalars."""
+    lines = [",".join(_SCALARS[type(x)](x) for x in row) for row in rows]
+    return "\n".join([header, *lines]) + "\n"
 
 
 def _atomic_file(path, text: str) -> None:
@@ -372,10 +360,7 @@ def _read_json(path, what: str) -> dict:
 # shared builders
 
 def _build_domain(p) -> BoxDomain:
-    sides = p["sides"]
-    if sides is not None and len(sides) != p["dim"]:
-        raise ConfigError(f"sides has {len(sides)} entries for dim {p['dim']}")
-    return BoxDomain(dim=p["dim"], sides=sides, bc=p["bc"])
+    return BoxDomain(dim=p["dim"], sides=p["sides"], bc=p["bc"])
 
 
 def _spectrum(p):
@@ -496,6 +481,17 @@ def _analysis_row(a) -> dict:
     }
 
 
+def _certificate(cert, path) -> dict:
+    """An obstruction certificate's five keys in plain JSON (its result a
+    witness or "empty"), also written to path when one is given."""
+    plain = _plain({"mode": cert.mode, "cutoff": cert.cutoff,
+                    "result": "empty" if cert.empty else cert.result,
+                    "equilibria": cert.equilibria, "caveat": cert.caveat})
+    if path:
+        _atomic_file(path, render_report(plain))
+    return plain
+
+
 # ---------------------------------------------------------------------------
 # subcommand runners: each returns (result, verdict line); the result may hold
 # library dataclasses and arrays, which run() turns into plain JSON types
@@ -582,13 +578,14 @@ def _run_weyl(p):
 def _run_fixed_points(p):
     analyses = fixed_points(_planar_field(p["field"]), region=_region(p),
                             tol=p["tol"])
+    points = [_analysis_row(a) for a in analyses]
     if p.get("csv"):
-        _atomic_file(p["csv"], delta_table_to_csv(analyses))
-    result = {
-        "count": len(analyses),
-        "points": [_analysis_row(a) for a in analyses],
-        "csv": p.get("csv"),
-    }
+        _atomic_file(p["csv"], _csv(
+            "i,px,py,xi1_re,xi1_im,xi2_re,xi2_im,delta",
+            [[i, *row["point"], *row["eigenvalues"][0], *row["eigenvalues"][1],
+              row["delta"]] for i, row in enumerate(points)],
+        ))
+    result = {"count": len(analyses), "points": points, "csv": p.get("csv")}
     verdict = f"{len(analyses)} hyperbolic-candidate fixed points found"
     return result, verdict
 
@@ -756,9 +753,7 @@ def _run_nhim_dims(p):
             f"first {len(shown)}: {shown}"
         )
         return result, verdict
-    result["certificate"] = cert.to_json_dict()
-    if p.get("cert"):
-        _atomic_file(p["cert"], render_report(result["certificate"]))
+    result["certificate"] = _certificate(cert, p.get("cert"))
     if cert.empty:
         verdict = f"no common feasible dimension up to cutoff {p['cutoff']:g}"
     else:
@@ -773,9 +768,7 @@ def _run_nhim_dims(p):
 def _run_anhim(p):
     lins = _linearizations(p, _build_domain(p))
     cert = anhim_common_gamma(lins, p["cutoff"])
-    result = cert.to_json_dict()
-    if p.get("cert"):
-        _atomic_file(p["cert"], render_report(result))
+    result = _certificate(cert, p.get("cert"))
     if cert.empty:
         verdict = f"ANHIM obstruction: empty up to cutoff {p['cutoff']:g}"
     else:
@@ -809,13 +802,13 @@ def _run_sap_scan(p):
     h = _builtin_or_file(p["h"], _BUILTIN_MULTIPLIERS, "multiplier",
                          multiplier_from_json_dict)
     reports = sap_scan(h, p["k"], p["rho"], p["lambda-max"])
+    rows = [{"lambda" if k == "lam" else k: v for k, v in vars(r).items()}
+            for r in reports]
     if p.get("csv"):
-        _atomic_file(p["csv"], sap_reports_to_csv(reports))
-    rows = []
-    for r in reports:
-        row = dict(vars(r))
-        row["lambda"] = row.pop("lam")
-        rows.append(row)
+        header = "lambda,k,window_modes,op_norm,h2_norm,eps_eff,gap,rho_ok"
+        _atomic_file(p["csv"], _csv(
+            header, [[row[c] for c in header.split(",")] for row in rows]
+        ))
     result = {
         "windows": len(rows),
         "headline": rows[0] if rows else None,
@@ -870,8 +863,9 @@ config file.  Every command takes --out REPORT.json and --timing true;
 spectrum, fixed-points and sap-scan take --csv FILE.csv, nhim-dims and
 anhim take --cert FILE.json.
 Exit codes: 0 ok, 1 config error (including an unreadable input or an
-unwritable output file), 2 hypothesis not met, 3 numerical failure,
-4 internal error.  Every error exit prints one line to stderr.
+unwritable output file), 2 hypothesis not met, 3 numerical failure
+(including a non-finite report value), 4 internal error.  Every error exit
+prints one line to stderr.
 """
 
 

@@ -55,8 +55,8 @@ class BoxDomain:
         sides = tuple(float(s) for s in sides)
         if len(sides) != self.dim:
             raise ConfigError(f"expected {self.dim} side lengths, got {len(sides)}")
-        if any(not (s > 0) for s in sides):
-            raise ConfigError("side lengths must be positive")
+        if not all(0 < s < math.inf for s in sides):  # NaN fails both
+            raise ConfigError(f"side lengths must be positive and finite, got {sides}")
         object.__setattr__(self, "sides", sides)
 
     @property
@@ -149,28 +149,35 @@ def spectrum_from_csv(text: str, *, cutoff: float, exact: bool) -> Spectrum:
                     cutoff=float(cutoff), exact=exact)
 
 
-def _axis_terms(domain: BoxDomain, axis: int, cutoff: float, periodic_scaling: str):
+def _axis_frequencies(domain: BoxDomain, axis: int, cutoff: float,
+                      periodic_scaling: str, budget: int) -> tuple[float, int]:
+    """(step, lmax): the axis's frequencies l = 0..lmax (Dirichlet 1..lmax)
+    give values (step*l/a)^2 <= cutoff.  An axis with more than `budget`
+    frequencies raises ResourceBudgetError, so none is ever allocated."""
+    step = 1.0
+    if domain.bc == "periodic" and periodic_scaling == "standard":
+        step = 2.0
+    top = domain.axis_scales[axis] * math.sqrt(cutoff) / step + 1e-12
+    if top >= budget:  # floor(top) + 1 frequencies at most; top may be inf
+        raise ResourceBudgetError(
+            f"enumeration visits {top + 1:.3g} frequencies on axis {axis + 1}, "
+            f"over the budget of {budget} lattice cells; raise `budget` to allow it"
+        )
+    return step, math.floor(top)
+
+
+def _axis_terms(domain: BoxDomain, axis: int, cutoff: float, step: float,
+                lmax: int):
     """Values and weights of the single-axis frequency contributions <= cutoff.
 
     Returns (values, weights): values_i = (step*l_i/a)^2 ascending, weights_i
     the number of signed frequencies collapsing onto that value.
     """
-    a = domain.axis_scales[axis]
-    bc = domain.bc
-    step = 1.0
-    if bc == "periodic" and periodic_scaling == "standard":
-        step = 2.0
-    lmax = int(math.floor(a * math.sqrt(cutoff) / step + 1e-12))
-    if bc == "dirichlet":
-        ls = np.arange(1, lmax + 1, dtype=np.int64)
-        weights = np.ones_like(ls)
-    elif bc == "neumann":
-        ls = np.arange(0, lmax + 1, dtype=np.int64)
-        weights = np.ones_like(ls)
-    else:  # periodic: +-l collapse onto one value
-        ls = np.arange(0, lmax + 1, dtype=np.int64)
-        weights = np.where(ls > 0, 2, 1).astype(np.int64)
-    vals = (step * ls / a) ** 2
+    ls = np.arange(1 if domain.bc == "dirichlet" else 0, lmax + 1, dtype=np.int64)
+    weights = np.ones_like(ls)
+    if domain.bc == "periodic":  # +-l collapse onto one value
+        weights[1:] = 2
+    vals = (step * ls / domain.axis_scales[axis]) ** 2
     keep = vals <= cutoff
     return vals[keep], weights[keep]
 
@@ -246,20 +253,24 @@ def enumerate_spectrum(
                 f"enumeration needs a table of {cells} cells, over the budget of "
                 f"{budget} lattice cells; raise `budget` to allow it"
             )
-        axes = [_axis_terms(domain, ax, float(limit), periodic_scaling)
+        axes = [_axis_terms(domain, ax, float(limit), *_axis_frequencies(
+                    domain, ax, float(limit), periodic_scaling, budget))
                 for ax in range(domain.dim)]
         counts = _fold([(np.rint(v).astype(np.int64), w) for v, w in axes],
                        cells, np.int64)
         eigs = np.flatnonzero(counts)
         return Spectrum(eigs.astype(float), counts[eigs], cutoff=float(cutoff), exact=True)
 
-    axes = [_axis_terms(domain, ax, cutoff, periodic_scaling) for ax in range(domain.dim)]
-    total = math.prod(len(v) for v, _ in axes)
+    # count the lattice before any axis is allocated
+    freqs = [_axis_frequencies(domain, ax, cutoff, periodic_scaling, budget)
+             for ax in range(domain.dim)]
+    total = math.prod(lmax + (domain.bc != "dirichlet") for _, lmax in freqs)
     if total > budget:
         raise ResourceBudgetError(
             f"enumeration visits {total} lattice points, over the budget of "
             f"{budget} lattice cells; raise `budget` to allow it"
         )
+    axes = [_axis_terms(domain, ax, cutoff, *f) for ax, f in enumerate(freqs)]
 
     # fold the axes, last first, into one value/weight grid below the cutoff
     values, weights = axes[-1]
@@ -363,11 +374,12 @@ def jump_condition_scan(spectrum: Spectrum, query: JumpQuery) -> JumpScanResult:
 
 def _excluded_closed_form(limit: int) -> np.ndarray:
     """Boolean table of the 4^a*(8b+7) integers <= limit."""
-    m = np.arange(1, limit + 1, dtype=np.int64)
-    low = m & -m  # 2^t for the t trailing zeros of m
-    # m = 4^a*(8b+7) iff t is even and the odd part m/2^t is 7 mod 8
-    excluded = ((low & 0x5555555555555555) != 0) & ((m & (8 * low - 1)) == 7 * low)
-    return np.concatenate(([False], excluded))
+    excluded = np.zeros(limit + 1, dtype=bool)
+    q = 1
+    while 7 * q <= limit:
+        excluded[7 * q :: 8 * q] = True  # q*(8b+7) for b = 0, 1, ...
+        q *= 4
+    return excluded
 
 
 @dataclass(frozen=True)

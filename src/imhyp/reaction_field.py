@@ -11,8 +11,8 @@ Parameters of the named families may be floats or sympy expressions; with
 symbolic parameters every fixed point, Jacobian and delta stays exact.
 sympy is imported only by the exact paths (the exact Prop. 3.5 field and
 field JSON with string values), so float work never loads it.  Fields
-convert to and from JSON dicts and delta tables to CSV text; reading and
-writing files is the driver's.
+convert to and from JSON dicts; rendering reports and reading and writing
+files is the driver's.
 
 Exact values stay canonical by ``expand`` and ``sqrtdenest``, not
 ``simplify``; signs come from sympy, or from a float where it cannot tell.
@@ -624,7 +624,7 @@ def invariant_region_check(field: CubicCoupled, c) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# JSON dicts
 
 def field_to_json_dict(field: PlanarField) -> dict:
     def val(x):
@@ -676,15 +676,3 @@ def field_from_json_dict(data: dict) -> PlanarField:
         raise ConfigError(f"malformed {kind} field JSON: {exc}") from None
     raise ConfigError(f"unknown field kind {kind!r}")
 
-
-def delta_table_to_csv(analyses) -> str:
-    """CSV text with rows i,px,py,xi1_re,xi1_im,xi2_re,xi2_im,delta."""
-    rows = ["i,px,py,xi1_re,xi1_im,xi2_re,xi2_im,delta\n"]
-    for i, an in enumerate(analyses):
-        x, y = an.point_float
-        xi1, xi2 = map(complex, an.eigenvalues)  # as in the JSON report
-        rows.append(
-            f"{i},{x:.17g},{y:.17g},{xi1.real:.17g},{xi1.imag:.17g},"
-            f"{xi2.real:.17g},{xi2.imag:.17g},{an.delta_float:.17g}\n"
-        )
-    return "".join(rows)

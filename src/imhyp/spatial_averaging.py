@@ -15,8 +15,8 @@ window becomes a dense n x n array.
 Matrix entries are computed in closed form from the coefficient table via
 the per-axis product rule for cosines, so the only floating-point error is
 the final summation; a quadrature route exists in the test suite as an
-independent oracle.  Multipliers convert to and from JSON dicts and scan
-reports to CSV text; reading and writing files is the driver's.
+independent oracle.  Multipliers convert to and from JSON dicts; rendering
+scan reports and reading and writing files is the driver's.
 """
 
 from __future__ import annotations
@@ -318,22 +318,7 @@ def sap_scan(
 
 
 # ---------------------------------------------------------------------------
-# serialization
-
-SAP_CSV_HEADER = "lambda,k,window_modes,op_norm,h2_norm,eps_eff,gap,rho_ok"
-
-
-def sap_reports_to_csv(reports) -> str:
-    """CSV text: the SAP_CSV_HEADER line, then one row per window report."""
-    rows = [SAP_CSV_HEADER + "\n"]
-    for r in reports:
-        rows.append(
-            f"{r.lam:.17g},{r.k:.17g},{r.window_modes},{r.op_norm:.17g},"
-            f"{r.h2_norm:.17g},{r.eps_eff:.17g},{r.gap:.17g},"
-            f"{'true' if r.rho_ok else 'false'}\n"
-        )
-    return "".join(rows)
-
+# JSON dicts
 
 def multiplier_to_json_dict(h: Multiplier) -> dict:
     rows = [[*f, c] for f, c in sorted(h.coeffs.items())]

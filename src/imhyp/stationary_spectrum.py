@@ -343,23 +343,6 @@ class ObstructionCertificate:
     def empty(self) -> bool:
         return self.result is None
 
-    def to_json_dict(self) -> dict:
-        if self.result is None:
-            result = "empty"
-        else:
-            result = {
-                "gamma_lo": self.result.gamma_lo,
-                "gamma_hi": self.result.gamma_hi,
-                "n": self.result.n,
-            }
-        return {
-            "mode": self.mode,
-            "cutoff": self.cutoff,
-            "result": result,
-            "equilibria": list(self.equilibria),
-            "caveat": self.caveat,
-        }
-
 
 def anhim_common_gamma(lins, cutoff: float) -> ObstructionCertificate:
     """Scan for one gamma < 0 lying in a spectral gap of every equilibrium

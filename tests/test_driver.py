@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import subprocess
 import sys
 
@@ -208,6 +209,12 @@ class TestRun:
     def test_float_rendering_17_digits(self):
         assert '"x": 0.10000000000000001' in render_report({"x": 0.1})
         assert '"y": 0.5' in render_report({"y": 0.5})
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_non_finite_float_is_a_numerical_failure(self, x):
+        # JSON has no inf or nan: a report holding one is never rendered
+        with pytest.raises(NumericalFailure, match="JSON cannot hold"):
+            render_report({"result": {"values": [1.0, x]}})
 
 
 class TestCertificates:
@@ -546,6 +553,34 @@ def test_audit_over_the_budget_exits_1(capsys):
         "imhyp: config error: audit needs a table of 1000000000001 cells, "
         "over the budget of 100000000 lattice cells\n"
     )
+
+
+def test_non_finite_report_value_exits_3_and_writes_nothing(capsys, tmp_path):
+    # the lemma41 threshold overflows to inf for a gap bound of 1e-320
+    argv = ["lemma41", "--jac0", "1", "--jac1", "-2", "--gap-bound", "1e-320"]
+    out_path = tmp_path / "r.json"
+    for extra in ([], ["--out", str(out_path)]):
+        code, out, err = cli(capsys, *argv, *extra)
+        assert code == 3 and out == ""
+        assert err == ("imhyp: numerical failure: a report value is inf, "
+                       "which JSON cannot hold\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("gaps --sides inf,3,3 --cutoff 10",
+     "side lengths must be positive and finite, got (inf, 3.0, 3.0)"),
+    ("index --dim 1 --sides inf --nu 1 --jac 1 --cutoff 10",
+     "side lengths must be positive and finite, got (inf,)"),
+    # refused before one axis's frequencies are allocated
+    ("spectrum --dim 1 --sides 1e300 --cutoff 10",
+     "enumeration visits 1.01e+300 frequencies on axis 1, over the budget of "
+     "100000000 lattice cells; raise `budget` to allow it"),
+])
+def test_unusable_box_exits_1(capsys, argv, message):
+    code, out, err = cli(capsys, *argv.split())
+    assert code == 1 and out == ""
+    assert err == f"imhyp: config error: {message}\n"
 
 
 class TestFilesAndConfig:

@@ -109,6 +109,20 @@ class TestEnumerateSpectrum:
         with pytest.raises(ResourceBudgetError, match="budget"):
             enumerate_spectrum(dom, 10**4, budget=100)
 
+    def test_axis_over_the_budget_refused_before_allocating(self):
+        # about 1e300 frequencies on one axis: no array of them can exist
+        with pytest.raises(ResourceBudgetError,
+                           match="1.01e\\+300 frequencies on axis 1"):
+            enumerate_spectrum(BoxDomain(1, sides=(1e300,)), 10.0)
+        with pytest.raises(ResourceBudgetError, match="on axis 2"):
+            enumerate_spectrum(BoxDomain(2, sides=(3.0, 1e300)), 10.0)
+
+    @pytest.mark.parametrize("side", [math.inf, -math.inf, math.nan])
+    def test_non_finite_side_refused(self, side):
+        with pytest.raises(ConfigError,
+                           match="side lengths must be positive and finite"):
+            BoxDomain(3, sides=(3.0, side, 3.0))
+
     def test_domain_validation(self):
         with pytest.raises(ConfigError):
             BoxDomain(4)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import sympy as sym
 
+from imhyp.driver import run
 from imhyp.errors import ConfigError, HypothesisNotMet
 from imhyp.lattice_spectrum import BoxDomain
 from imhyp.stationary_spectrum import Linearization
@@ -16,7 +17,6 @@ from imhyp.reaction_field import (
     analyze_point,
     coupled_ladder_params,
     delta_of,
-    delta_table_to_csv,
     dissipativity_radius,
     field_from_json_dict,
     field_to_json_dict,
@@ -423,11 +423,19 @@ class TestSerialization:
         with pytest.raises(ConfigError, match="kind"):
             field_from_json_dict({})
 
-    def test_delta_csv(self):
-        rep = verify_prop35(exact=False)
-        lines = delta_table_to_csv(rep.analyses).strip().splitlines()
+    def test_delta_csv(self, tmp_path):
+        # the driver writes the delta table: one row per reported point
+        path = tmp_path / "fixed.csv"
+        report = run({"command": "fixed-points", "field": "prop35-float",
+                      "csv": str(path)})
+        lines = path.read_text().splitlines()
         assert lines[0] == "i,px,py,xi1_re,xi1_im,xi2_re,xi2_im,delta"
-        assert len(lines) == 5
-        last = lines[4].split(",")
-        assert int(last[0]) == 3
-        assert abs(float(last[7]) - 3.0) < 1e-12
+        points = report["result"]["points"]
+        assert len(lines) == len(points) + 1
+        for i, (line, pt) in enumerate(zip(lines[1:], points)):
+            index, *cells = line.split(",")
+            assert index == str(i)
+            xi1, xi2 = pt["eigenvalues"]
+            assert [float(c) for c in cells] == [*pt["point"], *xi1, *xi2,
+                                                 pt["delta"]]
+        assert any(abs(pt["delta"] - 3.0) < 1e-12 for pt in points)

@@ -7,16 +7,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from imhyp.driver import run
 from imhyp.errors import ConfigError, PreconditionError, ResourceBudgetError
 from imhyp.lattice_spectrum import BoxDomain, enumerate_spectrum
 from imhyp.spatial_averaging import (
     Multiplier,
-    SAP_CSV_HEADER,
     h2_norm,
     mean,
     multiplier_from_json_dict,
     multiplier_to_json_dict,
-    sap_reports_to_csv,
     sap_scan,
     window_modes,
     windowed_matrix,
@@ -495,14 +494,19 @@ class TestSerialization:
         with pytest.raises(ConfigError):
             multiplier_from_json_dict({"domain": {"dim": 3, "bc": "neumann"}})
 
-    def test_csv_round_trip(self):
+    def test_csv_round_trip(self, tmp_path):
+        # the driver writes the scan table: one row per window, in scan order
+        path = tmp_path / "sap.csv"
+        run({"command": "sap-scan", "h": "cos-x1", "k": 1, "rho": 1,
+             "lambda-max": 30, "csv": str(path)})
         reports = sap_scan(COS_X1, 1.0, 1.0, 30.0)
-        lines = sap_reports_to_csv(reports).strip().split("\n")
-        assert lines[0] == SAP_CSV_HEADER
+        lines = path.read_text().strip().split("\n")
+        assert lines[0] == "lambda,k,window_modes,op_norm,h2_norm,eps_eff,gap,rho_ok"
         assert len(lines) == len(reports) + 1
-        first = lines[1].split(",")
-        assert float(first[0]) == reports[0].lam
-        assert int(first[2]) == reports[0].window_modes
-        assert float(first[3]) == reports[0].op_norm
-        assert float(first[5]) == reports[0].eps_eff
-        assert first[7] in ("true", "false")
+        for line, r in zip(lines[1:], reports):
+            cells = line.split(",")
+            assert [float(c) for c in cells[:2]] == [r.lam, r.k]
+            assert int(cells[2]) == r.window_modes
+            assert [float(c) for c in cells[3:7]] == [
+                r.op_norm, r.h2_norm, r.eps_eff, r.gap]
+            assert cells[7] == ("true" if r.rho_ok else "false")

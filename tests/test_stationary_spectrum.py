@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from imhyp.driver import run
 from imhyp.errors import ConfigError, HypothesisNotMet, PreconditionError
 from imhyp.lattice_spectrum import BoxDomain, enumerate_spectrum
 from imhyp.stationary_spectrum import (
@@ -332,13 +333,23 @@ class TestAnhimCommonGamma:
 
     def test_json_shape(self):
         cert = anhim_common_gamma(bistable_family(2.0), 200.0)
-        d = cert.to_json_dict()
-        assert set(d) == {"mode", "cutoff", "result", "equilibria", "caveat"}
-        assert d["mode"] == "ANHIM"
-        assert set(d["result"]) == {"gamma_lo", "gamma_hi", "n"}
-        assert d["equilibria"] == ["0", "+1", "-1"]
+        assert cert.mode == "ANHIM" and cert.cutoff == 200.0
+        assert isinstance(cert.result, Witness)
+        assert cert.equilibria == ("0", "+1", "-1")
         empty = anhim_common_gamma(bistable_family(0.5), 200.0)
-        assert empty.to_json_dict()["result"] == "empty"
+        assert empty.empty and empty.result is None
+        # the driver's certificate of the same family (u - u^3 on the cube)
+        config = {"command": "anhim", "field": "cubic-scalar", "nu": 2,
+                  "cutoff": 200}
+        d = run(config)["result"]
+        assert set(d) == {"mode", "cutoff", "result", "equilibria", "caveat"}
+        assert d["mode"] == "ANHIM" and d["cutoff"] == 200.0
+        assert d["result"] == {"gamma_lo": cert.result.gamma_lo,
+                               "gamma_hi": cert.result.gamma_hi,
+                               "n": cert.result.n}
+        assert d["equilibria"] == ["0", "+1", "-1"]
+        assert d["caveat"] == cert.caveat
+        assert run({**config, "nu": 0.5})["result"]["result"] == "empty"
 
 
 class TestNhimCertificate:
@@ -362,8 +373,10 @@ class TestNhimCertificate:
         fd_b = set(nhim_feasible_dims(double, 20.0).dims)
         assert not (fd_a & fd_b)
         cert = nhim_certificate([single, double], 20.0)
-        assert cert.empty
-        assert cert.to_json_dict()["result"] == "empty"
+        assert cert.empty and cert.result is None
+        report = run({"command": "nhim-dims", "jacs": "1;1,0,0,1",
+                      "labels": "a,b", "nu": 0.5, "cutoff": 20})
+        assert report["result"]["certificate"]["result"] == "empty"
 
     def test_gap_min_positive(self):
         for gap_min in (0.0, -1.0):
