@@ -108,11 +108,25 @@ def _parse_str(raw) -> str:
     return raw
 
 
-def _parse_floats(raw):
+def _parse_floats(raw, lengths=(), refusal=""):
+    """Floats from a list or comma-separated text, refused unless their count
+    is in lengths (when given); refusal's {} is the count."""
     if isinstance(raw, (list, tuple)):
-        return tuple(_parse_float(x) for x in raw)
-    parts = [p for p in str(raw).split(",") if p.strip()]
-    return tuple(float(p) for p in parts)
+        vals = tuple(_parse_float(x) for x in raw)
+    else:
+        vals = tuple(float(p) for p in str(raw).split(",") if p.strip())
+    if lengths and len(vals) not in lengths:
+        raise ValueError(refusal.format(len(vals)))
+    return vals
+
+
+# the float-list kinds: kind -> (entry counts allowed, refusal); () allows any
+_FLOAT_LISTS = {
+    "floats": ((), ""),
+    "point": ((2,), "needs exactly 2 coordinates"),
+    "rect": ((4,), "needs 4 numbers: x_lo,x_hi,y_lo,y_hi"),
+    "jac": ((1, 4), "a Jacobian needs 1 or 4 comma-separated entries, got {}"),
+}
 
 
 def _parse_value(param: Param, raw):
@@ -139,18 +153,16 @@ def _parse_value(param: Param, raw):
         return _parse_bool(raw)
     if kind in ("str", "path"):
         return _parse_str(raw)
-    if kind == "floats":
-        return _parse_floats(raw)
+    if kind in _FLOAT_LISTS:
+        return _parse_floats(raw, *_FLOAT_LISTS[kind])
     if kind == "strs":
         if isinstance(raw, (list, tuple)):
             return tuple(_parse_str(x) for x in raw)
         return tuple(p.strip() for p in _parse_str(raw).split(",") if p.strip())
     if kind == "jacs":
-        if isinstance(raw, (list, tuple)):
-            return tuple(_parse_floats(r) for r in raw)
-        return tuple(
-            _parse_floats(block) for block in str(raw).split(";") if block.strip()
-        )
+        if not isinstance(raw, (list, tuple)):
+            raw = [block for block in str(raw).split(";") if block.strip()]
+        return tuple(_parse_floats(block, *_FLOAT_LISTS["jac"]) for block in raw)
     raise ValueError(f"unhandled parameter kind {kind!r}")
 
 
@@ -412,21 +424,12 @@ def _planar_field(name: str):
 
 def _region(p):
     region = p["region"]
-    if region is None:
-        return DEFAULT_REGION
-    if len(region) != 4:
-        raise ConfigError("region needs 4 numbers: x_lo,x_hi,y_lo,y_hi")
-    return ((region[0], region[1]), (region[2], region[3]))
+    return DEFAULT_REGION if region is None else (region[:2], region[2:])
 
 
 def _jac_matrix(entries):
-    if len(entries) == 1:
-        return np.array([[entries[0]]])
-    if len(entries) == 4:
-        return np.array(entries, dtype=float).reshape(2, 2)
-    raise ConfigError(
-        f"a Jacobian needs 1 or 4 comma-separated entries, got {len(entries)}"
-    )
+    """The 1x1 or 2x2 Jacobian of 1 or 4 parsed entries, row by row."""
+    return np.array(entries, dtype=float).reshape((math.isqrt(len(entries)),) * 2)
 
 
 def _linearizations(p, domain) -> list:
@@ -573,7 +576,7 @@ def _run_weyl(p):
     return fit, verdict
 
 
-@_command("fixed-points", _FIELD, Param("region", "floats"),
+@_command("fixed-points", _FIELD, Param("region", "rect"),
           Param("tol", "float", default=DEDUPE_TOL, positive=True), _CSV)
 def _run_fixed_points(p):
     analyses = fixed_points(_planar_field(p["field"]), region=_region(p),
@@ -590,18 +593,16 @@ def _run_fixed_points(p):
     return result, verdict
 
 
-@_command("delta", _FIELD, Param("at", "floats", required=True))
+@_command("delta", _FIELD, Param("at", "point", required=True))
 def _run_delta(p):
     field = _planar_field(p["field"])
     at = p["at"]
-    if len(at) != 2:
-        raise ConfigError("at needs exactly 2 coordinates")
     analysis = delta_of(field, tuple(at))
     verdict = f"delta = {analysis.delta_float:.17g} at ({at[0]:g}, {at[1]:g})"
     return _analysis_row(analysis), verdict
 
 
-@_command("lemma33", _FIELD, Param("region", "floats"),
+@_command("lemma33", _FIELD, Param("region", "rect"),
           Param("tol", "float", default=1e-6, positive=True))
 def _run_lemma33(p):
     check = lemma33_check(_planar_field(p["field"]), region=_region(p),
@@ -675,7 +676,7 @@ def _run_region(p):
     return result, verdict
 
 
-@_command("index", *_DOMAIN, _NU, Param("jac", "floats", required=True),
+@_command("index", *_DOMAIN, _NU, Param("jac", "jac", required=True),
           _CUTOFF,
           Param("zero-tol", "float", default=ZERO_TOL_DEFAULT, positive=True))
 def _run_index(p):
@@ -713,7 +714,7 @@ def _run_parity(p):
     return result, verdict
 
 
-@_command("profile", *_DOMAIN, _NU, Param("jac", "floats", required=True),
+@_command("profile", *_DOMAIN, _NU, Param("jac", "jac", required=True),
           _CUTOFF,
           Param("gap-min", "float", default=GAP_MIN_DEFAULT, positive=True))
 def _run_profile(p):
@@ -916,8 +917,10 @@ def main(argv=None) -> int:
             hint = f" (did you mean '{close[0]}'?)" if close else ""
             raise ConfigError(f"unknown command {cmd!r}{hint}")
         config = _parse_cli(cmd, args[1:])
-        report = run(config)
-        text = render_report(report)
+        # overflow ends in a non-finite report value (exit 3), not warnings
+        with np.errstate(all="ignore"):
+            report = run(config)
+            text = render_report(report)
         out = report["config"].get("out")
         if out:
             _atomic_file(out, text)

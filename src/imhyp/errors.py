@@ -21,7 +21,7 @@ class PreconditionError(ConfigError):
 
 
 class ResourceBudgetError(ConfigError):
-    """A request would exceed the configured memory budget."""
+    """A lattice walk would exceed the memory budget of DEFAULT_BUDGET cells."""
 
 
 class HypothesisNotMet(ImhypError):

@@ -7,8 +7,10 @@ a box with side lengths pi*a_j are sum_j (l_j/a_j)^2; the admissible
 integer frequencies l_j depend on the boundary condition.  On pi-sided
 boxes these are integers, and one fold of per-axis (value, weight) tables
 (`_fold`) yields both the exact multiplicities and, in bool over three
-axes of squares, the audit's sums of three squares.  A spectrum converts
-to and from CSV text; reading and writing files is the driver's.
+axes of squares, the audit's sums of three squares.  Every walk over a box
+lattice, here or in spatial_averaging, is sized against one budget of
+DEFAULT_BUDGET cells before it allocates.  A spectrum converts to and from
+CSV text; reading and writing files is the driver's.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from .errors import (
 BOUNDARY_CONDITIONS = ("dirichlet", "neumann", "periodic")
 PERIODIC_SCALINGS = ("paper", "standard")
 
-# memory budget: lattice cells materialized per enumeration (count table for
-# the exact path, full candidate grid for the floating path)
+# memory budget: lattice cells one walk may materialize (an exact count table,
+# a float candidate grid, the audit's table or a window-mode grid)
 DEFAULT_BUDGET = 100_000_000
 
 # two floating values merge when they differ by < MERGE_TOL*(1+|value|)
@@ -149,21 +151,29 @@ def spectrum_from_csv(text: str, *, cutoff: float, exact: bool) -> Spectrum:
                     cutoff=float(cutoff), exact=exact)
 
 
+def _within_budget(cells, what: str) -> None:
+    """Refuse a walk over more than DEFAULT_BUDGET lattice cells (or NaN) before
+    it allocates.  `what` names the walk, with {} for its count: 9 digits, so a
+    count near the budget prints exactly (an int past 1e308 has no %g form)."""
+    if not cells <= DEFAULT_BUDGET:
+        count = "more than 1e308" if cells >= 1e308 else f"{cells:.9g}"
+        raise ResourceBudgetError(
+            f"{what.format(count)}, over the budget of {DEFAULT_BUDGET} lattice cells"
+        )
+
+
 def _axis_frequencies(domain: BoxDomain, axis: int, cutoff: float,
-                      periodic_scaling: str, budget: int) -> tuple[float, int]:
+                      periodic_scaling: str = "paper") -> tuple[float, int]:
     """(step, lmax): the axis's frequencies l = 0..lmax (Dirichlet 1..lmax)
-    give values (step*l/a)^2 <= cutoff.  An axis with more than `budget`
-    frequencies raises ResourceBudgetError, so none is ever allocated."""
+    give values (step*l/a)^2 <= cutoff.  An axis with more frequencies than
+    the budget is refused, so none is ever allocated."""
     step = 1.0
     if domain.bc == "periodic" and periodic_scaling == "standard":
         step = 2.0
     top = domain.axis_scales[axis] * math.sqrt(cutoff) / step + 1e-12
-    if top >= budget:  # floor(top) + 1 frequencies at most; top may be inf
-        raise ResourceBudgetError(
-            f"enumeration visits {top + 1:.3g} frequencies on axis {axis + 1}, "
-            f"over the budget of {budget} lattice cells; raise `budget` to allow it"
-        )
-    return step, math.floor(top)
+    count = np.floor(top) + 1  # top may be inf
+    _within_budget(count, f"enumeration visits {{}} frequencies on axis {axis + 1}")
+    return step, int(count) - 1
 
 
 def _axis_terms(domain: BoxDomain, axis: int, cutoff: float, step: float,
@@ -224,37 +234,27 @@ def _merge_close(values: np.ndarray, weights: np.ndarray):
     return merged_v, merged_w.astype(np.int64)
 
 
-def enumerate_spectrum(
-    domain: BoxDomain,
-    cutoff: float,
-    *,
-    periodic_scaling: str = "paper",
-    budget: int = DEFAULT_BUDGET,
-) -> Spectrum:
+def enumerate_spectrum(domain: BoxDomain, cutoff: float, *,
+                       periodic_scaling: str = "paper") -> Spectrum:
     """All Laplacian eigenvalues of the box <= cutoff, with multiplicities.
 
     pi-sided boxes take an exact integer-arithmetic path (a counting table
     folded axis by axis); general sides are enumerated in floating point and
     merged at relative width 1e-9.  Requests that would materialize more than
-    `budget` lattice cells raise ResourceBudgetError instead of truncating.
+    DEFAULT_BUDGET lattice cells raise ResourceBudgetError before allocating,
+    instead of truncating.
     """
     if periodic_scaling not in PERIODIC_SCALINGS:
         raise ConfigError(f"periodic_scaling must be one of {PERIODIC_SCALINGS}")
     if not (cutoff >= 0) or not math.isfinite(cutoff):
         raise ConfigError(f"cutoff must be finite and >= 0, got {cutoff}")
-    if budget <= 0:
-        raise ConfigError("budget must be positive")
 
     if domain.is_pi_box:
         limit = int(math.floor(cutoff + 1e-12))
         cells = limit + 1
-        if cells > budget:
-            raise ResourceBudgetError(
-                f"enumeration needs a table of {cells} cells, over the budget of "
-                f"{budget} lattice cells; raise `budget` to allow it"
-            )
+        _within_budget(cells, "enumeration needs a table of {} cells")
         axes = [_axis_terms(domain, ax, float(limit), *_axis_frequencies(
-                    domain, ax, float(limit), periodic_scaling, budget))
+                    domain, ax, float(limit), periodic_scaling))
                 for ax in range(domain.dim)]
         counts = _fold([(np.rint(v).astype(np.int64), w) for v, w in axes],
                        cells, np.int64)
@@ -262,14 +262,10 @@ def enumerate_spectrum(
         return Spectrum(eigs.astype(float), counts[eigs], cutoff=float(cutoff), exact=True)
 
     # count the lattice before any axis is allocated
-    freqs = [_axis_frequencies(domain, ax, cutoff, periodic_scaling, budget)
+    freqs = [_axis_frequencies(domain, ax, cutoff, periodic_scaling)
              for ax in range(domain.dim)]
     total = math.prod(lmax + (domain.bc != "dirichlet") for _, lmax in freqs)
-    if total > budget:
-        raise ResourceBudgetError(
-            f"enumeration visits {total} lattice points, over the budget of "
-            f"{budget} lattice cells; raise `budget` to allow it"
-        )
+    _within_budget(total, "enumeration visits {} lattice points")
     axes = [_axis_terms(domain, ax, cutoff, *f) for ax, f in enumerate(freqs)]
 
     # fold the axes, last first, into one value/weight grid below the cutoff
@@ -402,11 +398,7 @@ def three_square_gap_audit(limit: int) -> ThreeSquareAudit:
     """
     if limit < 8:
         raise PreconditionError(f"audit needs limit >= 8, got {limit}")
-    if limit + 1 > DEFAULT_BUDGET:
-        raise ResourceBudgetError(
-            f"audit needs a table of {limit + 1} cells, over the budget of "
-            f"{DEFAULT_BUDGET} lattice cells"
-        )
+    _within_budget(limit + 1, "audit needs a table of {} cells")
     squares = np.arange(math.isqrt(limit) + 1, dtype=np.int64) ** 2
     representable = _fold([(squares, np.ones_like(squares))] * 3, limit + 1, bool)
     closed = _excluded_closed_form(limit)
@@ -415,18 +407,19 @@ def three_square_gap_audit(limit: int) -> ThreeSquareAudit:
         raise NumericalFailure(
             "three-squares fold and 4^a(8b+7) closed form disagree", witness=int(bad[0])
         )
-    rep_values = np.flatnonzero(representable)
-    gaps = np.diff(rep_values)
-    i = int(np.argmax(gaps))
     excluded = np.flatnonzero(closed)  # holds 7, as limit >= 8
-    # longest run of consecutive excluded integers: steps between the run ends
-    breaks = np.flatnonzero(np.diff(excluded) != 1)
-    max_run = int(np.max(np.diff(np.concatenate(([-1], breaks, [excluded.size - 1])))))
+    # runs of consecutive excluded integers: their ends (as indices) and lengths
+    ends = np.append(np.flatnonzero(np.diff(excluded) != 1), excluded.size - 1)
+    runs = np.diff(ends, prepend=-1)
+    last = excluded[ends]
+    # 0 is representable, so each gap between consecutive representable
+    # integers is one excluded run plus 1: the first longest run below limit
+    i = int(np.argmax(np.where(last < limit, runs, 0)))
     return ThreeSquareAudit(
         excluded=excluded,
-        max_gap=int(gaps[i]),
-        gap_witness=(int(rep_values[i]), int(rep_values[i + 1])),
-        max_excluded_run=max_run,
+        max_gap=int(runs[i]) + 1,
+        gap_witness=(int(last[i] - runs[i]), int(last[i]) + 1),
+        max_excluded_run=int(runs.max()),
     )
 
 

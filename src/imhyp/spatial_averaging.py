@@ -28,8 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dense_eig import edge_norms
-from .errors import ConfigError, PreconditionError, ResourceBudgetError
-from .lattice_spectrum import BoxDomain, enumerate_spectrum
+from .errors import ConfigError, PreconditionError
+from .lattice_spectrum import (BoxDomain, _axis_frequencies, _within_budget,
+                               enumerate_spectrum)
 
 MULTIPLIER_BCS = ("neumann", "periodic")
 
@@ -124,13 +125,11 @@ def _modes(domain: BoxDomain, lo: float, hi: float) -> tuple[np.ndarray, np.ndar
     dim = domain.dim
     if hi < 0:
         return np.zeros((0, dim), dtype=np.int64), np.zeros(0)
-    tops = [int(math.floor(a * math.sqrt(hi) + 1e-12)) for a in domain.axis_scales]
-    axis_vals = [np.arange(0 if domain.bc == "neumann" else -t, t + 1) for t in tops]
-    cells = math.prod(vals.size for vals in axis_vals)
-    if cells > 50_000_000:
-        raise ResourceBudgetError(
-            f"window enumeration needs {cells} lattice cells; lower lam or k"
-        )
+    neumann = domain.bc == "neumann"
+    tops = [_axis_frequencies(domain, ax, hi)[1] for ax in range(dim)]
+    _within_budget(math.prod(t + 1 if neumann else 2 * t + 1 for t in tops),
+                   "window enumeration needs {} lattice cells")
+    axis_vals = [np.arange(0 if neumann else -t, t + 1) for t in tops]
     total = np.zeros((1,) * dim)
     for j, (vals, a) in enumerate(zip(axis_vals, domain.axis_scales)):
         shape = [1] * dim
@@ -149,7 +148,8 @@ def window_modes(domain: BoxDomain, lam: float, k: float) -> list[tuple[int, ...
 
     Neumann modes are nonnegative vectors; periodic modes carry signs.
     Sorted by (eigenvalue, index vector) so downstream matrices are
-    reproducible.
+    reproducible.  A grid over the lattice budget is refused before it is
+    allocated (ResourceBudgetError).
     """
     if k <= 0:
         raise ConfigError("window half-width k must be positive")
@@ -273,14 +273,16 @@ def sap_scan(
     once; each window is a searchsorted slice of the modes, equal entry for
     entry to window_modes, and takes the entries with both ends inside it.
     All windows are solved together, so every row's op_norm equals
-    windowed_norm at its lambda bit for bit.
+    windowed_norm at its lambda bit for bit.  The gaps' spectrum starts at
+    cutoff lambda_max + 6, whatever k and rho, and doubles until it holds an
+    eigenvalue above lambda_max.
     """
     if k <= 0 or rho <= 0:
         raise ConfigError("k and rho must be positive")
     if lambda_max <= 0:
         raise ConfigError("lambda_max must be positive")
 
-    cutoff = lambda_max + max(2.0 * k, rho, 1.0) + 5.0
+    cutoff = lambda_max + 6.0
     while True:
         spec = enumerate_spectrum(h.domain, cutoff)
         if spec.total_count and spec.eigenvalues[-1] > lambda_max:

@@ -49,6 +49,25 @@ class TestValidate:
         diags = validate({"command": "spectrum", "cutoff": "ten"})
         assert any(d.startswith("cutoff:") for d in diags)
 
+    @pytest.mark.parametrize("config, diag", [
+        ({"command": "delta", "field": "prop35", "at": "1,2,3"},
+         "at: needs exactly 2 coordinates"),
+        ({"command": "fixed-points", "field": "prop35", "region": "0,1,2"},
+         "region: needs 4 numbers: x_lo,x_hi,y_lo,y_hi"),
+        ({"command": "index", "nu": 1, "cutoff": 10, "jac": "1,2,3"},
+         "jac: a Jacobian needs 1 or 4 comma-separated entries, got 3"),
+        ({"command": "parity", "nu": 1, "cutoff": 10, "jacs": "1;1,2"},
+         "jacs: a Jacobian needs 1 or 4 comma-separated entries, got 2"),
+        ({"command": "nhim-dims", "nu": 1, "cutoff": 10, "jacs": [[1], []]},
+         "jacs: a Jacobian needs 1 or 4 comma-separated entries, got 0"),
+    ], ids=["delta-at", "fixed-points-region", "index-jac", "parity-jacs",
+            "nhim-dims-jacs-list"])
+    def test_entry_counts_checked_where_parsed(self, config, diag):
+        # an empty list promises that run() takes the config
+        assert validate(config) == [diag]
+        with pytest.raises(ConfigError, match=f"^{diag}$"):
+            run(config)
+
 
 class TestIntegerKeys:
     @pytest.mark.parametrize("raw", ["1e3", "1000", "1000.0", " 1e3 ", 1e3, 1000])
@@ -546,13 +565,40 @@ def test_edge_configs_end_in_a_documented_exit(
 
 
 def test_audit_over_the_budget_exits_1(capsys):
-    # refused before the table is allocated: no MemoryError, no OOM kill
-    code, out, err = cli(capsys, "gauss-audit", "--limit", "1e12")
-    assert code == 1 and out == ""
-    assert err == (
-        "imhyp: config error: audit needs a table of 1000000000001 cells, "
-        "over the budget of 100000000 lattice cells\n"
+    # refused before the table is allocated: no MemoryError, no OOM kill;
+    # a 401-digit limit prints no 401-digit count
+    for limit, count in (("1e12", "1e+12"), ("1" + "0" * 400, "more than 1e308")):
+        code, out, err = cli(capsys, "gauss-audit", "--limit", limit)
+        assert code == 1 and out == ""
+        assert err == (
+            f"imhyp: config error: audit needs a table of {count} cells, "
+            "over the budget of 100000000 lattice cells\n"
+        )
+
+
+def test_wide_rho_sap_scan_is_not_refused(capsys):
+    # the gaps need the spectrum only one eigenvalue past lambda-max
+    code, out, err = cli(capsys, "sap-scan", "--h", "cos-x1", "--k", "1",
+                         "--rho", "1e9", "--lambda-max", "10")
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["result"]["windows"] == 0
+    assert report["verdict"] == "no spectral gap wide enough for the requested rho"
+
+
+@pytest.mark.parametrize("argv", [
+    "profile --nu 1 --jac 1e308,1e308,1e308,1e308 --cutoff 10",
+    "jump --nu 1e308 --cutoff 300",
+])
+def test_overflow_prints_one_stderr_line(argv):
+    # in a fresh interpreter, where numpy's RuntimeWarnings reach stderr
+    proc = subprocess.run(
+        [sys.executable, "-m", "imhyp.driver", *argv.split()],
+        capture_output=True, text=True, timeout=120,
     )
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr == ("imhyp: numerical failure: a report value is inf, "
+                           "which JSON cannot hold\n")
 
 
 def test_non_finite_report_value_exits_3_and_writes_nothing(capsys, tmp_path):
@@ -574,8 +620,15 @@ def test_non_finite_report_value_exits_3_and_writes_nothing(capsys, tmp_path):
      "side lengths must be positive and finite, got (inf,)"),
     # refused before one axis's frequencies are allocated
     ("spectrum --dim 1 --sides 1e300 --cutoff 10",
-     "enumeration visits 1.01e+300 frequencies on axis 1, over the budget of "
-     "100000000 lattice cells; raise `budget` to allow it"),
+     "enumeration visits 1.00658424e+300 frequencies on axis 1, over the "
+     "budget of 100000000 lattice cells"),
+    # counts print to 9 significant digits, not as 301-digit integers
+    ("gaps --cutoff 1e300",
+     "enumeration needs a table of 1e+300 cells, over the budget of "
+     "100000000 lattice cells"),
+    ("sap-scan --h cos-x1 --k 1 --rho 1 --lambda-max 1e300",
+     "enumeration needs a table of 1e+300 cells, over the budget of "
+     "100000000 lattice cells"),
 ])
 def test_unusable_box_exits_1(capsys, argv, message):
     code, out, err = cli(capsys, *argv.split())

@@ -102,17 +102,20 @@ class TestEnumerateSpectrum:
         assert np.allclose(large.eigenvalues[:n], small.eigenvalues, rtol=0, atol=1e-12)
         assert np.array_equal(large.multiplicities[:n], small.multiplicities)
 
-    def test_budget_error_names_budget(self):
-        with pytest.raises(ResourceBudgetError, match="1000"):
-            enumerate_spectrum(BoxDomain(3, bc="neumann"), 10**6, budget=1000)
+    def test_budget_error_names_budget(self, monkeypatch):
+        # the budget is read when the walk is sized, not bound at import
+        monkeypatch.setattr(lattice_spectrum, "DEFAULT_BUDGET", 1000)
+        with pytest.raises(ResourceBudgetError, match="budget of 1000 "):
+            enumerate_spectrum(BoxDomain(3, bc="neumann"), 10**6)
         dom = BoxDomain(2, sides=(math.pi, math.pi / math.sqrt(2)), bc="neumann")
-        with pytest.raises(ResourceBudgetError, match="budget"):
-            enumerate_spectrum(dom, 10**4, budget=100)
+        with pytest.raises(ResourceBudgetError,
+                           match="visits 7171 lattice points, over the budget"):
+            enumerate_spectrum(dom, 10**4)
 
     def test_axis_over_the_budget_refused_before_allocating(self):
         # about 1e300 frequencies on one axis: no array of them can exist
         with pytest.raises(ResourceBudgetError,
-                           match="1.01e\\+300 frequencies on axis 1"):
+                           match="1.00658424e\\+300 frequencies on axis 1"):
             enumerate_spectrum(BoxDomain(1, sides=(1e300,)), 10.0)
         with pytest.raises(ResourceBudgetError, match="on axis 2"):
             enumerate_spectrum(BoxDomain(2, sides=(3.0, 1e300)), 10.0)
@@ -291,6 +294,16 @@ class TestThreeSquareAudit:
         audit = three_square_gap_audit(2000)
         rep = three_squares_by_enumeration(2000)
         assert set(range(2001)) - set(audit.excluded.tolist()) == rep
+
+    @pytest.mark.parametrize("limit", [8, 9, 10, 15, 16, 111, 112, 113, 120, 2000])
+    def test_gaps_against_independent_enumeration(self, limit):
+        # a trailing excluded run (limit 111, 112) has no representable end
+        rep = sorted(three_squares_by_enumeration(limit))
+        gaps = np.diff(rep)
+        i = int(np.argmax(gaps))
+        audit = three_square_gap_audit(limit)
+        assert audit.max_gap == gaps[i]
+        assert audit.gap_witness == (rep[i], rep[i + 1])
 
     def test_limit_precondition(self):
         with pytest.raises(PreconditionError):

@@ -22,6 +22,7 @@ from imhyp.spatial_averaging import (
     windowed_norm,
 )
 import imhyp.dense_eig as dense_eig
+import imhyp.lattice_spectrum as lattice_spectrum
 import imhyp.spatial_averaging as spatial_averaging
 from oracles import quadrature_windowed_matrix, sturm_eigenvalues
 
@@ -200,6 +201,24 @@ class TestWindowModes:
         with pytest.raises(ResourceBudgetError):
             window_modes(CUBE, 1.0e13, 1.0)
 
+    def test_axis_over_the_budget_refused_before_allocating(self):
+        # about 1e300 frequencies on the axis: no arange of them can exist
+        with pytest.raises(ResourceBudgetError,
+                           match="frequencies on axis 1, over the budget"):
+            window_modes(BoxDomain(1, sides=(1e300,)), 5.0, 1.0)
+
+    @pytest.mark.parametrize("domain, cells", [(CUBE, 15**3), (TORUS2, 29**2)])
+    def test_grid_sized_against_the_lattice_budget(self, monkeypatch, domain,
+                                                   cells):
+        # frequencies 0..14 per Neumann axis, -14..14 per periodic one
+        monkeypatch.setattr(lattice_spectrum, "DEFAULT_BUDGET", cells)
+        assert window_modes(domain, 200.0, 1.0)
+        monkeypatch.setattr(lattice_spectrum, "DEFAULT_BUDGET", cells - 1)
+        with pytest.raises(ResourceBudgetError, match=(
+                f"^window enumeration needs {cells} lattice cells, "
+                f"over the budget of {cells - 1} lattice cells$")):
+            window_modes(domain, 200.0, 1.0)
+
 
 class TestWindowedMatrix:
     def test_cosine_coupling_and_zero_diagonal(self):
@@ -369,7 +388,7 @@ class TestSapScan:
 
     def test_cutoff_doubles_until_a_mode_exceeds_lambda_max(self, monkeypatch):
         # on (0, 0.3) the eigenvalues are (n pi / 0.3)^2 = 0, 109.66, ...: the
-        # first cutoff, 50 + 2k + 5 = 95, holds none above lambda_max = 50
+        # first cutoff, 50 + 6 = 56, holds none above lambda_max = 50
         h = Multiplier(BoxDomain(1, sides=(0.3,)), {(1,): 1.0})
         cutoffs = []
         enumerate_spectrum = spatial_averaging.enumerate_spectrum
@@ -380,7 +399,7 @@ class TestSapScan:
 
         monkeypatch.setattr(spatial_averaging, "enumerate_spectrum", record)
         reports = sap_scan(h, 20, 1, 50)
-        assert cutoffs == [95.0, 190.0]
+        assert cutoffs == [56.0, 112.0]
         assert len(reports) == 1
         r = reports[0]
         assert (r.gap, r.lam) == (109.6622711232151, 109.6622711232151 / 2)
