@@ -12,8 +12,8 @@ Five analysis areas plus a reporting driver:
   their norms, gap scans
 - dense_eig: symmetric eigenvalues by batched Jacobi, spectral norms with an
   exact block split, power iteration for large blocks
-- driver: validated run configs, CLI, all file I/O and all report text (the
-  other modules return results, dicts and Spectrum.to_csv's CSV)
+- driver: validated run configs, CLI, all file I/O and all report and CSV
+  text (the other modules return results and read field and multiplier JSON)
 """
 
 from types import ModuleType as _ModuleType
@@ -39,7 +39,6 @@ from .lattice_spectrum import (
     enumerate_spectrum,
     gap_stats,
     jump_condition_scan,
-    spectrum_from_csv,
     three_square_gap_audit,
     weyl_fit,
 )
@@ -57,7 +56,6 @@ from .reaction_field import (
     delta_of,
     dissipativity_radius,
     field_from_json_dict,
-    field_to_json_dict,
     fixed_points,
     invariant_region_check,
     lemma33_check,
@@ -97,7 +95,6 @@ from .spatial_averaging import (
     h2_norm,
     mean,
     multiplier_from_json_dict,
-    multiplier_to_json_dict,
     sap_scan,
     window_modes,
     windowed_matrix,

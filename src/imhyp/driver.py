@@ -3,11 +3,11 @@
 One subcommand per analysis operation.  Each subcommand is declared once, by
 the @_command decorator on its runner: the decorator names the command, lists
 its config keys and fills SCHEMAS and RUNNERS.  One scalar table renders
-every value of a report, certificate or report CSV (floats at 17 significant
-digits); reports are JSON with sorted keys, so identical config and version
-produce identical bytes.  This module does all of the package's file I/O:
-it reads config, field and multiplier JSON and writes every report,
-certificate and CSV, each through a temp-file-plus-rename.
+every value of a report, certificate or report CSV, a list at a time (floats
+at 17 significant digits); reports are JSON with sorted keys, so identical
+config and version produce identical bytes.  This module does all of the
+package's file I/O: it reads config, field and multiplier JSON and writes
+every report, certificate and CSV, each through a temp-file-plus-rename.
 """
 
 from __future__ import annotations
@@ -262,23 +262,31 @@ def _parse_config(config) -> tuple[list, dict]:
 
 
 # ---------------------------------------------------------------------------
-# report text: every scalar of a report, certificate or CSV goes through
-# _SCALARS, which refuses the inf and nan that JSON cannot hold
-
-def _float_text(x: float) -> str:
-    if not math.isfinite(x):
-        raise NumericalFailure(f"a report value is {x}, which JSON cannot hold")
-    return "%.17g" % x
-
+# report text: every scalar of a report, certificate or CSV becomes text in
+# _texts, a list at a time, by _SCALARS
 
 # JSON scalar type -> its text; _plain keeps exactly these types
 _SCALARS = {
-    float: _float_text,
+    float: "%.17g".__mod__,
     int: str,
     str: json.dumps,
     bool: lambda b: "true" if b else "false",
     type(None): lambda _: "null",
 }
+
+
+def _texts(values):
+    """The text of each JSON scalar in values, made as the caller iterates;
+    every float is checked finite first, as JSON cannot hold inf or nan."""
+    kinds = set(map(type, values))
+    if float in kinds:
+        floats = values if len(kinds) == 1 else [x for x in values if type(x) is float]
+        if not all(map(math.isfinite, floats)):
+            bad = next(x for x in floats if not math.isfinite(x))
+            raise NumericalFailure(f"a report value is {bad}, which JSON cannot hold")
+    if len(kinds) == 1:  # such as a CSV or table column
+        return map(_SCALARS[kinds.pop()], values)
+    return (_SCALARS[type(x)](x) for x in values)
 
 
 def _plain(obj):
@@ -304,18 +312,34 @@ def _plain(obj):
     raise TypeError(f"cannot put {type(obj).__name__} in a report")
 
 
+def _is_table(obj) -> bool:
+    """Whether obj is a list of non-empty, equal-length lists of scalars."""
+    return (set(map(type, obj)) <= {list, tuple} and len(obj[0]) > 0
+            and set(map(len, obj)) == {len(obj[0])}
+            and _SCALARS.keys() >= {type(x) for row in obj for x in row})
+
+
 def _render(obj, pad: str) -> str:
     """Plain JSON obj as text; pad starts its closing line, and each nested
     line is indented one space further, with dict keys sorted."""
     inner = pad + " "
     if isinstance(obj, dict):
-        items = [f"{inner}{json.dumps(k)}: {_render(obj[k], inner)}"
-                 for k in sorted(obj)]
-        return "{" + ",".join(items) + pad + "}" if items else "{}"
-    if isinstance(obj, (list, tuple)):
-        items = [inner + _render(x, inner) for x in obj]
-        return "[" + ",".join(items) + pad + "]" if items else "[]"
-    return _SCALARS[type(obj)](obj)
+        keys = sorted(obj)
+        items = [f"{key}: {_render(obj[k], inner)}"
+                 for k, key in zip(keys, _texts(keys))]
+    elif not isinstance(obj, (list, tuple)):
+        return next(_texts((obj,)))
+    elif _SCALARS.keys() >= set(map(type, obj)):
+        items = _texts(obj)
+    elif _is_table(obj):
+        # such as a histogram of (gap, count) pairs: a column at a time
+        deeper = inner + " "
+        items = ["[" + deeper + ("," + deeper).join(row) + inner + "]"
+                 for row in zip(*map(_texts, zip(*obj)))]
+    else:
+        items = [_render(x, inner) for x in obj]
+    body = inner + ("," + inner).join(items) + pad if obj else ""
+    return ("{%s}" if isinstance(obj, dict) else "[%s]") % body
 
 
 def render_report(report) -> str:
@@ -323,9 +347,9 @@ def render_report(report) -> str:
     return _render(report, "\n") + "\n"
 
 
-def _csv(header: str, rows: list) -> str:
-    """CSV text: the header line, then one line per row of JSON scalars."""
-    lines = [",".join(_SCALARS[type(x)](x) for x in row) for row in rows]
+def _csv(header: str, columns) -> str:
+    """CSV text: the header line, then one line per row of JSON-scalar columns."""
+    lines = map(",".join, zip(*map(_texts, columns)))
     return "\n".join([header, *lines]) + "\n"
 
 
@@ -503,7 +527,8 @@ def _certificate(cert, path) -> dict:
 def _run_spectrum(p):
     spec = _spectrum(p)
     if p.get("csv"):
-        _atomic_file(p["csv"], spec.to_csv())
+        _atomic_file(p["csv"], _csv("lambda,multiplicity", (
+            spec.eigenvalues.tolist(), spec.multiplicities.tolist())))
     gaps = gap_stats(spec) if len(spec) >= 2 else None
     result = {
         "count": spec.total_count,
@@ -585,8 +610,9 @@ def _run_fixed_points(p):
     if p.get("csv"):
         _atomic_file(p["csv"], _csv(
             "i,px,py,xi1_re,xi1_im,xi2_re,xi2_im,delta",
-            [[i, *row["point"], *row["eigenvalues"][0], *row["eigenvalues"][1],
-              row["delta"]] for i, row in enumerate(points)],
+            zip(*[[i, *row["point"], *row["eigenvalues"][0],
+                   *row["eigenvalues"][1], row["delta"]]
+                  for i, row in enumerate(points)]),
         ))
     result = {"count": len(analyses), "points": points, "csv": p.get("csv")}
     verdict = f"{len(analyses)} hyperbolic-candidate fixed points found"
@@ -808,7 +834,7 @@ def _run_sap_scan(p):
     if p.get("csv"):
         header = "lambda,k,window_modes,op_norm,h2_norm,eps_eff,gap,rho_ok"
         _atomic_file(p["csv"], _csv(
-            header, [[row[c] for c in header.split(",")] for row in rows]
+            header, [[row[c] for row in rows] for c in header.split(",")]
         ))
     result = {
         "windows": len(rows),

@@ -9,8 +9,8 @@ boxes these are integers, and one fold of per-axis (value, weight) tables
 (`_fold`) yields both the exact multiplicities and, in bool over three
 axes of squares, the audit's sums of three squares.  Every walk over a box
 lattice, here or in spatial_averaging, is sized against one budget of
-DEFAULT_BUDGET cells before it allocates.  A spectrum converts to and from
-CSV text; reading and writing files is the driver's.
+DEFAULT_BUDGET cells before it allocates.  Rendering reports and CSVs and
+writing files is the driver's.
 """
 
 from __future__ import annotations
@@ -114,41 +114,6 @@ class Spectrum:
         """Counting function N(x): eigenvalues <= x with multiplicity."""
         i = int(np.searchsorted(self.eigenvalues, x, side="right"))
         return int(self._cum[i - 1]) if i else 0
-
-    def to_csv(self) -> str:
-        """CSV text: a lambda,multiplicity header, then one row per eigenvalue."""
-        rows = "".join(f"{lam:.17g},{m}\n" for lam, m in self.entries())
-        return "lambda,multiplicity\n" + rows
-
-
-def spectrum_from_csv(text: str, *, cutoff: float, exact: bool) -> Spectrum:
-    """The spectrum in CSV text written by Spectrum.to_csv.
-
-    The rows do not record how the spectrum was obtained, so the caller
-    supplies the cutoff it is complete up to and whether it is exact; a
-    cutoff below the last eigenvalue is refused.
-    """
-    eigs, mults = [], []
-    lines = text.splitlines()
-    header = lines[0].strip() if lines else ""
-    if header != "lambda,multiplicity":
-        raise ConfigError(f"unexpected spectrum CSV header: {header!r}")
-    for number, line in enumerate(lines[1:], start=2):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            lam, m = line.split(",")
-            eigs.append(float(lam))
-            mults.append(int(m))
-        except ValueError:
-            raise ConfigError(f"malformed spectrum CSV line {number}: {line!r}") from None
-    if eigs and not cutoff >= eigs[-1]:
-        raise ConfigError(
-            f"cutoff {cutoff} lies below the last CSV eigenvalue {eigs[-1]}"
-        )
-    return Spectrum(np.array(eigs), np.array(mults, dtype=np.int64),
-                    cutoff=float(cutoff), exact=exact)
 
 
 def _within_budget(cells, what: str) -> None:
@@ -314,7 +279,7 @@ def gap_stats(spectrum: Spectrum) -> GapReport:
     witness = (float(eigs[i]), float(eigs[i + 1]))
     hist_keys = np.round(diffs, 9)
     uniq, counts = np.unique(hist_keys, return_counts=True)
-    histogram = [(float(g), int(c)) for g, c in zip(uniq, counts)]
+    histogram = list(zip(uniq.tolist(), counts.tolist()))
     trend = _running_max_trend(eigs[1:], diffs, spectrum.cutoff)
     return GapReport(float(diffs[i]), witness, histogram, trend)
 

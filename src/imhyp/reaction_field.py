@@ -10,9 +10,8 @@ reaction-diffusion system.
 Parameters of the named families may be floats or sympy expressions; with
 symbolic parameters every fixed point, Jacobian and delta stays exact.
 sympy is imported only by the exact paths (the exact Prop. 3.5 field and
-field JSON with string values), so float work never loads it.  Fields
-convert to and from JSON dicts; rendering reports and reading and writing
-files is the driver's.
+field JSON with string values), so float work never loads it.  Fields are
+read from JSON dicts; rendering reports and file I/O are the driver's.
 
 Exact values stay canonical by ``expand`` and ``sqrtdenest``, not
 ``simplify``; signs come from sympy, or from a float where it cannot tell.
@@ -335,8 +334,11 @@ def fixed_points(
     than tol are merged.
     """
     (x0, x1), (y0, y1) = region
-    if not (x1 > x0 and y1 > y0):
-        raise ConfigError("region must be a nondegenerate box ((x0,x1),(y0,y1))")
+    # NaN fails the comparisons, and an infinite bound is refused before any search
+    if not (x1 > x0 and y1 > y0 and all(map(math.isfinite, (x0, x1, y0, y1)))):
+        raise ConfigError(
+            "region must be a nondegenerate finite box ((x0,x1),(y0,y1))"
+        )
     if isinstance(field, GeneralPoly):
         cands = _newton_candidates(field, region)
     else:
@@ -625,24 +627,6 @@ def invariant_region_check(field: CubicCoupled, c) -> bool:
 
 # ---------------------------------------------------------------------------
 # JSON dicts
-
-def field_to_json_dict(field: PlanarField) -> dict:
-    def val(x):
-        return str(x) if _symbolic(x) else float(x)
-
-    if isinstance(field, CubicCoupled):
-        return {"kind": "cubic_coupled", "k": val(field.k), "a": val(field.a), "b": val(field.b)}
-    if isinstance(field, CubicUncoupled):
-        return {
-            "kind": "cubic_uncoupled",
-            "a": val(field.a), "b": val(field.b), "c": val(field.c), "d": val(field.d),
-        }
-    return {
-        "kind": "poly",
-        "f1": [[i, j, c] for i, j, c in field.f1_coeffs],
-        "f2": [[i, j, c] for i, j, c in field.f2_coeffs],
-    }
-
 
 def field_from_json_dict(data: dict) -> PlanarField:
     """A field from its JSON dict.  Cubic parameters given as strings are

@@ -15,8 +15,8 @@ window becomes a dense n x n array.
 Matrix entries are computed in closed form from the coefficient table via
 the per-axis product rule for cosines, so the only floating-point error is
 the final summation; a quadrature route exists in the test suite as an
-independent oracle.  Multipliers convert to and from JSON dicts; rendering
-scan reports and reading and writing files is the driver's.
+independent oracle.  Multipliers are read from JSON dicts; rendering scan
+reports and reading and writing files is the driver's.
 """
 
 from __future__ import annotations
@@ -321,18 +321,6 @@ def sap_scan(
 
 # ---------------------------------------------------------------------------
 # JSON dicts
-
-def multiplier_to_json_dict(h: Multiplier) -> dict:
-    rows = [[*f, c] for f, c in sorted(h.coeffs.items())]
-    return {
-        "domain": {
-            "dim": h.domain.dim,
-            "sides": list(h.domain.sides),
-            "bc": h.domain.bc,
-        },
-        "coeffs": rows,
-    }
-
 
 def multiplier_from_json_dict(data: dict) -> Multiplier:
     try:

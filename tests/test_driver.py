@@ -235,6 +235,31 @@ class TestRun:
         with pytest.raises(NumericalFailure, match="JSON cannot hold"):
             render_report({"result": {"values": [1.0, x]}})
 
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_non_finite_float_in_a_table_or_csv_is_refused(self, x):
+        # tables and CSV columns are formatted a column at a time
+        with pytest.raises(NumericalFailure, match=f"is {x}, which JSON"):
+            render_report({"histogram": [[0.5, 1], [x, 2]]})
+        with pytest.raises(NumericalFailure, match=f"is {x}, which JSON"):
+            driver_mod._csv("lambda,multiplicity", ([0.5, x], [1, 2]))
+
+    def test_lists_render_as_indented_json(self):
+        # floats whose 17-digit text is also their shortest repr, so that
+        # json.dumps gives the same bytes
+        report = {
+            "table": [[0.5, 1], [-1.25, 2], [3.5, None]],
+            "ragged": [[0.5], [1, 2], []],
+            "empty_rows": [[], []],
+            "rows_of_lists": [[[1], [2]], [[3], [4]]],
+            "mixed": [True, False, None, "a\"b", 7, -0.75],
+            "records": [{"b": 1, "a": [0.5, 0.25]}, {}],
+            "labels": [["ab", "c"], ["d", "e"]],
+            "not_rows": [{"ab": 1}, [1]],
+            "empty": [],
+        }
+        text = render_report(report)
+        assert text == json.dumps(report, indent=1, sort_keys=True) + "\n"
+
 
 class TestCertificates:
     def test_anhim_empty_certificate_schema(self, tmp_path):
@@ -611,6 +636,25 @@ def test_non_finite_report_value_exits_3_and_writes_nothing(capsys, tmp_path):
         assert err == ("imhyp: numerical failure: a report value is inf, "
                        "which JSON cannot hold\n")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    "fixed-points --field prop34 --region 0,inf,0,1 --csv fixed.csv",
+    "lemma33 --field prop34 --region 0,inf,0,1",
+    "fixed-points --field poly.json --region -inf,1,0,1 --csv fixed.csv",
+])
+def test_infinite_region_exits_1_and_writes_nothing(capsys, tmp_path,
+                                                    monkeypatch, argv):
+    # refused by the region check before any search, not as an inf report value
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "poly.json").write_text(json.dumps(
+        {"kind": "poly", "f1": [[1, 0, 1.0], [3, 0, -1.0]], "f2": [[0, 1, -1.0]]}
+    ))
+    code, out, err = cli(capsys, *argv.split(), "--out", "r.json")
+    assert code == 1 and out == ""
+    assert err == ("imhyp: config error: region must be a nondegenerate finite "
+                   "box ((x0,x1),(y0,y1))\n")
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["poly.json"]
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -20,7 +20,8 @@ from imhyp import (
     weyl_fit,
 )
 import imhyp.lattice_spectrum as lattice_spectrum
-from imhyp.lattice_spectrum import _excluded_closed_form, spectrum_from_csv
+from imhyp.driver import run
+from imhyp.lattice_spectrum import _excluded_closed_form
 
 from oracles import brute_lattice_entries, three_squares_by_enumeration
 
@@ -138,30 +139,21 @@ class TestEnumerateSpectrum:
         with pytest.raises(ConfigError):
             enumerate_spectrum(BoxDomain(1), -1.0)
 
-    def test_csv_round_trip(self):
-        # the exact pi-cube at 103.5 ends at 102, below its cutoff
+    def test_csv_round_trip(self, tmp_path):
+        # spectrum --csv writes every entry at 17 digits, so the rows read
+        # back to the spectrum; the exact pi-cube at 103.5 ends at 102
+        path = tmp_path / "spec.csv"
         for domain, cutoff in ((BoxDomain(3), 103.5),
                                (BoxDomain(2, sides=(2.0, 2.7)), 60.0)):
-            spec = enumerate_spectrum(domain, cutoff)
-            text = spec.to_csv()
-            assert text.splitlines()[0] == "lambda,multiplicity"
-            back = spectrum_from_csv(text, cutoff=spec.cutoff, exact=spec.exact)
-            assert np.array_equal(back.eigenvalues, spec.eigenvalues)
-            assert np.array_equal(back.multiplicities, spec.multiplicities)
-            assert (back.cutoff, back.exact) == (cutoff, domain.is_pi_box)
-
-    def test_csv_cutoff_below_the_last_eigenvalue_refused(self):
-        text = enumerate_spectrum(BoxDomain(3), 103.5).to_csv()
-        assert text.splitlines()[-1].startswith("102,")
-        for cutoff in (101.5, float("nan")):
-            with pytest.raises(ConfigError, match="below the last CSV eigenvalue"):
-                spectrum_from_csv(text, cutoff=cutoff, exact=True)
-
-    @pytest.mark.parametrize("row", ["1,2,3", "1,x", "x,1", "1"])
-    def test_csv_malformed_row_is_a_config_error(self, row):
-        text = f"lambda,multiplicity\n0,1\n{row}\n"
-        with pytest.raises(ConfigError, match=f"line 3: {row!r}"):
-            spectrum_from_csv(text, cutoff=10.0, exact=True)
+            run({"command": "spectrum", "dim": domain.dim,
+                 "sides": list(domain.sides), "cutoff": cutoff,
+                 "csv": str(path)})
+            header, *rows = path.read_text().splitlines()
+            assert header == "lambda,multiplicity"
+            back = [(float(lam), int(m))
+                    for lam, m in (row.split(",") for row in rows)]
+            assert back == enumerate_spectrum(domain, cutoff).entries()
+            assert rows[-1].startswith("102,") == domain.is_pi_box
 
 
 class TestGapStats:

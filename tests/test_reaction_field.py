@@ -10,6 +10,7 @@ from imhyp.driver import run
 from imhyp.errors import ConfigError, HypothesisNotMet
 from imhyp.lattice_spectrum import BoxDomain
 from imhyp.stationary_spectrum import Linearization
+import imhyp.reaction_field as reaction_field
 from imhyp.reaction_field import (
     CubicCoupled,
     CubicUncoupled,
@@ -19,7 +20,6 @@ from imhyp.reaction_field import (
     delta_of,
     dissipativity_radius,
     field_from_json_dict,
-    field_to_json_dict,
     fixed_points,
     invariant_region_check,
     lemma33_check,
@@ -147,6 +147,22 @@ class TestFixedPoints:
     def test_degenerate_region_rejected(self):
         with pytest.raises(ConfigError):
             fixed_points(prop35_field(exact=False), region=((1.0, 1.0), (0.0, 1.0)))
+
+    @pytest.mark.parametrize("field, region", [
+        (CubicCoupled(k=1.0, a=7.0, b=0.5), ((0.0, math.inf), (0.0, 1.0))),
+        (GeneralPoly(f1_coeffs=((1, 0, 1.0),), f2_coeffs=((0, 1, 1.0),)),
+         ((-math.inf, 1.0), (0.0, 1.0))),
+        (prop35_field(exact=False), ((0.0, 1.0), (0.0, math.inf))),
+    ], ids=["closed-form", "newton", "y-bound"])
+    def test_infinite_region_refused_before_any_search(self, monkeypatch,
+                                                       field, region):
+        def no_search(*args):
+            raise AssertionError("searched an infinite region")
+
+        monkeypatch.setattr(reaction_field, "_closed_form_candidates", no_search)
+        monkeypatch.setattr(reaction_field, "_newton_candidates", no_search)
+        with pytest.raises(ConfigError, match="nondegenerate finite box"):
+            fixed_points(field, region=region)
 
 
 class TestDelta:
@@ -386,20 +402,29 @@ class TestDissipativityAndRegion:
 
 class TestSerialization:
     def test_round_trip_all_kinds(self):
-        fields = [
-            CubicCoupled(k=0.25, a=7.0, b=0.5),
-            prop35_field(exact=False),
-            prop35_field(exact=True),
-            GeneralPoly(f1_coeffs=((1, 0, 1.0), (3, 0, -1.0)), f2_coeffs=((0, 1, -2.0),)),
+        # JSON text of each kind reads back to the field it describes
+        cases = [
+            ({"kind": "cubic_coupled", "k": 0.25, "a": 7.0, "b": 0.5},
+             CubicCoupled(k=0.25, a=7.0, b=0.5)),
+            ({"kind": "cubic_uncoupled", "a": 2.0, "b": math.sqrt(3),
+              "c": math.sqrt(6), "d": math.sqrt(2)},
+             prop35_field(exact=False)),
+            ({"kind": "cubic_uncoupled", "a": "2", "b": "sqrt(3)",
+              "c": "sqrt(6)", "d": "sqrt(2)"},
+             prop35_field(exact=True)),
+            ({"kind": "poly", "f1": [[1, 0, 1.0], [3, 0, -1.0]],
+              "f2": [[0, 1, -2.0]]},
+             GeneralPoly(f1_coeffs=((1, 0, 1.0), (3, 0, -1.0)),
+                         f2_coeffs=((0, 1, -2.0),))),
         ]
-        for f in fields:
-            d = field_to_json_dict(f)
-            assert field_to_json_dict(field_from_json_dict(json.loads(json.dumps(d)))) == d
+        for data, field in cases:
+            assert field_from_json_dict(json.loads(json.dumps(data))) == field
 
     def test_symbolic_values_as_strings(self):
-        d = field_to_json_dict(prop35_field(exact=True))
-        assert d["b"] == "sqrt(3)"
-        f = field_from_json_dict(d)
+        f = field_from_json_dict({"kind": "cubic_uncoupled", "a": "2",
+                                  "b": "sqrt(3)", "c": "sqrt(6)",
+                                  "d": "sqrt(2)"})
+        assert isinstance(f.b, sym.Basic)
         assert sym.simplify(f.b - sym.sqrt(3)) == 0
 
     def test_one_number_makes_a_float_field(self):
