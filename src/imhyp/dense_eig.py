@@ -11,7 +11,9 @@ round-robin Jacobi (Brent & Luk, SIAM J. Sci. Stat. Comput. 6 (1985)): a
 sweep is n-1 steps, and each step applies n/2 disjoint rotations to every
 matrix of the stack at once.  Only blocks above 512x512 take power
 iteration on A*A instead.  No LAPACK routine is involved, so the numbers
-do not depend on the platform.  ``_eig2x2_float`` serves the field and
+do not depend on the platform.  Both iterations stop at module constants
+(JACOBI_TOL within JACOBI_MAX_SWEEPS, POWER_TOL within POWER_MAX_ITER), not
+at caller-chosen tolerances.  ``_eig2x2_float`` serves the field and
 certificate layers: closed-form 2x2 eigenvalues.
 """
 
@@ -111,7 +113,7 @@ def _padded(S: np.ndarray) -> np.ndarray:
     return M
 
 
-def _jacobi(M: np.ndarray, n: np.ndarray, tol: float, max_sweeps: int) -> np.ndarray:
+def _jacobi(M: np.ndarray, n: np.ndarray) -> np.ndarray:
     """Diagonal after convergence, shape (B, m), of a (B, m, m) stack of
     matrices of sizes n (B,) padded to the even size m; M is overwritten.
 
@@ -125,15 +127,15 @@ def _jacobi(M: np.ndarray, n: np.ndarray, tol: float, max_sweeps: int) -> np.nda
     scale = np.maximum(1.0, np.abs(M).reshape(B, -1).max(axis=1))
     nn = (n.astype(float) ** 2)[:, None]
     live = np.arange(B)
-    for sweep in range(max_sweeps + 1):
+    for sweep in range(JACOBI_MAX_SWEEPS + 1):
         off = _off(M)
-        done = off <= tol * scale[live]
+        done = off <= JACOBI_TOL * scale[live]
         if done.any():
             out[live[done]] = np.diagonal(M[done], axis1=1, axis2=2)
             M, live, off = M[~done], live[~done], off[~done]
             if not live.size:
                 return out
-        if sweep == max_sweeps:
+        if sweep == JACOBI_MAX_SWEEPS:
             break
         # threshold skipping: ignore tiny pivots during the first sweeps
         thresh = np.zeros((live.size, 1))
@@ -142,14 +144,12 @@ def _jacobi(M: np.ndarray, n: np.ndarray, tol: float, max_sweeps: int) -> np.nda
         for step in _round_robin(m):
             _rotate(M, step, thresh)
     raise NumericalFailure(
-        f"Jacobi sweep did not converge in {max_sweeps} sweeps "
+        f"Jacobi sweep did not converge in {JACOBI_MAX_SWEEPS} sweeps "
         f"(residual {off.max():.3e})"
     )
 
 
-def jacobi_eigenvalues(
-    A, tol: float = JACOBI_TOL, max_sweeps: int = JACOBI_MAX_SWEEPS
-) -> np.ndarray:
+def jacobi_eigenvalues(A) -> np.ndarray:
     """All eigenvalues of a symmetric matrix, or of each in a (B, n, n) stack,
     by round-robin Jacobi rotations.
 
@@ -160,14 +160,12 @@ def jacobi_eigenvalues(
     S = _check_symmetric(A)
     stack = S if S.ndim == 3 else S[None]
     n = stack.shape[-1]
-    diag = _jacobi(_padded(stack), np.full(len(stack), n), tol, max_sweeps)
+    diag = _jacobi(_padded(stack), np.full(len(stack), n))
     eigs = np.sort(diag[:, :n], axis=1)
     return eigs if S.ndim == 3 else eigs[0]
 
 
-def power_spectral_norm(
-    A, tol: float = POWER_TOL, max_iter: int = POWER_MAX_ITER, seed: int = 0
-) -> float:
+def power_spectral_norm(A) -> float:
     """Spectral norm of a symmetric matrix via power iteration on A @ A.
 
     A @ A is positive semidefinite with top eigenvalue ||A||^2, so the
@@ -178,22 +176,22 @@ def power_spectral_norm(
     if n == 0:
         return 0.0
     B = M @ M
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)  # a fixed start: the same norm every run
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
     prev = 0.0
-    for _ in range(max_iter):
+    for _ in range(POWER_MAX_ITER):
         w = B @ v
         norm = np.linalg.norm(w)
         if norm == 0.0:
             return 0.0
         v = w / norm
         est = float(v @ (B @ v))
-        if abs(est - prev) <= tol * max(1.0, est):
+        if abs(est - prev) <= POWER_TOL * max(1.0, est):
             return float(np.sqrt(max(est, 0.0)))
         prev = est
     raise NumericalFailure(
-        f"power iteration did not settle in {max_iter} steps"
+        f"power iteration did not settle in {POWER_MAX_ITER} steps"
     )
 
 
@@ -244,8 +242,7 @@ def edge_norms(matrices) -> np.ndarray:
         for parts in pending.values():
             diag = _jacobi(
                 np.concatenate([blocks for _, _, blocks in parts]),
-                np.concatenate([np.full(len(blocks), s) for _, s, blocks in parts]),
-                JACOBI_TOL, JACOBI_MAX_SWEEPS)
+                np.concatenate([np.full(len(blocks), s) for _, s, blocks in parts]))
             values.append(np.abs(diag).max(axis=1))
             owners.append(np.concatenate(
                 [np.full(len(blocks), k) for k, _, blocks in parts]))

@@ -38,7 +38,6 @@ from .lattice_spectrum import (
     weyl_fit,
 )
 from .reaction_field import (
-    DEDUPE_TOL,
     DEFAULT_REGION,
     CubicCoupled,
     delta_of,
@@ -57,8 +56,7 @@ from .spatial_averaging import (
     sap_scan,
 )
 from .stationary_spectrum import (
-    GAP_MIN_DEFAULT,
-    ZERO_TOL_DEFAULT,
+    GAP_MIN,
     Linearization,
     Witness,
     anhim_common_gamma,
@@ -601,11 +599,9 @@ def _run_weyl(p):
     return fit, verdict
 
 
-@_command("fixed-points", _FIELD, Param("region", "rect"),
-          Param("tol", "float", default=DEDUPE_TOL, positive=True), _CSV)
+@_command("fixed-points", _FIELD, Param("region", "rect"), _CSV)
 def _run_fixed_points(p):
-    analyses = fixed_points(_planar_field(p["field"]), region=_region(p),
-                            tol=p["tol"])
+    analyses = fixed_points(_planar_field(p["field"]), region=_region(p))
     points = [_analysis_row(a) for a in analyses]
     if p.get("csv"):
         _atomic_file(p["csv"], _csv(
@@ -628,11 +624,9 @@ def _run_delta(p):
     return _analysis_row(analysis), verdict
 
 
-@_command("lemma33", _FIELD, Param("region", "rect"),
-          Param("tol", "float", default=1e-6, positive=True))
+@_command("lemma33", _FIELD, Param("region", "rect"))
 def _run_lemma33(p):
-    check = lemma33_check(_planar_field(p["field"]), region=_region(p),
-                          tol=p["tol"])
+    check = lemma33_check(_planar_field(p["field"]), region=_region(p))
     result = {
         "ladder_found": check.verdict,
         "matches": {t: _analysis_row(a) for t, a in check.matches.items()},
@@ -645,11 +639,9 @@ def _run_lemma33(p):
     return result, verdict
 
 
-@_command("prop34", Param("tol", "float", default=1e-10, positive=True),
-          Param("bracket-lo", "float", default=7.0, positive=True),
-          Param("bracket-hi", "float", default=20.0, positive=True))
+@_command("prop34")
 def _run_prop34(p):
-    consts = solve_prop34(tol=p["tol"], bracket=(p["bracket-lo"], p["bracket-hi"]))
+    consts = solve_prop34()
     ok = consts.checklist.all_pass()
     verdict = (
         f"{'PASS' if ok else 'FAIL'}: a* = {consts.a_star:.17g}, "
@@ -702,12 +694,10 @@ def _run_region(p):
     return result, verdict
 
 
-@_command("index", *_DOMAIN, _NU, Param("jac", "jac", required=True),
-          _CUTOFF,
-          Param("zero-tol", "float", default=ZERO_TOL_DEFAULT, positive=True))
+@_command("index", *_DOMAIN, _NU, Param("jac", "jac", required=True), _CUTOFF)
 def _run_index(p):
     lin = Linearization(_build_domain(p), p["nu"], _jac_matrix(p["jac"]))
-    index, hyperbolic = unstable_index(lin, p["cutoff"], zero_tol=p["zero-tol"])
+    index, hyperbolic = unstable_index(lin, p["cutoff"])
     result = {"index": index, "hyperbolic": hyperbolic, "cutoff": p["cutoff"]}
     verdict = (
         f"unstable index {index} "
@@ -716,11 +706,10 @@ def _run_index(p):
     return result, verdict
 
 
-@_command("parity", *_EQUILIBRIA,
-          Param("zero-tol", "float", default=ZERO_TOL_DEFAULT, positive=True))
+@_command("parity", *_EQUILIBRIA)
 def _run_parity(p):
     lins = _linearizations(p, _build_domain(p))
-    report = parity_report(lins, p["cutoff"], zero_tol=p["zero-tol"])
+    report = parity_report(lins, p["cutoff"])
     result = {
         "entries": report.entries,
         "pairs": [
@@ -740,13 +729,11 @@ def _run_parity(p):
     return result, verdict
 
 
-@_command("profile", *_DOMAIN, _NU, Param("jac", "jac", required=True),
-          _CUTOFF,
-          Param("gap-min", "float", default=GAP_MIN_DEFAULT, positive=True))
+@_command("profile", *_DOMAIN, _NU, Param("jac", "jac", required=True), _CUTOFF)
 def _run_profile(p):
     lin = Linearization(_build_domain(p), p["nu"], _jac_matrix(p["jac"]))
     profile = count_profile(lin, p["cutoff"])
-    gaps = [Witness(*g) for g in profile.gaps_below_zero(p["gap-min"])]
+    gaps = [Witness(*g) for g in profile.gaps_below_zero()]
     verdict = (
         f"{len(profile.breakpoints)} breakpoints; "
         f"{len(gaps)} count plateaus below zero (certified above "
@@ -755,24 +742,26 @@ def _run_profile(p):
     return {**vars(profile), "gaps_below_zero": gaps}, verdict
 
 
-@_command("nhim-dims", *_EQUILIBRIA,
-          Param("gap-min", "float", default=GAP_MIN_DEFAULT, positive=True),
-          Param("max-dims", "int", default=25, positive=True), _CERT)
+# nhim-dims lists at most this many feasible dimensions per equilibrium
+_SHOWN_DIMS = 25
+
+
+@_command("nhim-dims", *_EQUILIBRIA, _CERT)
 def _run_nhim_dims(p):
     lins = _linearizations(p, _build_domain(p))
     if len(lins) == 1 and p.get("cert"):
         raise ConfigError("cert needs two or more equilibria")
-    cert = nhim_certificate(lins, p["cutoff"], gap_min=p["gap-min"])
+    cert = nhim_certificate(lins, p["cutoff"])
     per = []
     for lin, feas in zip(lins, cert.feasible):
         dims = sorted(feas.dims)
         per.append({
             "label": lin.label,
-            "dims": dims[: p["max-dims"]],
+            "dims": dims[:_SHOWN_DIMS],
             "dim_count": len(dims),
             "truncation_bound": feas.truncation_bound,
         })
-    result = {"equilibria": per, "gap_min": p["gap-min"]}
+    result = {"equilibria": per, "gap_min": GAP_MIN}
     if len(lins) == 1:
         shown = per[0]["dims"]
         verdict = (
@@ -938,10 +927,6 @@ def main(argv=None) -> int:
         return 0
     cmd = args[0]
     try:
-        if cmd not in RUNNERS:
-            close = difflib.get_close_matches(cmd, RUNNERS, n=1)
-            hint = f" (did you mean '{close[0]}'?)" if close else ""
-            raise ConfigError(f"unknown command {cmd!r}{hint}")
         config = _parse_cli(cmd, args[1:])
         # overflow ends in a non-finite report value (exit 3), not warnings
         with np.errstate(all="ignore"):

@@ -322,10 +322,8 @@ def jump_condition_scan(spectrum: Spectrum, query: JumpQuery) -> JumpScanResult:
     mu = 1.0 + query.nu * spectrum.eigenvalues
     ratios = np.diff(mu) / (mu[1:] ** query.theta + mu[:-1] ** query.theta)
     j = int(np.argmax(ratios))
-    cum = np.cumsum(spectrum.multiplicities)
-    best_n = int(cum[j])
     return JumpScanResult(
-        best_n=best_n,
+        best_n=int(spectrum._cum[j]),
         best_ratio=float(ratios[j]),
         satisfied=bool(ratios[j] > query.cconst * query.lip),
         best_pair=(float(mu[j]), float(mu[j + 1])),

@@ -12,6 +12,9 @@ symbolic parameters every fixed point, Jacobian and delta stays exact.
 sympy is imported only by the exact paths (the exact Prop. 3.5 field and
 field JSON with string values), so float work never loads it.  Fields are
 read from JSON dicts; rendering reports and file I/O are the driver's.
+The method's tolerances (DEDUPE_TOL, LADDER_TOL, PROP34_TOL on
+PROP34_BRACKET) are module constants, not parameters, so no caller can
+widen a ladder match or move the Prop. 3.4 bracket.
 
 Exact values stay canonical by ``expand`` and ``sqrtdenest``, not
 ``simplify``; signs come from sympy, or from a float where it cannot tell.
@@ -41,7 +44,14 @@ DELTA_RESIDUAL_CAP = 1e-8
 NEWTON_GRID = 33
 NEWTON_MAX_ITER = 50
 NEWTON_STEP_TOL = 1e-13
+# fixed points closer than this are one point
 DEDUPE_TOL = 1e-8
+# lemma33_check matches a gap to its target i when |delta - i| <= LADDER_TOL
+LADDER_TOL = 1e-6
+# solve_prop34 bisects middle_gap - 2 on this bracket, whose ends have
+# opposite signs, until |middle_gap - 2| <= PROP34_TOL
+PROP34_BRACKET = (7.0, 20.0)
+PROP34_TOL = 1e-10
 
 
 def _symbolic(*vals) -> bool:
@@ -317,21 +327,20 @@ def _newton_candidates(field: GeneralPoly, region: Region):
     ok = (
         (step < NEWTON_STEP_TOL * (1.0 + norm))
         & (resid <= RESIDUAL_SCALE * (1.0 + norm**3))
-        & (px >= x0 - 1e-9) & (px <= x1 + 1e-9)
-        & (py >= y0 - 1e-9) & (py <= y1 + 1e-9)
     )
     return [(float(x), float(y)) for x, y in zip(px[ok], py[ok])]
 
 
 def fixed_points(
-    field: PlanarField, region: Region = DEFAULT_REGION, tol: float = DEDUPE_TOL
+    field: PlanarField, region: Region = DEFAULT_REGION
 ) -> list[FixedPointAnalysis]:
-    """All fixed points of the field inside the region, analyzed and sorted.
+    """All fixed points of the field inside the region (with 1e-9 slack),
+    analyzed and sorted.
 
     The named cubic families are solved in closed form (complete root sets);
     general polynomial fields run damped-free Newton from a uniform
     33x33 seed grid, silently dropping non-converged seeds.  Points closer
-    than tol are merged.
+    than DEDUPE_TOL are merged.
     """
     (x0, x1), (y0, y1) = region
     # NaN fails the comparisons, and an infinite bound is refused before any search
@@ -342,18 +351,20 @@ def fixed_points(
     if isinstance(field, GeneralPoly):
         cands = _newton_candidates(field, region)
     else:
-        cands = [
-            p
-            for p in _closed_form_candidates(field)
-            if x0 - 1e-9 <= float(p[0]) <= x1 + 1e-9
-            and y0 - 1e-9 <= float(p[1]) <= y1 + 1e-9
-        ]
+        cands = _closed_form_candidates(field)
+    cands = [
+        p
+        for p in cands
+        if x0 - 1e-9 <= float(p[0]) <= x1 + 1e-9
+        and y0 - 1e-9 <= float(p[1]) <= y1 + 1e-9
+    ]
     cands.sort(key=lambda p: (float(p[0]), float(p[1])))
     kept = []
     kept_f = []
     for p in cands:
         pf = (float(p[0]), float(p[1]))
-        if any(math.hypot(pf[0] - q[0], pf[1] - q[1]) <= tol for q in kept_f):
+        if any(math.hypot(pf[0] - q[0], pf[1] - q[1]) <= DEDUPE_TOL
+               for q in kept_f):
             continue
         kept.append(p)
         kept_f.append(pf)
@@ -379,18 +390,19 @@ class Lemma33Result:
 
 
 def lemma33_check(
-    field: PlanarField, region: Region = DEFAULT_REGION, tol: float = 1e-6
+    field: PlanarField, region: Region = DEFAULT_REGION
 ) -> Lemma33Result:
     """Look for four distinct fixed points whose real-part gaps hit 0,1,2,3.
 
     Existence of such a ladder rules out a normally hyperbolic inertial
     manifold for the associated reaction-diffusion system.  Matching is by
-    |delta(p) - i| <= tol with points distinct at distance >= 1e-6.
+    |delta(p) - i| <= LADDER_TOL with points distinct at distance >= 1e-6.
     """
     analyses = fixed_points(field, region)
     slots = []
     for i in range(4):
-        slots.append([an for an in analyses if abs(an.delta_float - i) <= tol])
+        slots.append([an for an in analyses
+                      if abs(an.delta_float - i) <= LADDER_TOL])
 
     def assign(i, used):
         if i == 4:
@@ -446,52 +458,28 @@ class Prop34Constants:
     deltas: tuple
 
 
-def solve_prop34(
-    tol: float = 1e-10, bracket: tuple[float, float] = (7.0, 20.0)
-) -> Prop34Constants:
+def solve_prop34() -> Prop34Constants:
     """Tune the coupled cubic family so its four gaps are exactly 0,1,2,3.
 
     With k = a/(3a-1) and b = a/(6a-3) the outer gaps are pinned at 1 and 3;
-    bisection drives the middle gap to 2.  Returns the solved constants plus
-    the verification checklist (ordering, dissipativity radius, containment
-    of the four points in [0,1]x[0,sqrt(6)] and in the sqrt(7) disk).
+    bisection on PROP34_BRACKET drives the middle gap to 2 within
+    PROP34_TOL.  Returns the solved constants plus the verification
+    checklist (ordering, dissipativity radius, containment of the four
+    points in [0,1]x[0,sqrt(6)] and in the sqrt(7) disk).
     """
-    if tol <= 0:
-        raise ConfigError("tol must be positive")
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not 0.5 < lo < hi:
-        raise ConfigError(
-            f"bracket [{lo}, {hi}] must be ordered and lie above a = 1/2, "
-            "where k and b are positive"
-        )
-    flo, fhi = middle_gap(lo) - 2.0, middle_gap(hi) - 2.0
-    if flo == 0.0:
-        lo_mid = lo
-    elif fhi == 0.0:
-        lo_mid = hi
-    elif flo * fhi > 0:
-        raise ConfigError(
-            f"no sign change on bracket [{lo}, {hi}]: phi-2 is "
-            f"{flo:.6g} and {fhi:.6g} at the ends"
-        )
-    else:
-        lo_mid = None
-    if lo_mid is None:
-        mid = 0.5 * (lo + hi)
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            fmid = middle_gap(mid) - 2.0
-            if abs(fmid) <= tol:
-                break
-            if flo * fmid <= 0:
-                hi = mid
-            else:
-                lo, flo = mid, fmid
+    lo, hi = PROP34_BRACKET
+    flo = middle_gap(lo) - 2.0
+    for _ in range(200):
+        a_star = 0.5 * (lo + hi)
+        fmid = middle_gap(a_star) - 2.0
+        if abs(fmid) <= PROP34_TOL:
+            break
+        if flo * fmid <= 0:
+            hi = a_star
         else:
-            raise NumericalFailure("bisection failed to reach the requested tolerance")
-        a_star = mid
+            lo, flo = a_star, fmid
     else:
-        a_star = lo_mid
+        raise NumericalFailure("bisection failed to reach the requested tolerance")
 
     k, b = coupled_ladder_params(a_star)
     field = CubicCoupled(k=k, a=a_star, b=b)

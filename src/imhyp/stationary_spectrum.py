@@ -6,7 +6,10 @@ reaction Jacobian at p and lambda_n runs over the box spectrum.  This module
 computes those spectra up to a cutoff, unstable indices and their parities,
 step profiles of the counting function gamma -> dim Y(p, gamma), and gap
 certificates that obstruct normally hyperbolic / absolutely normally
-hyperbolic inertial manifolds up to the cutoff.
+hyperbolic inertial manifolds up to the cutoff.  The two thresholds, ZERO_TOL
+for a real part counted as zero and GAP_MIN for the narrowest admitted gap,
+are module constants read at each call, not parameters: no caller can loosen
+an index or a certificate.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ from .dense_eig import _eig2x2_float
 from .errors import ConfigError, HypothesisNotMet, PreconditionError
 from .lattice_spectrum import BoxDomain, Spectrum, _merge_close, enumerate_spectrum
 
-ZERO_TOL_DEFAULT = 1e-9
-GAP_MIN_DEFAULT = 1e-6
+ZERO_TOL = 1e-9
+GAP_MIN = 1e-6
 CAVEAT_TEXT = "valid up to cutoff"
 
 
@@ -96,10 +99,8 @@ def operator_spectrum(lin: Linearization, cutoff: float) -> list[tuple[float, in
     return [(float(v), int(w)) for v, w in zip(vals, ws)]
 
 
-def _require_index_cutoff(lin: Linearization, cutoff: float, zero_tol: float) -> None:
-    if zero_tol < 0:
-        raise ConfigError("zero_tol must be nonnegative")
-    need = (lin.xi_max + zero_tol) / lin.nu
+def _require_index_cutoff(lin: Linearization, cutoff: float) -> None:
+    need = (lin.xi_max + ZERO_TOL) / lin.nu
     if cutoff <= need:
         raise PreconditionError(
             f"cutoff {cutoff} too small to certify the unstable index: "
@@ -107,23 +108,21 @@ def _require_index_cutoff(lin: Linearization, cutoff: float, zero_tol: float) ->
         )
 
 
-def _index(lin: Linearization, spec: Spectrum, zero_tol: float) -> tuple[int, bool]:
+def _index(lin: Linearization, spec: Spectrum) -> tuple[int, bool]:
     vals, ws = _operator_parts(lin, spec)
-    index = int(ws[vals > zero_tol].sum())
-    hyperbolic = not np.any(np.abs(vals) <= zero_tol)
+    index = int(ws[vals > ZERO_TOL].sum())
+    hyperbolic = not np.any(np.abs(vals) <= ZERO_TOL)
     return index, hyperbolic
 
 
-def unstable_index(
-    lin: Linearization, cutoff: float, zero_tol: float = ZERO_TOL_DEFAULT
-) -> tuple[int, bool]:
-    """Number of spectrum real parts above zero_tol, plus hyperbolicity.
+def unstable_index(lin: Linearization, cutoff: float) -> tuple[int, bool]:
+    """Number of spectrum real parts above ZERO_TOL, plus hyperbolicity.
 
     Demands a cutoff high enough that no positive part can be truncated:
-    xi_max - nu*cutoff < -zero_tol.
+    xi_max - nu*cutoff < -ZERO_TOL.
     """
-    _require_index_cutoff(lin, cutoff, zero_tol)
-    return _index(lin, enumerate_spectrum(lin.domain, cutoff), zero_tol)
+    _require_index_cutoff(lin, cutoff)
+    return _index(lin, enumerate_spectrum(lin.domain, cutoff))
 
 
 @dataclass(frozen=True)
@@ -172,9 +171,7 @@ def _labels(lins) -> list[str]:
     return [lin.label or f"eq{i}" for i, lin in enumerate(lins)]
 
 
-def parity_report(
-    lins, cutoff: float, zero_tol: float = ZERO_TOL_DEFAULT
-) -> ParityReport:
+def parity_report(lins, cutoff: float) -> ParityReport:
     """Unstable indices for a family of equilibria and their pairwise parity.
 
     Non-hyperbolic equilibria are flagged and left out of the pair table.
@@ -186,10 +183,10 @@ def parity_report(
     entries = []
     spec = None
     for lin, label in zip(lins, labels):
-        _require_index_cutoff(lin, cutoff, zero_tol)
+        _require_index_cutoff(lin, cutoff)
         if spec is None:  # after the first check: errors come as from unstable_index
             spec = enumerate_spectrum(lin.domain, cutoff)
-        l, hyp = _index(lin, spec, zero_tol)
+        l, hyp = _index(lin, spec)
         entries.append(IndexEntry(label=label, index=l, hyperbolic=hyp))
     usable = [e for e in entries if e.hyperbolic]
     pairs = [
@@ -234,15 +231,16 @@ class ModeCountProfile:
         idx = np.searchsorted(-self.breakpoints, -np.asarray(gammas), side="right")
         return np.concatenate(([0], self.counts))[idx]
 
-    def gaps_below_zero(self, gap_min: float):
-        """Open spectral gaps intersected with (valid_above, 0), as
-        (lo, hi, count-above) triples; includes the semi-infinite top gap."""
+    def gaps_below_zero(self):
+        """Open spectral gaps at least GAP_MIN wide intersected with
+        (valid_above, 0), as (lo, hi, count-above) triples; includes the
+        semi-infinite top gap."""
         bp = self.breakpoints
         out = [(float(bp[0]), 0.0, 0)] if bp.size and bp[0] < 0.0 else []
         # gap i is (bp[i+1], bp[i]); np.where keeps max/min's pick of signed zeros
         lo = np.where(self.valid_above > bp[1:], self.valid_above, bp[1:])
         cap = np.where(bp[:-1] > 0.0, 0.0, bp[:-1])
-        keep = ~(bp[:-1] - lo < gap_min) & (cap > lo)
+        keep = ~(bp[:-1] - lo < GAP_MIN) & (cap > lo)
         rows = zip(lo[keep].tolist(), cap[keep].tolist(), self.counts[:-1][keep])
         return out + [(l, c, int(n)) for l, c, n in rows]
 
@@ -270,7 +268,6 @@ class FeasibleDims:
 
     dims: frozenset
     cutoff: float
-    gap_min: float
     truncation_bound: float
     gaps: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -284,35 +281,26 @@ class FeasibleDims:
         return len(self.dims)
 
 
-def _require_gap_min(gap_min: float) -> None:
-    if gap_min <= 0:
-        raise ConfigError("gap_min must be positive")
-
-
-def _feasible(lin: Linearization, spec: Spectrum, gap_min: float) -> FeasibleDims:
+def _feasible(lin: Linearization, spec: Spectrum) -> FeasibleDims:
     profile = _profile(lin, spec)
-    gaps = {n: (lo, hi) for lo, hi, n in profile.gaps_below_zero(gap_min)}
+    gaps = {n: (lo, hi) for lo, hi, n in profile.gaps_below_zero()}
     return FeasibleDims(
         dims=frozenset(gaps),
         cutoff=spec.cutoff,
-        gap_min=float(gap_min),
         truncation_bound=profile.valid_above,
         gaps=gaps,
     )
 
 
-def nhim_feasible_dims(
-    lin: Linearization, cutoff: float, gap_min: float = GAP_MIN_DEFAULT
-) -> FeasibleDims:
-    """Dimensions cut off by some gamma < 0 inside a gap of width >= gap_min.
+def nhim_feasible_dims(lin: Linearization, cutoff: float) -> FeasibleDims:
+    """Dimensions cut off by some gamma < 0 inside a gap of width >= GAP_MIN.
 
     n = 0 enters through the semi-infinite gap above the top real part when
     that part is negative.  Truncated at the cutoff; the certified floor is
     reported as truncation_bound.
     """
-    _require_gap_min(gap_min)
     _require_certified_range([lin], cutoff)
-    return _feasible(lin, enumerate_spectrum(lin.domain, cutoff), gap_min)
+    return _feasible(lin, enumerate_spectrum(lin.domain, cutoff))
 
 
 @dataclass(frozen=True)
@@ -391,9 +379,7 @@ def anhim_common_gamma(lins, cutoff: float) -> ObstructionCertificate:
     )
 
 
-def nhim_certificate(
-    lins, cutoff: float, gap_min: float = GAP_MIN_DEFAULT
-) -> ObstructionCertificate:
+def nhim_certificate(lins, cutoff: float) -> ObstructionCertificate:
     """Intersect per-equilibrium feasible dimensions (gamma may differ).
 
     The box spectrum is enumerated once for the family, and the
@@ -404,11 +390,10 @@ def nhim_certificate(
     first equilibrium's gap (the cuts need not share a gamma).
     """
     _shared_domain(lins)
-    _require_gap_min(gap_min)
     _require_certified_range(lins, cutoff)
     labels = tuple(_labels(lins))
     spec = enumerate_spectrum(lins[0].domain, cutoff)
-    feasible = tuple(_feasible(lin, spec, gap_min) for lin in lins)
+    feasible = tuple(_feasible(lin, spec) for lin in lins)
     common = frozenset.intersection(*(f.dims for f in feasible))
     witnesses = []
     for m in sorted(common):

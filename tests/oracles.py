@@ -131,19 +131,41 @@ def sturm_eigenvalues(A, tol=1e-12):
     return 0.5 * (lo + hi)
 
 
+def window_modes_by_loops(domain, lam, k):
+    """Index vectors of a Neumann (nonnegative) or periodic (signed) box with
+    eigenvalue sum_j (l_j/a_j)^2 in (lam-k, lam+k], by nested loops, sorted
+    by (eigenvalue, index vector).  Each eigenvalue is summed in axis order
+    from squared quotients, so ties break as in any correctly rounded sum."""
+    lo, hi = lam - k, lam + k
+    if hi < 0:
+        return []
+    scales = domain.axis_scales
+    ranges = []
+    for a in scales:
+        top = int(math.floor(a * math.sqrt(hi))) + 1
+        ranges.append(range(0 if domain.bc == "neumann" else -top, top + 1))
+    found = []
+    for ls in itertools.product(*ranges):
+        val = 0.0
+        for l, a in zip(ls, scales):
+            q = l / a
+            val += q * q
+        if lo < val <= hi:
+            found.append((val, ls))
+    return [ls for _, ls in sorted(found)]
+
+
 def quadrature_windowed_matrix(h, lam, k):
     """Windowed multiplier compression by trapezoid/torus quadrature.
 
     Independent of the closed-form product-rule path: mode functions and the
     multiplier are evaluated on a tensor grid dense enough to integrate the
-    band-limited integrands exactly.
+    band-limited integrands exactly, over the modes of window_modes_by_loops.
     """
-    from imhyp.spatial_averaging import window_modes
-
     domain = h.domain
     dim = domain.dim
     scales = domain.axis_scales
-    modes = window_modes(domain, lam, k)
+    modes = window_modes_by_loops(domain, lam, k)
     if not modes:
         return np.zeros((0, 0))
     F = max([max(abs(i) for i in m) for m in h.coeffs], default=0)

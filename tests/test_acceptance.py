@@ -20,7 +20,12 @@ from imhyp.lattice_spectrum import (
     three_square_gap_audit,
     weyl_fit,
 )
-from imhyp.reaction_field import middle_gap, solve_prop34, verify_prop35
+from imhyp.reaction_field import (
+    PROP34_BRACKET,
+    middle_gap,
+    solve_prop34,
+    verify_prop35,
+)
 from imhyp.spatial_averaging import (
     Multiplier,
     h2_norm,
@@ -30,6 +35,7 @@ from imhyp.spatial_averaging import (
     windowed_norm,
 )
 from imhyp.stationary_spectrum import (
+    ZERO_TOL,
     Linearization,
     anhim_common_gamma,
     count_profile,
@@ -96,7 +102,8 @@ def test_c3_tuned_parameter_pipeline():
     assert checklist.r0sq_lt_12
     assert checklist.points_in_Dc
     assert checklist.points_norm_le_sqrt7
-    assert middle_gap(7.0) < 2.0
+    lo, hi = PROP34_BRACKET  # the bisection needs a sign change on it
+    assert middle_gap(lo) < 2.0 < middle_gap(hi)
     assert abs(middle_gap(1.0e6) - 4.0) < 0.01
 
 
@@ -196,8 +203,7 @@ def test_c7_growth_exponents():
 
 def test_c8_mode_count_consistency():
     rng = np.random.default_rng(8)
-    zero_tol = 1e-9
-    gamma0 = math.nextafter(zero_tol, math.inf)
+    gamma0 = math.nextafter(ZERO_TOL, math.inf)
     for _ in range(50):
         nu = float(rng.uniform(0.2, 3.0))
         if rng.integers(0, 2):
@@ -205,9 +211,9 @@ def test_c8_mode_count_consistency():
         else:
             jac = rng.normal(size=(2, 2)) * 2.0
         lin = Linearization(CUBE, nu, jac)
-        cutoff = float((lin.xi_max + zero_tol) / nu + rng.uniform(5.0, 40.0))
+        cutoff = float((lin.xi_max + ZERO_TOL) / nu + rng.uniform(5.0, 40.0))
 
-        index, _hyperbolic = unstable_index(lin, cutoff, zero_tol=zero_tol)
+        index, _hyperbolic = unstable_index(lin, cutoff)
         profile = count_profile(lin, cutoff)
         assert index == profile.dim_at(gamma0)
 

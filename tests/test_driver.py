@@ -169,6 +169,25 @@ class TestCommandKeys:
         assert err.startswith(f"imhyp: config error: unknown key '{key}'")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv, key", [
+        ("lemma33 --field f.json --tol 1", "tol"),
+        ("nhim-dims --field cubic-scalar --nu 0.5 --cutoff 60 --gap-min 1e9",
+         "gap-min"),
+        ("prop34 --tol 1", "tol"),
+        ("fixed-points --field prop34 --tol 5", "tol"),
+        ("index --nu 1 --jac 1 --cutoff 500 --zero-tol 1.5", "zero-tol"),
+    ])
+    def test_no_key_loosens_a_tolerance(self, capsys, tmp_path, monkeypatch,
+                                        argv, key):
+        # each of these keys once turned a failed check into a pass, exit 0
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "f.json").write_text(json.dumps(
+            {"kind": "cubic_coupled", "k": 1, "a": 3, "b": 2}))
+        code, out, err = cli(capsys, *argv.split())
+        assert code == 1 and out == ""
+        assert err.startswith(f"imhyp: config error: unknown key '{key}'")
+        assert err.count("\n") == 1
+
     def test_nhim_dims_cert_needs_two_equilibria(self, capsys, tmp_path):
         cert = tmp_path / "one.json"
         code, out, err = cli(capsys, "nhim-dims", "--jacs", "-1", "--nu", "1",
@@ -396,6 +415,11 @@ class TestMainExitCodes:
         code, _, err = cli(capsys, "spectrun")
         assert code == 1
         assert "did you mean 'spectrum'" in err
+        code, out, err = cli(capsys, "gapz", "--cutoff", "30")
+        assert code == 1 and out == ""
+        assert err == (
+            "imhyp: config error: unknown command 'gapz' (did you mean 'gaps'?)\n"
+        )
 
     def test_hypothesis_not_met(self, capsys):
         code, _, err = cli(

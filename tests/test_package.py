@@ -47,3 +47,15 @@ def test_only_the_driver_opens_files_or_imports_json():
                 if (node.module or "").split(".")[0] == "json":
                     found.append(f"{path.name}:{node.lineno} imports json")
     assert found == []
+
+
+def test_oracles_import_nothing_from_imhyp():
+    # a reference that shares code with the library cannot catch its faults
+    path = pathlib.Path(__file__).parent / "oracles.py"
+    imported = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append(node.module or "")
+    assert imported and not [m for m in imported if m.split(".")[0] == "imhyp"]

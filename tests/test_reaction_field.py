@@ -274,10 +274,6 @@ class TestProp34:
         c = solve_prop34()
         assert abs(c.a_star - 10.331851412425749) < 1e-6
 
-    def test_bad_bracket(self):
-        with pytest.raises(ConfigError, match="sign change"):
-            solve_prop34(bracket=(7.0, 9.0))
-
     def test_checklist_geometry(self):
         c = solve_prop34()
         assert c.a_star >= 1.0 + 1.0 / c.b >= c.b

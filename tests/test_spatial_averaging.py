@@ -23,7 +23,11 @@ from imhyp.spatial_averaging import (
 import imhyp.dense_eig as dense_eig
 import imhyp.lattice_spectrum as lattice_spectrum
 import imhyp.spatial_averaging as spatial_averaging
-from oracles import quadrature_windowed_matrix, sturm_eigenvalues
+from oracles import (
+    quadrature_windowed_matrix,
+    sturm_eigenvalues,
+    window_modes_by_loops,
+)
 
 CUBE = BoxDomain(dim=3)
 TORUS2 = BoxDomain(dim=2, bc="periodic")
@@ -162,6 +166,16 @@ class TestH2Norm:
 
 
 class TestWindowModes:
+    @pytest.mark.parametrize("domain, lam, k", [
+        (CUBE, 30.0, 4.0),
+        (TORUS2, 25.0, 6.0),
+        (BoxDomain(dim=2, sides=(2.3, 3.7)), 120.0, 10.0),
+    ])
+    def test_matches_nested_loops(self, domain, lam, k):
+        want = window_modes_by_loops(domain, lam, k)
+        assert len(want) > 10
+        assert window_modes(domain, lam, k) == want
+
     def test_frozen_window_and_ordering(self):
         # eigenvalues 4 and 5 lie in (3.5, 5.5]; sorted by eigenvalue then lex
         assert window_modes(CUBE, 4.5, 1.0) == [

@@ -5,8 +5,11 @@ import pytest
 
 from imhyp.driver import run
 from imhyp.errors import ConfigError, HypothesisNotMet, PreconditionError
+from imhyp import stationary_spectrum
 from imhyp.lattice_spectrum import BoxDomain, enumerate_spectrum
 from imhyp.stationary_spectrum import (
+    GAP_MIN,
+    ZERO_TOL,
     FeasibleDims,
     Linearization,
     ModeCountProfile,
@@ -143,10 +146,9 @@ class TestUnstableIndex:
                 nu=float(rng.uniform(0.4, 1.7)),
                 jac=rng.normal(size=(2, 2)),
             )
-            zero_tol = 1e-9
-            l, _ = unstable_index(lin, 50.0, zero_tol)
+            l, _ = unstable_index(lin, 50.0)
             prof = count_profile(lin, 50.0)
-            assert l == prof.dim_at(float(np.nextafter(zero_tol, np.inf)))
+            assert l == prof.dim_at(float(np.nextafter(ZERO_TOL, np.inf)))
 
 
 class TestParityReport:
@@ -235,7 +237,7 @@ def gaps_below_zero_by_loop(prof, gap_min):
 
 
 class TestGapsBelowZero:
-    def test_matches_the_loop_on_random_profiles(self):
+    def test_matches_the_loop_on_random_profiles(self, monkeypatch):
         rng = np.random.default_rng(11)
         seen_top = seen_clipped = 0
         for trial in range(300):
@@ -249,10 +251,11 @@ class TestGapsBelowZero:
                 vals = np.where(vals == 0.0, -0.0, vals)
                 valid_above = -0.0 if valid_above == 0.0 else valid_above
             prof = ModeCountProfile(vals, counts, 100.0, valid_above)
-            for gap_min in (1e-6, scale, 2.5 * scale):
+            for gap_min in (GAP_MIN, scale, 2.5 * scale):
                 want = gaps_below_zero_by_loop(prof, gap_min)
+                monkeypatch.setattr(stationary_spectrum, "GAP_MIN", gap_min)
                 # repr tells -0.0 from 0.0, 3 from 3.0 and numpy from Python types
-                assert repr(prof.gaps_below_zero(gap_min)) == repr(want)
+                assert repr(prof.gaps_below_zero()) == repr(want)
             seen_top += bool(vals.size) and vals[0] < 0.0
             seen_clipped += any(lo == valid_above for lo, _, _ in want)
         assert seen_top > 10 and seen_clipped > 10
@@ -269,13 +272,10 @@ class TestFeasibleDims:
         assert dims[:5] == [7, 8, 11, 17, 20]
         assert 0 not in fd and 1 not in fd and 4 not in fd
 
-    def test_huge_gap_min_empty(self):
-        fd = nhim_feasible_dims(scalar_lin(0.5, 1.0), 60.0, gap_min=1e9)
+    def test_huge_gap_min_empty(self, monkeypatch):
+        monkeypatch.setattr(stationary_spectrum, "GAP_MIN", 1e9)
+        fd = nhim_feasible_dims(scalar_lin(0.5, 1.0), 60.0)
         assert len(fd) == 0
-
-    def test_gap_min_positive(self):
-        with pytest.raises(ConfigError):
-            nhim_feasible_dims(scalar_lin(0.5, 1.0), 60.0, gap_min=0.0)
 
 
 class TestAnhimCommonGamma:
@@ -311,12 +311,13 @@ class TestAnhimCommonGamma:
                     (p.breakpoints > w.gamma_lo) & (p.breakpoints < w.gamma_hi)
                 )
 
-    def test_identical_pair_witnesses_every_gap(self):
+    def test_identical_pair_witnesses_every_gap(self, monkeypatch):
         lin = scalar_lin(1.0, -2.0, "p")
         cert = anhim_common_gamma([lin, lin], 30.0)
         prof = count_profile(lin, 30.0)
         assert not cert.empty
-        assert len(cert.witnesses) == len(prof.gaps_below_zero(0.0))
+        monkeypatch.setattr(stationary_spectrum, "GAP_MIN", 0.0)
+        assert len(cert.witnesses) == len(prof.gaps_below_zero())
 
     def test_small_shift_still_admits_witness(self):
         # a shift smaller than every gap leaves room for a common cut inside
@@ -361,7 +362,7 @@ class TestNhimCertificate:
         # per-equilibrium gamma intervals need not intersect; the reported
         # one must at least be a genuine gap of the first profile
         prof = count_profile(bistable_family(0.5)[0], 60.0)
-        gaps = {(lo, hi) for lo, hi, _ in prof.gaps_below_zero(1e-6)}
+        gaps = {(lo, hi) for lo, hi, _ in prof.gaps_below_zero()}
         assert (cert.result.gamma_lo, cert.result.gamma_hi) in gaps
 
     def test_disjoint_dims_empty(self):
@@ -378,22 +379,18 @@ class TestNhimCertificate:
                       "labels": "a,b", "nu": 0.5, "cutoff": 20})
         assert report["result"]["certificate"]["result"] == "empty"
 
-    def test_gap_min_positive(self):
-        for gap_min in (0.0, -1.0):
-            with pytest.raises(ConfigError, match="gap_min must be positive"):
-                nhim_certificate(bistable_family(0.5), 60.0, gap_min=gap_min)
-
-    def test_carries_each_equilibriums_feasible_dims(self):
+    def test_carries_each_equilibriums_feasible_dims(self, monkeypatch):
+        monkeypatch.setattr(stationary_spectrum, "GAP_MIN", 1e-3)
         lins = bistable_family(0.5)
-        cert = nhim_certificate(lins, 60.0, gap_min=1e-3)
+        cert = nhim_certificate(lins, 60.0)
         assert len(cert.feasible) == len(lins)
         for lin, feas in zip(lins, cert.feasible):
-            alone = nhim_feasible_dims(lin, 60.0, gap_min=1e-3)
+            alone = nhim_feasible_dims(lin, 60.0)
             assert feas == alone
             assert feas.gaps == alone.gaps
             prof = count_profile(lin, 60.0)
             assert feas.gaps == {
-                n: (lo, hi) for lo, hi, n in prof.gaps_below_zero(1e-3)
+                n: (lo, hi) for lo, hi, n in prof.gaps_below_zero()
             }
 
 
