@@ -134,8 +134,9 @@ def sturm_eigenvalues(A, tol=1e-12):
 def window_modes_by_loops(domain, lam, k):
     """Index vectors of a Neumann (nonnegative) or periodic (signed) box with
     eigenvalue sum_j (l_j/a_j)^2 in (lam-k, lam+k], by nested loops, sorted
-    by (eigenvalue, index vector).  Each eigenvalue is summed in axis order
-    from squared quotients, so ties break as in any correctly rounded sum."""
+    by (eigenvalue, index vector).  Each eigenvalue sums the squares of the
+    quotients l_j/a_j in axis order, so equal sums compare equal and the
+    index vector breaks the tie."""
     lo, hi = lam - k, lam + k
     if hi < 0:
         return []
