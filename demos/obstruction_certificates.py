@@ -54,12 +54,13 @@ print(f"  counts certified above gamma = {prof.valid_above}")
 for g in (-0.25, -1.5, -5.0):
     print(f"  dim_at({g}) = {prof.dim_at(g)}")
 
-from imhyp import nhim_feasible_dims
-
+# a dimension n is feasible at an equilibrium when some gamma < 0 in a
+# spectral gap has exactly n modes above it: the n of its gaps below zero
 print("\nper-equilibrium feasible dimensions, cutoff 60")
 for lin in bistable(0.5):
-    fd = nhim_feasible_dims(lin, 60.0)
-    print(f"  at {lin.label:2s}: first dims {sorted(fd.dims)[:6]} (truncation bound {fd.truncation_bound:g})")
+    prof = count_profile(lin, 60.0)
+    dims = [w.n for w in prof.gaps_below_zero()]
+    print(f"  at {lin.label:2s}: first dims {dims[:6]} (truncation bound {prof.valid_above:g})")
 
 # intersecting the three feasible sets gives the strict-gap certificate
 from imhyp import nhim_certificate

@@ -65,7 +65,6 @@ from .reaction_field import (
     verify_prop35,
 )
 from .stationary_spectrum import (
-    FeasibleDims,
     IndexEntry,
     Linearization,
     ModeCountProfile,
@@ -77,7 +76,6 @@ from .stationary_spectrum import (
     count_profile,
     lemma41_threshold,
     nhim_certificate,
-    nhim_feasible_dims,
     operator_spectrum,
     parity_report,
     unstable_index,

@@ -58,7 +58,6 @@ from .spatial_averaging import (
 from .stationary_spectrum import (
     GAP_MIN,
     Linearization,
-    Witness,
     anhim_common_gamma,
     count_profile,
     lemma41_threshold,
@@ -733,7 +732,7 @@ def _run_parity(p):
 def _run_profile(p):
     lin = Linearization(_build_domain(p), p["nu"], _jac_matrix(p["jac"]))
     profile = count_profile(lin, p["cutoff"])
-    gaps = [Witness(*g) for g in profile.gaps_below_zero()]
+    gaps = profile.gaps_below_zero()
     verdict = (
         f"{len(profile.breakpoints)} breakpoints; "
         f"{len(gaps)} count plateaus below zero (certified above "
@@ -753,13 +752,13 @@ def _run_nhim_dims(p):
         raise ConfigError("cert needs two or more equilibria")
     cert = nhim_certificate(lins, p["cutoff"])
     per = []
-    for lin, feas in zip(lins, cert.feasible):
-        dims = sorted(feas.dims)
+    for lin, profile in zip(lins, cert.profiles):
+        dims = [w.n for w in profile.gaps_below_zero()]  # ascending
         per.append({
             "label": lin.label,
             "dims": dims[:_SHOWN_DIMS],
             "dim_count": len(dims),
-            "truncation_bound": feas.truncation_bound,
+            "truncation_bound": profile.valid_above,
         })
     result = {"equilibria": per, "gap_min": GAP_MIN}
     if len(lins) == 1:

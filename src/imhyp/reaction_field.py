@@ -13,8 +13,8 @@ sympy is imported only by the exact paths (the exact Prop. 3.5 field and
 field JSON with string values), so float work never loads it.  Fields are
 read from JSON dicts; rendering reports and file I/O are the driver's.
 The method's tolerances (DEDUPE_TOL, LADDER_TOL, PROP34_TOL on
-PROP34_BRACKET) are module constants, not parameters, so no caller can
-widen a ladder match or move the Prop. 3.4 bracket.
+PROP34_BRACKET, PROP35_LADDER_TOL) are module constants, not parameters, so
+no caller can widen a ladder match or move the Prop. 3.4 bracket.
 
 Exact values stay canonical by ``expand`` and ``sqrtdenest``, not
 ``simplify``; signs come from sympy, or from a float where it cannot tell.
@@ -52,6 +52,8 @@ LADDER_TOL = 1e-6
 # opposite signs, until |middle_gap - 2| <= PROP34_TOL
 PROP34_BRACKET = (7.0, 20.0)
 PROP34_TOL = 1e-10
+# Prop35Report.ladder_ok holds when every |delta_i - i| <= PROP35_LADDER_TOL
+PROP35_LADDER_TOL = 1e-12
 
 
 def _symbolic(*vals) -> bool:
@@ -528,8 +530,8 @@ class Prop35Report:
     deltas: tuple
     delta_errors: tuple
 
-    def ladder_ok(self, tol: float = 1e-12) -> bool:
-        return all(err <= tol for err in self.delta_errors)
+    def ladder_ok(self) -> bool:
+        return all(err <= PROP35_LADDER_TOL for err in self.delta_errors)
 
 
 def verify_prop35(exact: bool = True) -> Prop35Report:

@@ -112,10 +112,11 @@ def h2_norm(h: Multiplier) -> float:
     """
     vol = _volume(h.domain)
     total = 0.0
+    # squares as products: Python-float ** raises instead of returning inf
     for f, c in h.coeffs.items():
-        lam = sum((m / a) ** 2 for m, a in zip(f, h.domain.axis_scales))
+        lam = sum((m / a) * (m / a) for m, a in zip(f, h.domain.axis_scales))
         nz = sum(1 for x in f if x != 0)
-        total += (1.0 + lam) ** 2 * c * c * vol * 0.5**nz
+        total += (1.0 + lam) * (1.0 + lam) * c * c * vol * 0.5**nz
     return math.sqrt(total)
 
 

@@ -6,10 +6,11 @@ reaction Jacobian at p and lambda_n runs over the box spectrum.  This module
 computes those spectra up to a cutoff, unstable indices and their parities,
 step profiles of the counting function gamma -> dim Y(p, gamma), and gap
 certificates that obstruct normally hyperbolic / absolutely normally
-hyperbolic inertial manifolds up to the cutoff.  The two thresholds, ZERO_TOL
-for a real part counted as zero and GAP_MIN for the narrowest admitted gap,
-are module constants read at each call, not parameters: no caller can loosen
-an index or a certificate.
+hyperbolic inertial manifolds up to the cutoff.  Every gap below zero is a
+Witness (gamma_lo, gamma_hi, n), computed by ModeCountProfile.gaps_below_zero.
+The two thresholds, ZERO_TOL for a real part counted as zero and GAP_MIN for
+the narrowest admitted gap, are module constants read at each call, not
+parameters: no caller can loosen an index or a certificate.
 """
 
 from __future__ import annotations
@@ -204,6 +205,19 @@ def parity_report(lins, cutoff: float) -> ParityReport:
 
 
 @dataclass(frozen=True)
+class Witness:
+    """A gap (gamma_lo, gamma_hi) below zero with n spectrum parts above it."""
+
+    gamma_lo: float
+    gamma_hi: float
+    n: int
+
+    @property
+    def width(self) -> float:
+        return self.gamma_hi - self.gamma_lo
+
+
+@dataclass(frozen=True)
 class ModeCountProfile:
     """Step profile of gamma -> #{spectrum real parts >= gamma} up to cutoff.
 
@@ -231,18 +245,18 @@ class ModeCountProfile:
         idx = np.searchsorted(-self.breakpoints, -np.asarray(gammas), side="right")
         return np.concatenate(([0], self.counts))[idx]
 
-    def gaps_below_zero(self):
+    def gaps_below_zero(self) -> list[Witness]:
         """Open spectral gaps at least GAP_MIN wide intersected with
-        (valid_above, 0), as (lo, hi, count-above) triples; includes the
-        semi-infinite top gap."""
+        (valid_above, 0), as Witness rows in ascending n; includes the
+        semi-infinite top gap (n = 0) when the top part is negative."""
         bp = self.breakpoints
-        out = [(float(bp[0]), 0.0, 0)] if bp.size and bp[0] < 0.0 else []
+        out = [Witness(float(bp[0]), 0.0, 0)] if bp.size and bp[0] < 0.0 else []
         # gap i is (bp[i+1], bp[i]); np.where keeps max/min's pick of signed zeros
         lo = np.where(self.valid_above > bp[1:], self.valid_above, bp[1:])
         cap = np.where(bp[:-1] > 0.0, 0.0, bp[:-1])
         keep = ~(bp[:-1] - lo < GAP_MIN) & (cap > lo)
         rows = zip(lo[keep].tolist(), cap[keep].tolist(), self.counts[:-1][keep])
-        return out + [(l, c, int(n)) for l, c, n in rows]
+        return out + [Witness(l, c, int(n)) for l, c, n in rows]
 
 
 def _profile(lin: Linearization, spec: Spectrum) -> ModeCountProfile:
@@ -260,61 +274,6 @@ def count_profile(lin: Linearization, cutoff: float) -> ModeCountProfile:
 
 
 @dataclass(frozen=True)
-class FeasibleDims:
-    """Set of manifold dimensions n admitting a gamma < 0 spectral-gap cut.
-
-    gaps maps each n in dims to its gap (lo, hi) below zero.
-    """
-
-    dims: frozenset
-    cutoff: float
-    truncation_bound: float
-    gaps: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def __contains__(self, n) -> bool:
-        return n in self.dims
-
-    def __iter__(self):
-        return iter(sorted(self.dims))
-
-    def __len__(self) -> int:
-        return len(self.dims)
-
-
-def _feasible(lin: Linearization, spec: Spectrum) -> FeasibleDims:
-    profile = _profile(lin, spec)
-    gaps = {n: (lo, hi) for lo, hi, n in profile.gaps_below_zero()}
-    return FeasibleDims(
-        dims=frozenset(gaps),
-        cutoff=spec.cutoff,
-        truncation_bound=profile.valid_above,
-        gaps=gaps,
-    )
-
-
-def nhim_feasible_dims(lin: Linearization, cutoff: float) -> FeasibleDims:
-    """Dimensions cut off by some gamma < 0 inside a gap of width >= GAP_MIN.
-
-    n = 0 enters through the semi-infinite gap above the top real part when
-    that part is negative.  Truncated at the cutoff; the certified floor is
-    reported as truncation_bound.
-    """
-    _require_certified_range([lin], cutoff)
-    return _feasible(lin, enumerate_spectrum(lin.domain, cutoff))
-
-
-@dataclass(frozen=True)
-class Witness:
-    gamma_lo: float
-    gamma_hi: float
-    n: int
-
-    @property
-    def width(self) -> float:
-        return self.gamma_hi - self.gamma_lo
-
-
-@dataclass(frozen=True)
 class ObstructionCertificate:
     """Outcome of a gap scan: a witness cut or Empty, always cutoff-scoped."""
 
@@ -324,8 +283,8 @@ class ObstructionCertificate:
     result: Witness | None
     witnesses: tuple = ()
     caveat: str = CAVEAT_TEXT
-    # NHIM only: the FeasibleDims of each equilibrium, in order
-    feasible: tuple = field(default=(), repr=False, compare=False)
+    # NHIM only: the count profile of each equilibrium, in order
+    profiles: tuple = field(default=(), repr=False, compare=False)
 
     @property
     def empty(self) -> bool:
@@ -380,35 +339,33 @@ def anhim_common_gamma(lins, cutoff: float) -> ObstructionCertificate:
 
 
 def nhim_certificate(lins, cutoff: float) -> ObstructionCertificate:
-    """Intersect per-equilibrium feasible dimensions (gamma may differ).
+    """Intersect the n of each equilibrium's gaps below zero (gamma may differ).
 
     The box spectrum is enumerated once for the family, and the
-    certificate carries each equilibrium's FeasibleDims as `feasible`.
-    Empty when no dimension is feasible for every equilibrium.  Otherwise
-    the smallest common dimension is reported; its gamma interval is the
-    intersection of the per-equilibrium gaps when they overlap, else the
+    certificate carries each equilibrium's ModeCountProfile as `profiles`.
+    Empty when no n is common.  Otherwise the witnesses are the common n,
+    ascending, the smallest is the result, and a witness's gamma interval is
+    the intersection of the equilibria's gaps when they overlap, else the
     first equilibrium's gap (the cuts need not share a gamma).
     """
     _shared_domain(lins)
     _require_certified_range(lins, cutoff)
     labels = tuple(_labels(lins))
     spec = enumerate_spectrum(lins[0].domain, cutoff)
-    feasible = tuple(_feasible(lin, spec) for lin in lins)
-    common = frozenset.intersection(*(f.dims for f in feasible))
+    profiles = tuple(_profile(lin, spec) for lin in lins)
+    gaps = [{w.n: w for w in p.gaps_below_zero()} for p in profiles]
     witnesses = []
-    for m in sorted(common):
-        lo = max(f.gaps[m][0] for f in feasible)
-        hi = min(f.gaps[m][1] for f in feasible)
-        if not lo < hi:
-            lo, hi = feasible[0].gaps[m]
-        witnesses.append(Witness(gamma_lo=lo, gamma_hi=hi, n=m))
+    for n in sorted(set(gaps[0]).intersection(*gaps[1:])):
+        lo = max(g[n].gamma_lo for g in gaps)
+        hi = min(g[n].gamma_hi for g in gaps)
+        witnesses.append(Witness(lo, hi, n) if lo < hi else gaps[0][n])
     return ObstructionCertificate(
         mode="NHIM",
         cutoff=float(cutoff),
         equilibria=labels,
         result=witnesses[0] if witnesses else None,
         witnesses=tuple(witnesses),
-        feasible=feasible,
+        profiles=profiles,
     )
 
 

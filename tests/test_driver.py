@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import math
+import pathlib
+import re
 import subprocess
 import sys
 
@@ -114,6 +116,12 @@ class TestFloatKeys:
     def test_booleans_refused(self, config, key, raw):
         # float() would read the JSON booleans as 1.0 and 0.0
         assert validate(config) == [f"{key}: expected a number, got {raw!r}"]
+
+    @pytest.mark.parametrize("flag", ["inf", "-inf", "nan"])
+    def test_non_finite_flag_exits_1(self, capsys, flag):
+        code, out, err = cli(capsys, "gaps", "--cutoff", flag)
+        assert code == 1 and out == ""
+        assert err == "imhyp: config error: cutoff: expected a finite number\n"
 
 
 class TestStringKeys:
@@ -611,6 +619,61 @@ def test_edge_configs_end_in_a_documented_exit(
         assert err == ""
     else:
         assert err.startswith("imhyp: ") and err.count("\n") == 1
+
+
+def test_empty_float_path_spectrum(capsys):
+    # no Dirichlet mode of the (2, 2.7) box lies below 0.5
+    box = ["--dim", "2", "--sides", "2,2.7", "--bc", "dirichlet", "--cutoff", "0.5"]
+    code, out, err = cli(capsys, "spectrum", *box)
+    assert code == 0 and err == ""
+    result = json.loads(out)["result"]
+    assert (result["count"], result["distinct"], result["lowest"]) == (0, 0, None)
+    code, out, err = cli(capsys, "gaps", *box)
+    assert code == 2 and out == ""
+    assert err == ("imhyp: hypothesis not met: only 0 distinct eigenvalues "
+                   "below 0.5; no gaps to report\n")
+
+
+def test_tiny_multiplier_side_exits_3_and_writes_nothing(capsys, tmp_path,
+                                                         monkeypatch):
+    # h2_norm overflows to inf on a 1e-300 side, which the report refuses
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "tiny.json").write_text(json.dumps({
+        "domain": {"dim": 2, "bc": "periodic", "sides": [1e-300, 1]},
+        "coeffs": [[1, 0, 1.0]],
+    }))
+    code, out, err = cli(capsys, "sap-scan", "--h", "tiny.json", "--k", "1",
+                         "--rho", "1", "--lambda-max", "10", "--out", "r.json")
+    assert code == 3 and out == ""
+    assert err == ("imhyp: numerical failure: a report value is inf, "
+                   "which JSON cannot hold\n")
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["tiny.json"]
+
+
+def _and_list(names):
+    return ", ".join(names[:-1]) + " and " + names[-1]
+
+
+def test_usage_and_readme_repeat_the_command_table():
+    # @_command declares each command and its keys once; --help and the
+    # README list them again by hand
+    takers = {key: [cmd for cmd, schema in driver_mod.SCHEMAS.items()
+                    if key in schema] for key in ("csv", "cert")}
+    usage = driver_mod._USAGE
+    block = usage.split("subcommands:\n", 1)[1].split("\n\n", 1)[0]
+    assert block.split() == list(driver_mod.SCHEMAS)
+    flat = " ".join(usage.split())
+    m = re.search(r"--timing true; (.+?) take --csv FILE\.csv, "
+                  r"(.+?) take --cert FILE\.json\.", flat)
+    assert m and m.groups() == (_and_list(takers["csv"]),
+                                _and_list(takers["cert"]))
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    listed = readme.split("every computation as a subcommand:\n\n```\n", 1)[1]
+    listed = listed.split("```", 1)[0]
+    assert ([line.split() for line in listed.splitlines()]
+            == [line.split() for line in block.splitlines()])
+    m = re.search(r"`--csv` belongs to (.+?), `--cert`", " ".join(readme.split()))
+    assert m and m.group(1) == _and_list([f"`{c}`" for c in takers["csv"]])
 
 
 def test_audit_over_the_budget_exits_1(capsys):

@@ -186,6 +186,20 @@ class TestDelta:
         xi1, xi2 = an.eigenvalues
         assert xi1 == complex(0.0, 1.0) and xi2 == complex(0.0, -1.0)
 
+    def test_exact_complex_pair_gives_zero(self):
+        # Jacobian ((-7, 2), (-2, -6)) at (1, 1): discriminant 1 - 16 < 0
+        one = sym.Integer(1)
+        an = analyze_point(CubicCoupled(one, 3 * one, 2 * one), (one, one))
+        xi1, xi2 = an.eigenvalues
+        assert xi1 == sym.Rational(-13, 2) + sym.sqrt(15) * sym.I / 2
+        assert xi2 == sym.Rational(-13, 2) - sym.sqrt(15) * sym.I / 2
+        assert an.delta == 0 and isinstance(an.delta, sym.Integer)
+        # the float branch gives the same pair
+        fl = analyze_point(CubicCoupled(1.0, 3.0, 2.0), (1.0, 1.0))
+        assert fl.delta == 0.0
+        for exact, approx in zip(an.eigenvalues, fl.eigenvalues):
+            assert abs(complex(exact) - approx) < 1e-15
+
     def test_invariant_under_identity_shift(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
@@ -289,7 +303,7 @@ class TestProp35:
         rep = verify_prop35(exact=True)
         assert rep.deltas == (0, 1, 2, 3)
         assert rep.delta_errors == (0.0, 0.0, 0.0, 0.0)
-        assert rep.ladder_ok(0.0)
+        assert rep.ladder_ok()
 
     def test_exact_points(self):
         rep = verify_prop35(exact=True)
@@ -339,7 +353,8 @@ class TestProp35:
 
     def test_float_ladder_within_1e_12(self):
         rep = verify_prop35(exact=False)
-        assert rep.ladder_ok(1e-12)
+        assert reaction_field.PROP35_LADDER_TOL == 1e-12
+        assert rep.ladder_ok()
 
     def test_lemma33_on_both_constructions(self):
         assert lemma33_check(prop35_field(exact=False)).verdict

@@ -164,6 +164,15 @@ class TestH2Norm:
         scaled = Multiplier(CUBE, {f: -3.7 * c for f, c in h.coeffs.items()})
         assert h2_norm(scaled) == pytest.approx(3.7 * h2_norm(h), rel=1e-12)
 
+    def test_overflow_is_inf(self):
+        # on a 1e-300 side the frequency's eigenvalue squared leaves the float
+        # range: the norm is inf, not an OverflowError
+        h = multiplier_from_json_dict({
+            "domain": {"dim": 2, "bc": "periodic", "sides": [1e-300, 1]},
+            "coeffs": [[1, 0, 1.0]],
+        })
+        assert h2_norm(h) == math.inf
+
 
 class TestWindowModes:
     @pytest.mark.parametrize("domain, lam, k", [

@@ -10,7 +10,6 @@ from imhyp.lattice_spectrum import BoxDomain, enumerate_spectrum
 from imhyp.stationary_spectrum import (
     GAP_MIN,
     ZERO_TOL,
-    FeasibleDims,
     Linearization,
     ModeCountProfile,
     ObstructionCertificate,
@@ -19,7 +18,6 @@ from imhyp.stationary_spectrum import (
     count_profile,
     lemma41_threshold,
     nhim_certificate,
-    nhim_feasible_dims,
     operator_spectrum,
     parity_report,
     unstable_index,
@@ -224,7 +222,7 @@ def gaps_below_zero_by_loop(prof, gap_min):
     if bp.size == 0:
         return out
     if bp[0] < 0.0:
-        out.append((float(bp[0]), 0.0, 0))
+        out.append(Witness(float(bp[0]), 0.0, 0))
     for i in range(bp.size - 1):
         hi, lo = float(bp[i]), float(bp[i + 1])
         certified_lo = max(lo, prof.valid_above)
@@ -232,7 +230,7 @@ def gaps_below_zero_by_loop(prof, gap_min):
             continue
         cap = min(hi, 0.0)
         if cap > certified_lo:
-            out.append((certified_lo, cap, int(prof.counts[i])))
+            out.append(Witness(certified_lo, cap, int(prof.counts[i])))
     return out
 
 
@@ -257,25 +255,29 @@ class TestGapsBelowZero:
                 # repr tells -0.0 from 0.0, 3 from 3.0 and numpy from Python types
                 assert repr(prof.gaps_below_zero()) == repr(want)
             seen_top += bool(vals.size) and vals[0] < 0.0
-            seen_clipped += any(lo == valid_above for lo, _, _ in want)
+            seen_clipped += any(w.gamma_lo == valid_above for w in want)
         assert seen_top > 10 and seen_clipped > 10
+
+
+def feasible_dims(lin, cutoff):
+    """Dimensions n cut off by some gamma < 0: the n of lin's gaps below zero."""
+    return [w.n for w in count_profile(lin, cutoff).gaps_below_zero()]
 
 
 class TestFeasibleDims:
     def test_stable_slope_contains_zero(self):
-        fd = nhim_feasible_dims(scalar_lin(0.5, -2.0), 60.0)
-        assert 0 in fd
+        assert 0 in feasible_dims(scalar_lin(0.5, -2.0), 60.0)
 
     def test_unstable_slope_dims(self):
-        fd = nhim_feasible_dims(scalar_lin(0.5, 1.0), 60.0)
-        dims = list(fd)
+        dims = feasible_dims(scalar_lin(0.5, 1.0), 60.0)
         assert dims[:5] == [7, 8, 11, 17, 20]
-        assert 0 not in fd and 1 not in fd and 4 not in fd
+        assert 0 not in dims and 1 not in dims and 4 not in dims
+        # one row per n, ascending: nhim-dims lists them in this order
+        assert dims == sorted(set(dims))
 
     def test_huge_gap_min_empty(self, monkeypatch):
         monkeypatch.setattr(stationary_spectrum, "GAP_MIN", 1e9)
-        fd = nhim_feasible_dims(scalar_lin(0.5, 1.0), 60.0)
-        assert len(fd) == 0
+        assert feasible_dims(scalar_lin(0.5, 1.0), 60.0) == []
 
 
 class TestAnhimCommonGamma:
@@ -362,16 +364,15 @@ class TestNhimCertificate:
         # per-equilibrium gamma intervals need not intersect; the reported
         # one must at least be a genuine gap of the first profile
         prof = count_profile(bistable_family(0.5)[0], 60.0)
-        gaps = {(lo, hi) for lo, hi, _ in prof.gaps_below_zero()}
-        assert (cert.result.gamma_lo, cert.result.gamma_hi) in gaps
+        assert cert.result in prof.gaps_below_zero()
 
     def test_disjoint_dims_empty(self):
         # doubled multiplicities (double eigenvalue) miss the scalar
         # cumulative counts on this window (they collide at 78 later on)
         single = scalar_lin(0.5, 1.0, "a")
         double = Linearization(domain=CUBE, nu=0.5, jac=np.eye(2), label="b")
-        fd_a = set(nhim_feasible_dims(single, 20.0).dims)
-        fd_b = set(nhim_feasible_dims(double, 20.0).dims)
+        fd_a = set(feasible_dims(single, 20.0))
+        fd_b = set(feasible_dims(double, 20.0))
         assert not (fd_a & fd_b)
         cert = nhim_certificate([single, double], 20.0)
         assert cert.empty and cert.result is None
@@ -383,21 +384,23 @@ class TestNhimCertificate:
         monkeypatch.setattr(stationary_spectrum, "GAP_MIN", 1e-3)
         lins = bistable_family(0.5)
         cert = nhim_certificate(lins, 60.0)
-        assert len(cert.feasible) == len(lins)
-        for lin, feas in zip(lins, cert.feasible):
-            alone = nhim_feasible_dims(lin, 60.0)
-            assert feas == alone
-            assert feas.gaps == alone.gaps
-            prof = count_profile(lin, 60.0)
-            assert feas.gaps == {
-                n: (lo, hi) for lo, hi, n in prof.gaps_below_zero()
-            }
+        assert len(cert.profiles) == len(lins)
+        for lin, prof in zip(lins, cert.profiles):
+            alone = count_profile(lin, 60.0)
+            assert np.array_equal(prof.breakpoints, alone.breakpoints)
+            assert np.array_equal(prof.counts, alone.counts)
+            assert prof.valid_above == alone.valid_above
+            assert prof.gaps_below_zero() == alone.gaps_below_zero()
+        # every witness n is a feasible dimension of each equilibrium
+        for w in cert.witnesses:
+            for prof in cert.profiles:
+                assert w.n in {g.n for g in prof.gaps_below_zero()}
 
 
 @pytest.mark.parametrize("scan", [
     anhim_common_gamma,
     nhim_certificate,
-    lambda lins, cutoff: nhim_feasible_dims(lins[0], cutoff),
+    lambda lins, cutoff: nhim_certificate(lins[:1], cutoff),
 ])
 def test_cutoff_certifying_nothing_below_zero_refused(scan):
     # xi_max = 1, nu = 2: every cutoff <= 0.5 leaves (-inf, 0) uncertified,
