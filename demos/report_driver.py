@@ -7,6 +7,7 @@ validate it, run it, render the result to a byte-stable report.  The same
 configs work from the shell via python3 -m imhyp.driver.
 """
 
+import json
 import subprocess
 import sys
 
@@ -20,8 +21,9 @@ bad = {"command": "anhim", "nu": -1.0, "jacs": [1.0, -2.0]}
 for msg in validate(bad):
     print(msg)
 
-# a gap report as a plain dict
-report = run({"command": "gaps", "dim": 3, "cutoff": 500.0})
+# run() returns the library's own objects; the rendered text read back is
+# the report as plain JSON
+report = json.loads(render_report(run({"command": "gaps", "dim": 3, "cutoff": 500.0})))
 print(f"\nverdict: {report['verdict']}")
 print(f"result keys: {sorted(report['result'])}")
 

@@ -262,7 +262,7 @@ def _parse_config(config) -> tuple[list, dict]:
 # report text: every scalar of a report, certificate or CSV becomes text in
 # _texts, a list at a time, by _SCALARS
 
-# JSON scalar type -> its text; _plain keeps exactly these types
+# JSON scalar type -> its text; _node turns every other leaf into one
 _SCALARS = {
     float: "%.17g".__mod__,
     int: str,
@@ -286,26 +286,20 @@ def _texts(values):
     return (_SCALARS[type(x)](x) for x in values)
 
 
-def _plain(obj):
-    """obj in plain JSON types: dataclasses as dicts by field name, arrays and
-    tuples as lists, numpy scalars as Python numbers, keys as strings."""
-    # scalars are tested inline: reports carry lists of ~1e5 number pairs
-    if isinstance(obj, (list, tuple)):
-        return [x if type(x) in _SCALARS else _plain(x) for x in obj]
-    if isinstance(obj, dict):
-        return {
-            str(k): v if type(v) in _SCALARS else _plain(v)
-            for k, v in obj.items()
-        }
+def _node(obj):
+    """obj one level into JSON: a dataclass as a dict of its fields, dict
+    keys as strings, an array as a list, a numpy scalar as a Python number;
+    tuples stay, as _render writes them as lists."""
+    if type(obj) in _SCALARS or isinstance(obj, (list, tuple)):
+        return obj
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if dataclasses.is_dataclass(obj):
-        return _plain({f.name: getattr(obj, f.name)
-                       for f in dataclasses.fields(obj)})
     if isinstance(obj, np.generic):
         return obj.item()
-    if type(obj) in _SCALARS:
-        return obj
+    if dataclasses.is_dataclass(obj):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        return {str(k): v for k, v in obj.items()}
     raise TypeError(f"cannot put {type(obj).__name__} in a report")
 
 
@@ -317,9 +311,11 @@ def _is_table(obj) -> bool:
 
 
 def _render(obj, pad: str) -> str:
-    """Plain JSON obj as text; pad starts its closing line, and each nested
-    line is indented one space further, with dict keys sorted."""
+    """obj as JSON text, each node converted by _node as it is written; pad
+    starts its closing line, and each nested line is indented one space
+    further, with dict keys sorted."""
     inner = pad + " "
+    obj = _node(obj)
     if isinstance(obj, dict):
         keys = sorted(obj)
         items = [f"{key}: {_render(obj[k], inner)}"
@@ -340,7 +336,8 @@ def _render(obj, pad: str) -> str:
 
 
 def render_report(report) -> str:
-    """A report (or certificate) of plain JSON types as deterministic text."""
+    """A report or certificate as deterministic text: the one walk from a
+    result to text."""
     return _render(report, "\n") + "\n"
 
 
@@ -506,19 +503,19 @@ def _analysis_row(a) -> dict:
 
 
 def _certificate(cert, path) -> dict:
-    """An obstruction certificate's five keys in plain JSON (its result a
-    witness or "empty"), also written to path when one is given."""
-    plain = _plain({"mode": cert.mode, "cutoff": cert.cutoff,
-                    "result": "empty" if cert.empty else cert.result,
-                    "equilibria": cert.equilibria, "caveat": cert.caveat})
+    """An obstruction certificate's five keys (its result a witness or
+    "empty"), also written to path when one is given."""
+    keys = {"mode": cert.mode, "cutoff": cert.cutoff,
+            "result": "empty" if cert.empty else cert.result,
+            "equilibria": cert.equilibria, "caveat": cert.caveat}
     if path:
-        _atomic_file(path, render_report(plain))
-    return plain
+        _atomic_file(path, render_report(keys))
+    return keys
 
 
 # ---------------------------------------------------------------------------
 # subcommand runners: each returns (result, verdict line); the result may hold
-# library dataclasses and arrays, which run() turns into plain JSON types
+# library dataclasses and arrays, which render_report writes as JSON
 
 @_command("spectrum", *_BOX_SPECTRUM, _CSV)
 def _run_spectrum(p):
@@ -752,8 +749,8 @@ def _run_nhim_dims(p):
         raise ConfigError("cert needs two or more equilibria")
     cert = nhim_certificate(lins, p["cutoff"])
     per = []
-    for lin, profile in zip(lins, cert.profiles):
-        dims = [w.n for w in profile.gaps_below_zero()]  # ascending
+    for lin, profile, gaps in zip(lins, cert.profiles, cert.gaps):
+        dims = [w.n for w in gaps]  # ascending
         per.append({
             "label": lin.label,
             "dims": dims[:_SHOWN_DIMS],
@@ -841,8 +838,12 @@ def _run_sap_scan(p):
 
 
 def run(config) -> dict:
-    """Validate, dispatch, and wrap one subcommand into a report of plain
-    JSON types (dicts, lists, strings, numbers, booleans, None)."""
+    """Validate, dispatch, and wrap one subcommand into a report dict.
+
+    The report holds what the runner built: library dataclasses, numpy
+    arrays and scalars, tuples.  render_report turns it into text, and
+    json.loads(render_report(run(config))) is its plain JSON form.
+    """
     diags, params = _parse_config(config)
     if diags:
         raise ConfigError("; ".join(diags))
@@ -859,7 +860,7 @@ def run(config) -> dict:
     }
     if params["timing"]:
         report["timing_seconds"] = time.perf_counter() - started
-    return _plain(report)
+    return report
 
 
 # ---------------------------------------------------------------------------

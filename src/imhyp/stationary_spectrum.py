@@ -283,8 +283,10 @@ class ObstructionCertificate:
     result: Witness | None
     witnesses: tuple = ()
     caveat: str = CAVEAT_TEXT
-    # NHIM only: the count profile of each equilibrium, in order
+    # NHIM only: each equilibrium's count profile and its gaps below zero
+    # (its Witness rows, ascending n), in order
     profiles: tuple = field(default=(), repr=False, compare=False)
+    gaps: tuple = field(default=(), repr=False, compare=False)
 
     @property
     def empty(self) -> bool:
@@ -342,7 +344,8 @@ def nhim_certificate(lins, cutoff: float) -> ObstructionCertificate:
     """Intersect the n of each equilibrium's gaps below zero (gamma may differ).
 
     The box spectrum is enumerated once for the family, and the
-    certificate carries each equilibrium's ModeCountProfile as `profiles`.
+    certificate carries each equilibrium's ModeCountProfile as `profiles`
+    and its gaps_below_zero rows as `gaps`.
     Empty when no n is common.  Otherwise the witnesses are the common n,
     ascending, the smallest is the result, and a witness's gamma interval is
     the intersection of the equilibria's gaps when they overlap, else the
@@ -353,7 +356,8 @@ def nhim_certificate(lins, cutoff: float) -> ObstructionCertificate:
     labels = tuple(_labels(lins))
     spec = enumerate_spectrum(lins[0].domain, cutoff)
     profiles = tuple(_profile(lin, spec) for lin in lins)
-    gaps = [{w.n: w for w in p.gaps_below_zero()} for p in profiles]
+    rows = tuple(tuple(p.gaps_below_zero()) for p in profiles)
+    gaps = [{w.n: w for w in r} for r in rows]
     witnesses = []
     for n in sorted(set(gaps[0]).intersection(*gaps[1:])):
         lo = max(g[n].gamma_lo for g in gaps)
@@ -366,6 +370,7 @@ def nhim_certificate(lins, cutoff: float) -> ObstructionCertificate:
         result=witnesses[0] if witnesses else None,
         witnesses=tuple(witnesses),
         profiles=profiles,
+        gaps=rows,
     )
 
 

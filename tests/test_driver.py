@@ -23,6 +23,11 @@ def cli(capsys, *args):
     return code, captured.out, captured.err
 
 
+def plain(report):
+    """A run() report in plain JSON types, as its rendered text reads back."""
+    return json.loads(render_report(report))
+
+
 class TestValidate:
     def test_negative_cutoff(self):
         diags = validate({"command": "spectrum", "cutoff": -3})
@@ -216,7 +221,7 @@ class TestCommandKeys:
 
 class TestRun:
     def test_report_shape(self):
-        report = run({"command": "gaps", "cutoff": 30})
+        report = plain(run({"command": "gaps", "cutoff": 30}))
         assert set(report) == {
             "tool", "version", "command", "config", "result", "verdict",
         }
@@ -247,9 +252,9 @@ class TestRun:
         # the weyl golden pins every byte; this states what the numbers mean
         report = run({"command": "weyl", "cutoff": 500})
         fit = report["result"]
-        assert fit["exponent"] == pytest.approx(0.6910, abs=1e-4)
-        assert fit["expected"] == 2 / 3
-        assert fit["n_used"] == 3236
+        assert fit.exponent == pytest.approx(0.6910, abs=1e-4)
+        assert fit.expected == 2 / 3
+        assert fit.n_used == 3236
         assert report["verdict"].endswith("(expected 0.6667 in dim 3)")
 
     def test_float_rendering_17_digits(self):
@@ -291,10 +296,10 @@ class TestRun:
 class TestCertificates:
     def test_anhim_empty_certificate_schema(self, tmp_path):
         cert_path = tmp_path / "cert.json"
-        report = run({
+        report = plain(run({
             "command": "anhim", "field": "cubic-scalar", "nu": 0.5,
             "cutoff": 200, "cert": str(cert_path),
-        })
+        }))
         cert = report["result"]
         assert set(cert) == {"mode", "cutoff", "result", "equilibria", "caveat"}
         assert cert["mode"] == "ANHIM"
@@ -305,19 +310,19 @@ class TestCertificates:
         assert on_disk == cert
 
     def test_anhim_witness_certificate(self):
-        report = run({
+        report = plain(run({
             "command": "anhim", "field": "cubic-scalar", "nu": 2.0,
             "cutoff": 1000,
-        })
+        }))
         cert = report["result"]
         assert cert["result"] == {"gamma_lo": -225.0, "gamma_hi": -222.0, "n": 757}
         assert "n=757" in report["verdict"]
 
     def test_nhim_dims_with_certificate(self):
-        report = run({
+        report = plain(run({
             "command": "nhim-dims", "field": "cubic-scalar", "nu": 0.5,
             "cutoff": 60,
-        })
+        }))
         result = report["result"]
         assert len(result["equilibria"]) == 3
         assert result["certificate"]["mode"] == "NHIM"
@@ -350,6 +355,23 @@ class TestCertificates:
         run(config)
         assert len(calls) == 1
 
+    def test_nhim_dims_builds_each_gap_row_once(self, monkeypatch):
+        # the certificate hands the runner the gap rows it built
+        built = []
+        gaps_below_zero = stationary_spectrum.ModeCountProfile.gaps_below_zero
+
+        def counting(profile):
+            rows = gaps_below_zero(profile)
+            built.extend(rows)
+            return rows
+
+        monkeypatch.setattr(stationary_spectrum.ModeCountProfile,
+                            "gaps_below_zero", counting)
+        report = plain(run({"command": "nhim-dims", "jacs": "-1;-2;-0.5,1,-1,-0.5",
+                            "nu": 1, "cutoff": 300}))
+        dims = sum(eq["dim_count"] for eq in report["result"]["equilibria"])
+        assert dims > 0 and len(built) == dims
+
     def test_prop34_verdict_follows_checklist(self, monkeypatch):
         solve = driver_mod.solve_prop34
 
@@ -360,7 +382,7 @@ class TestCertificates:
 
         monkeypatch.setattr(driver_mod, "solve_prop34", one_failing_check)
         report = run({"command": "prop34"})
-        assert report["result"]["checklist"]["ordering"] is False
+        assert report["result"].checklist.ordering is False
         assert report["verdict"].startswith("FAIL")
 
     def test_lemma33_without_ladder(self, capsys, tmp_path):

@@ -1,9 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from imhyp.driver import run
+from imhyp.driver import render_report, run
 from imhyp.errors import ConfigError, HypothesisNotMet, PreconditionError
 from imhyp import stationary_spectrum
 from imhyp.lattice_spectrum import BoxDomain, enumerate_spectrum
@@ -344,7 +345,7 @@ class TestAnhimCommonGamma:
         # the driver's certificate of the same family (u - u^3 on the cube)
         config = {"command": "anhim", "field": "cubic-scalar", "nu": 2,
                   "cutoff": 200}
-        d = run(config)["result"]
+        d = json.loads(render_report(run(config)))["result"]
         assert set(d) == {"mode", "cutoff", "result", "equilibria", "caveat"}
         assert d["mode"] == "ANHIM" and d["cutoff"] == 200.0
         assert d["result"] == {"gamma_lo": cert.result.gamma_lo,
@@ -384,17 +385,18 @@ class TestNhimCertificate:
         monkeypatch.setattr(stationary_spectrum, "GAP_MIN", 1e-3)
         lins = bistable_family(0.5)
         cert = nhim_certificate(lins, 60.0)
-        assert len(cert.profiles) == len(lins)
-        for lin, prof in zip(lins, cert.profiles):
+        assert len(cert.profiles) == len(cert.gaps) == len(lins)
+        for lin, prof, rows in zip(lins, cert.profiles, cert.gaps):
             alone = count_profile(lin, 60.0)
             assert np.array_equal(prof.breakpoints, alone.breakpoints)
             assert np.array_equal(prof.counts, alone.counts)
             assert prof.valid_above == alone.valid_above
             assert prof.gaps_below_zero() == alone.gaps_below_zero()
+            assert list(rows) == alone.gaps_below_zero()
         # every witness n is a feasible dimension of each equilibrium
         for w in cert.witnesses:
-            for prof in cert.profiles:
-                assert w.n in {g.n for g in prof.gaps_below_zero()}
+            for rows in cert.gaps:
+                assert w.n in {g.n for g in rows}
 
 
 @pytest.mark.parametrize("scan", [
