@@ -50,18 +50,15 @@ def _check_symmetric(A, ndims=(2, 3)) -> np.ndarray:
 
 @functools.lru_cache(maxsize=64)
 def _round_robin(m: int) -> tuple[tuple, ...]:
-    """The m-1 steps of one sweep for even m, each as (p, q, pq, qp) index
-    arrays: step r rotates the pairs (p[i], q[i]), p < q, which cover every
-    index once, and over the m-1 steps every pair meets once (the circle
-    method with index 0 fixed).  pq is p then q, qp is q then p."""
+    """The m-1 steps of one sweep for even m, each as (p, q) index arrays:
+    step r rotates the pairs (p[i], q[i]), p < q, which cover every index
+    once, and over the m-1 steps every pair meets once (the circle method
+    with index 0 fixed)."""
     r = np.arange(m - 1)[:, None]
     ring = (np.arange(m - 1) - r) % (m - 1) + 1
     order = np.concatenate((np.zeros((m - 1, 1), dtype=np.int64), ring), axis=1)
     a, b = order[:, : m // 2], order[:, : m // 2 - 1 : -1]
-    P, Q = np.minimum(a, b), np.maximum(a, b)
-    return tuple(
-        (p, q, np.concatenate((p, q)), np.concatenate((q, p))) for p, q in zip(P, Q)
-    )
+    return tuple(zip(np.minimum(a, b), np.maximum(a, b)))
 
 
 @functools.lru_cache(maxsize=64)
@@ -81,13 +78,12 @@ def _off(M: np.ndarray) -> np.ndarray:
 def _rotate(M: np.ndarray, step: tuple, thresh: np.ndarray) -> None:
     """One round-robin step in place: rotate each pair (p[i], q[i]) of each
     matrix whose pivot is above that matrix's threshold, shape (B, 1)."""
-    p, q, pq, qp = step
+    p, q = step
     apq = M[:, p, q]
     rot = np.abs(apq) > thresh
     if not rot.any():
         return
-    d = M[:, pq, pq]
-    diff = d[:, len(p):] - d[:, : len(p)]
+    diff = M[:, q, q] - M[:, p, p]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         theta = diff / (2.0 * apq)
         t = np.where(theta < 0, -1.0, 1.0) / (np.abs(theta) + np.hypot(theta, 1.0))
@@ -98,10 +94,14 @@ def _rotate(M: np.ndarray, step: tuple, thresh: np.ndarray) -> None:
     c = 1.0 / np.sqrt(t * t + 1.0)
     s = t * c
     # new p = c p - s q and new q = c q + s p, on columns and then on rows
-    c, s = np.concatenate((c, c), axis=1), np.concatenate((-s, s), axis=1)
-    M[:, :, pq] = c[:, None, :] * M[:, :, pq] + s[:, None, :] * M[:, :, qp]
-    M[:, pq, :] = c[:, :, None] * M[:, pq, :] + s[:, :, None] * M[:, qp, :]
-    M[:, pq, qp] = np.where(np.concatenate((rot, rot), axis=1), 0.0, M[:, pq, qp])
+    xp, xq = M[:, :, p], M[:, :, q]
+    M[:, :, p] = c[:, None, :] * xp - s[:, None, :] * xq
+    M[:, :, q] = c[:, None, :] * xq + s[:, None, :] * xp
+    xp, xq = M[:, p, :], M[:, q, :]
+    M[:, p, :] = c[:, :, None] * xp - s[:, :, None] * xq
+    M[:, q, :] = c[:, :, None] * xq + s[:, :, None] * xp
+    M[:, p, q] = np.where(rot, 0.0, M[:, p, q])
+    M[:, q, p] = np.where(rot, 0.0, M[:, q, p])
 
 
 def _padded(S: np.ndarray) -> np.ndarray:
