@@ -5,11 +5,12 @@ nonzero pattern, and its spectral norm is the largest block norm: the split
 is a permutation similarity, so it is exact.  ``edge_norms`` takes each
 matrix as its nonzero entries (``spectral_norms`` reads them off a dense
 array), splits it once by min-label propagation over those entries and
-answers 1x1 blocks by their |entry|.  It gathers the larger blocks of many
-matrices by size and solves every size as one stack with a batched
-round-robin Jacobi (Brent & Luk, SIAM J. Sci. Stat. Comput. 6 (1985)): a
-sweep is n-1 steps, and each step applies n/2 disjoint rotations to every
-matrix of the stack at once.  Only blocks above 512x512 take power
+answers 1x1 blocks by their |entry| and 2x2 blocks by the closed form of
+``_eig2x2_float``.  It gathers the larger blocks of many matrices by size
+and solves every size as one stack with a batched round-robin Jacobi
+(Brent & Luk, SIAM J. Sci. Stat. Comput. 6 (1985)): a sweep is n-1 steps,
+and each step applies n/2 disjoint rotations to every matrix of the stack
+at once.  Only blocks above 512x512 take power
 iteration on A*A instead.  No LAPACK routine is involved, so the numbers
 do not depend on the platform.  Both iterations stop at module constants
 (JACOBI_TOL within JACOBI_MAX_SWEEPS, POWER_TOL within POWER_MAX_ITER), not
@@ -228,11 +229,13 @@ def edge_norms(matrices) -> np.ndarray:
     (n, rows, cols, values): an n x n matrix given by its nonzero entries.
 
     Each matrix is split into its blocks.  A 1x1 block's norm is its |entry|,
-    bitwise what Jacobi returns for it.  Larger blocks of all matrices are
-    stacked by size (odd sizes padded to the next even one, which sets the
-    rotation schedule) and solved together, whenever the pending stacks
-    reach STACK_ENTRIES entries and at the end, so an iterable that builds
-    its matrices lazily keeps memory bounded.
+    bitwise what Jacobi returns for it.  A 2x2 block [[a, b], [b, d]] gets
+    (|a+d| + sqrt((a-d)(a-d) + 4b*b)) / 2, bitwise max |xi| of
+    _eig2x2_float(a, b, b, d), where Jacobi can be an ulp low.  Larger
+    blocks of all matrices are stacked by size (odd sizes padded to the next
+    even one, which sets the rotation schedule) and solved together,
+    whenever the pending stacks reach STACK_ENTRIES entries and at the end,
+    so an iterable that builds its matrices lazily keeps memory bounded.
     """
     pending: dict[int, list] = {}
     owners, values = [], []
@@ -251,13 +254,19 @@ def edge_norms(matrices) -> np.ndarray:
     for matrix in matrices:
         for blocks in _blocks(*matrix):
             s = blocks.shape[-1]
-            if 1 < s <= POWER_CROSSOVER:
+            if 2 < s <= POWER_CROSSOVER:
                 blocks = _padded(blocks)
                 pending.setdefault(blocks.shape[-1], []).append((count, s, blocks))
                 entries += blocks.size
                 continue
-            values.append(np.abs(blocks[:, 0, 0]) if s == 1 else
-                          np.array([power_spectral_norm(b) for b in blocks]))
+            if s == 1:
+                norms = np.abs(blocks[:, 0, 0])
+            elif s == 2:
+                a, b, d = blocks[:, 0, 0], blocks[:, 0, 1], blocks[:, 1, 1]
+                norms = (np.abs(a + d) + np.sqrt((a - d) * (a - d) + 4.0 * b * b)) / 2.0
+            else:
+                norms = np.array([power_spectral_norm(b) for b in blocks])
+            values.append(norms)
             owners.append(np.full(len(blocks), count))
         count += 1
         if entries >= STACK_ENTRIES:

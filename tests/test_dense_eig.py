@@ -5,6 +5,7 @@ import pytest
 
 from imhyp import dense_eig
 from imhyp.dense_eig import (
+    _eig2x2_float,
     edge_norms,
     jacobi_eigenvalues,
     power_spectral_norm,
@@ -141,13 +142,19 @@ class TestSpectralNorm:
             A = A[np.ix_(perm, perm)]
             want = max(float(np.abs(np.linalg.eigvalsh(b)).max()) for b in blocks)
             assert spectral_norm(A) == pytest.approx(want, rel=1e-13)
-            # each block is solved, as jacobi_eigenvalues solves it alone,
-            # with its indices in ascending order
+            # each block is solved, with its indices in ascending order, as
+            # jacobi_eigenvalues solves it alone, and a 2x2 block bitwise by
+            # the closed form of _eig2x2_float
             where = np.argsort(perm)
             at, parts = 0, []
             for b in blocks:
                 idx = np.sort(where[at : at + len(b)])
-                eigs = jacobi_eigenvalues(A[np.ix_(idx, idx)])
+                block = A[np.ix_(idx, idx)]
+                if len(b) == 2:
+                    (a, c), (_, d) = block
+                    eigs = _eig2x2_float(a, c, c, d)[:2]
+                else:
+                    eigs = jacobi_eigenvalues(block)
                 parts.append(float(np.abs(eigs).max()))
                 at += len(b)
             assert spectral_norm(A) == max(parts)

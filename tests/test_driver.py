@@ -129,6 +129,17 @@ class TestFloatKeys:
         assert err == "imhyp: config error: cutoff: expected a finite number\n"
 
 
+class TestBoolKeys:
+    @pytest.mark.parametrize("raw", ["false", "0", "no", " No "])
+    def test_false_spellings(self, capsys, raw):
+        code, out, err = cli(capsys, "prop35-verify", "--exact", raw)
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        assert report["config"]["exact"] is False
+        assert report["result"]["exact"] is False
+        assert report["verdict"].endswith("(float mode)")
+
+
 class TestStringKeys:
     @pytest.mark.parametrize("config, key, raw", [
         ({"command": "gaps", "cutoff": 30, "out": True}, "out", True),
@@ -327,6 +338,15 @@ class TestCertificates:
         assert len(result["equilibria"]) == 3
         assert result["certificate"]["mode"] == "NHIM"
         assert result["certificate"]["result"]["n"] == 7
+
+    def test_parity_without_hyperbolic_pairs(self):
+        # jac 0 puts a zero real part on the constant mode: eq0 is not
+        # hyperbolic, and eq1 alone makes no pair
+        report = plain(run({"command": "parity", "jacs": "0;-1", "nu": 1,
+                            "cutoff": 10}))
+        assert report["result"]["pairs"] == []
+        assert report["result"]["excluded"] == ["eq0"]
+        assert report["verdict"] == "no hyperbolic pairs to compare"
 
     def test_nhim_dims_single_jacobian(self):
         report = run({

@@ -213,6 +213,11 @@ class TestWindowModes:
             (1, 0),
         }
 
+    @pytest.mark.parametrize("domain", [CUBE, TORUS2])
+    def test_window_below_zero_is_empty(self, domain):
+        # (lam - k, lam + k] = (-4, -2] holds no eigenvalue
+        assert window_modes(domain, -3.0, 1.0) == []
+
     def test_validation(self):
         with pytest.raises(ConfigError):
             window_modes(CUBE, 4.5, 0.0)
@@ -396,6 +401,13 @@ class TestSapScan:
             )
         keys = [(r.eps_eff, r.lam) for r in reports]
         assert keys == sorted(keys)
+
+    def test_cos_x1_headline_norm_is_exact(self):
+        # the headline window (lambda 992.5) splits into blocks
+        # [[0, 1/2], [1/2, 0]], whose norm is exactly 1/2; Jacobi's was an
+        # ulp lower
+        headline = sap_scan(COS_X1, 5.0, 1.0, 1000.0)[0]
+        assert headline.op_norm == 0.5
 
     def test_window_counts_match_spectrum(self):
         spec = enumerate_spectrum(CUBE, cutoff=80.0)
