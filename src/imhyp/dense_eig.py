@@ -259,14 +259,13 @@ def edge_norms(matrices) -> np.ndarray:
                 pending.setdefault(blocks.shape[-1], []).append((count, s, blocks))
                 entries += blocks.size
                 continue
-            if s == 1:
-                norms = np.abs(blocks[:, 0, 0])
-            elif s == 2:
+            if s == 2:
                 a, b, d = blocks[:, 0, 0], blocks[:, 0, 1], blocks[:, 1, 1]
-                norms = (np.abs(a + d) + np.sqrt((a - d) * (a - d) + 4.0 * b * b)) / 2.0
+                disc = (a - d) * (a - d) + 4.0 * b * b
+                values.append((np.abs(a + d) + np.sqrt(disc)) / 2.0)
             else:
-                norms = np.array([power_spectral_norm(b) for b in blocks])
-            values.append(norms)
+                values.append(np.abs(blocks[:, 0, 0]) if s == 1 else
+                              np.array([power_spectral_norm(b) for b in blocks]))
             owners.append(np.full(len(blocks), count))
         count += 1
         if entries >= STACK_ENTRIES:

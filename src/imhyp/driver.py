@@ -262,7 +262,7 @@ def _parse_config(config) -> tuple[list, dict]:
 # report text: every scalar of a report, certificate or CSV becomes text in
 # _texts, a list at a time, by _SCALARS
 
-# JSON scalar type -> its text; _node turns every other leaf into one
+# JSON scalar type -> its text; _render turns every other leaf into one
 _SCALARS = {
     float: "%.17g".__mod__,
     int: str,
@@ -286,23 +286,6 @@ def _texts(values):
     return (_SCALARS[type(x)](x) for x in values)
 
 
-def _node(obj):
-    """obj one level into JSON: a dataclass as a dict of its fields, dict
-    keys as strings, an array as a list, a numpy scalar as a Python number;
-    tuples stay, as _render writes them as lists."""
-    if type(obj) in _SCALARS or isinstance(obj, (list, tuple)):
-        return obj
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, np.generic):
-        return obj.item()
-    if dataclasses.is_dataclass(obj):
-        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
-    if isinstance(obj, dict):
-        return {str(k): v for k, v in obj.items()}
-    raise TypeError(f"cannot put {type(obj).__name__} in a report")
-
-
 def _is_table(obj) -> bool:
     """Whether obj is a list of non-empty, equal-length lists of scalars."""
     return (set(map(type, obj)) <= {list, tuple} and len(obj[0]) > 0
@@ -311,17 +294,24 @@ def _is_table(obj) -> bool:
 
 
 def _render(obj, pad: str) -> str:
-    """obj as JSON text, each node converted by _node as it is written; pad
-    starts its closing line, and each nested line is indented one space
-    further, with dict keys sorted."""
+    """obj as JSON text, each node converted as it is written: numpy arrays
+    and scalars by tolist() (a scalar's is its item()), a dataclass as its
+    fields, dict keys as strings, sorted, and tuples as lists.  pad starts
+    the closing line; each nested line is indented one space further."""
+    if type(obj) in _SCALARS:
+        return next(_texts((obj,)))
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return _render(obj.tolist(), pad)
+    if dataclasses.is_dataclass(obj):
+        obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
     inner = pad + " "
-    obj = _node(obj)
     if isinstance(obj, dict):
+        obj = {str(k): v for k, v in obj.items()}
         keys = sorted(obj)
         items = [f"{key}: {_render(obj[k], inner)}"
                  for k, key in zip(keys, _texts(keys))]
     elif not isinstance(obj, (list, tuple)):
-        return next(_texts((obj,)))
+        raise TypeError(f"cannot put {type(obj).__name__} in a report")
     elif _SCALARS.keys() >= set(map(type, obj)):
         items = _texts(obj)
     elif _is_table(obj):
@@ -748,15 +738,10 @@ def _run_nhim_dims(p):
     if len(lins) == 1 and p.get("cert"):
         raise ConfigError("cert needs two or more equilibria")
     cert = nhim_certificate(lins, p["cutoff"])
-    per = []
-    for lin, profile, gaps in zip(lins, cert.profiles, cert.gaps):
-        dims = [w.n for w in gaps]  # ascending
-        per.append({
-            "label": lin.label,
-            "dims": dims[:_SHOWN_DIMS],
-            "dim_count": len(dims),
-            "truncation_bound": profile.valid_above,
-        })
+    # each equilibrium's feasible dimensions are the n of its gaps, ascending
+    per = [{"label": lin.label, "dims": [w.n for w in gaps[:_SHOWN_DIMS]],
+            "dim_count": len(gaps), "truncation_bound": profile.valid_above}
+           for lin, profile, gaps in zip(lins, cert.profiles, cert.gaps)]
     result = {"equilibria": per, "gap_min": GAP_MIN}
     if len(lins) == 1:
         shown = per[0]["dims"]
@@ -838,12 +823,9 @@ def _run_sap_scan(p):
 
 
 def run(config) -> dict:
-    """Validate, dispatch, and wrap one subcommand into a report dict.
-
-    The report holds what the runner built: library dataclasses, numpy
-    arrays and scalars, tuples.  render_report turns it into text, and
-    json.loads(render_report(run(config))) is its plain JSON form.
-    """
+    """Validate, dispatch, and wrap one subcommand into a report holding what
+    its runner built (library dataclasses, numpy values, tuples); the plain
+    JSON form of the report is json.loads(render_report(run(config)))."""
     diags, params = _parse_config(config)
     if diags:
         raise ConfigError("; ".join(diags))

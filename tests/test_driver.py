@@ -8,11 +8,13 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from imhyp.driver import main, render_report, run, validate
 from imhyp.errors import ConfigError, NumericalFailure
 from imhyp.lattice_spectrum import JumpQuery
+from imhyp.stationary_spectrum import Witness
 import imhyp.stationary_spectrum as stationary_spectrum
 import imhyp.driver as driver_mod
 
@@ -285,6 +287,28 @@ class TestRun:
             render_report({"histogram": [[0.5, 1], [x, 2]]})
         with pytest.raises(NumericalFailure, match=f"is {x}, which JSON"):
             driver_mod._csv("lambda,multiplicity", ([0.5, x], [1, 2]))
+
+    def test_library_values_render_as_plain_json(self):
+        # render_report converts each node as it writes it; the int key
+        # sorts among the others once it is a string
+        report = {
+            "witness": Witness(-2.0, -1.0, 3),
+            "array": np.array([[0.5, 1.0], [2.0, -0.25]]),
+            "scalars": [np.float64(0.5), np.int64(7), np.bool_(True)],
+            "tuple": ("a", 1),
+            3: None,
+        }
+        back = json.loads(render_report(report))
+        assert list(back) == ["3", "array", "scalars", "tuple", "witness"]
+        assert back == {
+            "witness": {"gamma_lo": -2.0, "gamma_hi": -1.0, "n": 3},
+            "array": [[0.5, 1.0], [2.0, -0.25]],
+            "scalars": [0.5, 7, True],
+            "tuple": ["a", 1],
+            "3": None,
+        }
+        with pytest.raises(TypeError, match="cannot put object in a report"):
+            render_report({"x": object()})
 
     def test_lists_render_as_indented_json(self):
         # floats whose 17-digit text is also their shortest repr, so that
