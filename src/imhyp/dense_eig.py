@@ -10,9 +10,9 @@ answers 1x1 blocks by their |entry| and 2x2 blocks by the closed form of
 and solves every size as one stack with a batched round-robin Jacobi
 (Brent & Luk, SIAM J. Sci. Stat. Comput. 6 (1985)): a sweep is n-1 steps,
 and each step applies n/2 disjoint rotations to every matrix of the stack
-at once.  Only blocks above 512x512 take power
-iteration on A*A instead.  No LAPACK routine is involved, so the numbers
-do not depend on the platform.  Both iterations stop at module constants
+at once.  Only blocks above 512x512 take power iteration on A*A instead.
+No LAPACK routine is involved, so the numbers do not depend on the
+platform.  Both iterations stop at module constants
 (JACOBI_TOL within JACOBI_MAX_SWEEPS, POWER_TOL within POWER_MAX_ITER), not
 at caller-chosen tolerances.  ``_eig2x2_float`` serves the field and
 certificate layers: closed-form 2x2 eigenvalues.

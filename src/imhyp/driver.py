@@ -495,12 +495,12 @@ def _analysis_row(a) -> dict:
 def _certificate(cert, path) -> dict:
     """An obstruction certificate's five keys (its result a witness or
     "empty"), also written to path when one is given."""
-    keys = {"mode": cert.mode, "cutoff": cert.cutoff,
-            "result": "empty" if cert.empty else cert.result,
-            "equilibria": cert.equilibria, "caveat": cert.caveat}
+    report = {"mode": cert.mode, "cutoff": cert.cutoff,
+              "result": "empty" if cert.empty else cert.result,
+              "equilibria": cert.equilibria, "caveat": cert.caveat}
     if path:
-        _atomic_file(path, render_report(keys))
-    return keys
+        _atomic_file(path, render_report(report))
+    return report
 
 
 # ---------------------------------------------------------------------------

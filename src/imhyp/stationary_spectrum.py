@@ -356,13 +356,13 @@ def nhim_certificate(lins, cutoff: float) -> ObstructionCertificate:
     labels = tuple(_labels(lins))
     spec = enumerate_spectrum(lins[0].domain, cutoff)
     profiles = tuple(_profile(lin, spec) for lin in lins)
-    rows = tuple(tuple(p.gaps_below_zero()) for p in profiles)
-    gaps = [{w.n: w for w in r} for r in rows]
+    gaps = tuple(tuple(p.gaps_below_zero()) for p in profiles)
+    by_n = [{w.n: w for w in g} for g in gaps]
     witnesses = []
-    for n in sorted(set(gaps[0]).intersection(*gaps[1:])):
-        lo = max(g[n].gamma_lo for g in gaps)
-        hi = min(g[n].gamma_hi for g in gaps)
-        witnesses.append(Witness(lo, hi, n) if lo < hi else gaps[0][n])
+    for n in sorted(set(by_n[0]).intersection(*by_n[1:])):
+        lo = max(g[n].gamma_lo for g in by_n)
+        hi = min(g[n].gamma_hi for g in by_n)
+        witnesses.append(Witness(lo, hi, n) if lo < hi else by_n[0][n])
     return ObstructionCertificate(
         mode="NHIM",
         cutoff=float(cutoff),
@@ -370,7 +370,7 @@ def nhim_certificate(lins, cutoff: float) -> ObstructionCertificate:
         result=witnesses[0] if witnesses else None,
         witnesses=tuple(witnesses),
         profiles=profiles,
-        gaps=rows,
+        gaps=gaps,
     )
 
 
