@@ -9,8 +9,6 @@ the end looks for levels where the normalized coupling is small.
 import pathlib
 import tempfile
 
-import numpy as np
-
 from imhyp import BoxDomain, Multiplier, h2_norm, mean
 
 CUBE = BoxDomain(dim=3)
@@ -29,14 +27,15 @@ modes = window_modes(CUBE, 4.5, 1.0)
 print(f"\nwindow at 4.5, half-width 1: {len(modes)} modes")
 print(modes)
 
-# the compressed matrix on that window, entry by entry in closed form
-from imhyp import windowed_matrix, windowed_norm
+# the compressed matrix on that window: its nonzero entries, in closed form
+from imhyp import window_entries, windowed_norm
 
-M = windowed_matrix(h, 4.5, 1.0)
-with np.printoptions(precision=3, suppress=True):
-    print("\ncompressed matrix:")
-    print(M)
-print(f"symmetric: {np.array_equal(M, M.T)}")
+n, rows, cols, values = window_entries(h, 4.5, 1.0)
+entries = list(zip(rows.tolist(), cols.tolist(), values.tolist()))
+print(f"\ncompressed {n}x{n} matrix, {len(entries)} nonzero entries:")
+for i, j, v in entries:
+    print(f"  {modes[i]} -> {modes[j]}: {v:.3f}")
+print(f"symmetric: {sorted(entries) == sorted((j, i, v) for i, j, v in entries)}")
 print(f"operator norm: {windowed_norm(h, 4.5, 1.0):.12f}")
 print(f"norm after the constant shift: {windowed_norm(h_shifted, 4.5, 1.0):.12f}")
 

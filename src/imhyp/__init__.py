@@ -8,8 +8,8 @@ Five analysis areas plus a reporting driver:
   real-gap tables, the tuned-parameter and exact four-point constructions
 - stationary_spectrum: linearization spectra over a box, unstable indices,
   mode-count profiles, common-gap obstruction certificates
-- spatial_averaging: band-limited multipliers, windowed compressions and
-  their norms, gap scans
+- spatial_averaging: band-limited multipliers, windowed compressions as
+  entry lists and their norms, gap scans
 - dense_eig: symmetric eigenvalues by batched Jacobi, spectral norms with an
   exact block split, power iteration for large blocks
 - driver: validated run configs, CLI, all file I/O and all report and CSV
@@ -84,8 +84,6 @@ from .dense_eig import (
     edge_norms,
     jacobi_eigenvalues,
     power_spectral_norm,
-    spectral_norm,
-    spectral_norms,
 )
 from .spatial_averaging import (
     Multiplier,
@@ -94,8 +92,8 @@ from .spatial_averaging import (
     mean,
     multiplier_from_json_dict,
     sap_scan,
+    window_entries,
     window_modes,
-    windowed_matrix,
     windowed_norm,
 )
 

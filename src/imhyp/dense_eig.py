@@ -3,19 +3,19 @@
 A symmetric matrix is block diagonal over the connected components of its
 nonzero pattern, and its spectral norm is the largest block norm: the split
 is a permutation similarity, so it is exact.  ``edge_norms`` takes each
-matrix as its nonzero entries (``spectral_norms`` reads them off a dense
-array), splits it once by min-label propagation over those entries and
-answers 1x1 blocks by their |entry| and 2x2 blocks by the closed form of
-``_eig2x2_float``.  It gathers the larger blocks of many matrices by size
-and solves every size as one stack with a batched round-robin Jacobi
+matrix as its nonzero entries, splits it once by min-label propagation over
+them and answers 1x1 blocks by their |entry| and 2x2 blocks by the closed
+form of ``_eig2x2_float``.  It gathers the larger blocks of many matrices by
+size and solves every size as one stack with a batched round-robin Jacobi
 (Brent & Luk, SIAM J. Sci. Stat. Comput. 6 (1985)): a sweep is n-1 steps,
 and each step applies n/2 disjoint rotations to every matrix of the stack
-at once.  Only blocks above 512x512 take power iteration on A*A instead.
-No LAPACK routine is involved, so the numbers do not depend on the
-platform.  Both iterations stop at module constants
-(JACOBI_TOL within JACOBI_MAX_SWEEPS, POWER_TOL within POWER_MAX_ITER), not
-at caller-chosen tolerances.  ``_eig2x2_float`` serves the field and
-certificate layers: closed-form 2x2 eigenvalues.
+at once; no LAPACK or BLAS routine is involved.  Only blocks above 512x512
+take power iteration on A*A instead; its BLAS products (``M @ M``,
+``B @ v``, ``np.linalg.norm``) can move such a norm's last bits between
+platforms.  Both iterations stop at module constants (JACOBI_TOL within
+JACOBI_MAX_SWEEPS, POWER_TOL within POWER_MAX_ITER), not at caller-chosen
+tolerances.  ``_eig2x2_float`` serves the field and certificate layers:
+closed-form 2x2 eigenvalues.
 """
 
 from __future__ import annotations
@@ -276,24 +276,6 @@ def edge_norms(matrices) -> np.ndarray:
     if owners:
         np.maximum.at(norms, np.concatenate(owners), np.concatenate(values))
     return norms
-
-
-def _entries(A):
-    """(n, rows, cols, values) of one symmetric (n, n) array, checked."""
-    M = _check_symmetric(A, ndims=(2,))
-    rows, cols = np.nonzero(M)
-    return M.shape[0], rows, cols, M[rows, cols]
-
-
-def spectral_norms(matrices) -> np.ndarray:
-    """max |eigenvalue| of each symmetric (n, n) array in an iterable: each
-    is checked once and its nonzero entries go to edge_norms."""
-    return edge_norms(map(_entries, matrices))
-
-
-def spectral_norm(A) -> float:
-    """max |eigenvalue| of a symmetric matrix."""
-    return float(spectral_norms([A])[0])
 
 
 def _eig2x2_float(a, b, c, d):

@@ -5,12 +5,13 @@ mean-free part of that action to the eigenmodes inside a spectral window
 (lambda-k, lambda+k] gives a finite symmetric matrix.  Its spectral norm,
 measured against the H2 norm of h, is the effective epsilon of the spatial
 averaging inequality for that window.  The scan walks every wide-enough
-spectral gap and reports the best window found: it enumerates the lattice
-modes once and builds their matrix entries once, as an edge list (row, col,
-value); each window is a slice of the sorted modes with the entries inside
-it, and ``dense_eig.edge_norms`` splits every window into the blocks of its
-pattern and solves equal-size blocks of all windows as one stack.  No
-window becomes a dense n x n array.
+spectral gap and reports the best window found.  A window matrix has one
+form, its nonzero entries (n, rows, cols, values) as ``window_entries``
+builds them; ``dense_eig.edge_norms`` splits every window into the blocks
+of its pattern and solves equal-size blocks of many windows as one stack.
+The scan enumerates the modes and builds their entries once; each window is
+a slice of the sorted modes with the entries inside it.  No window becomes
+a dense n x n array.
 
 Matrix entries are computed in closed form from the coefficient table via
 the per-axis product rule for cosines, so the only floating-point error is
@@ -218,8 +219,12 @@ def _edges(h: Multiplier, modes: np.ndarray):
     return pairs[keep] // len(M), pairs[keep] % len(M), values[keep]
 
 
-def _window(h: Multiplier, lam: float, k: float):
-    """(n, rows, cols, values): the modes in (lam-k, lam+k] and _edges."""
+def window_entries(h: Multiplier, lam: float, k: float):
+    """(n, rows, cols, values): the mean-free multiplier compressed to the n
+    modes of window_modes, as its nonzero entries (_edges), sorted by (row,
+    col) and symmetric exactly.  A diagonal entry (m, m) is nonzero only if
+    some f != 0 has f_j in {0, 2 m_j} on every axis: only on a Neumann box.
+    """
     modes = window_modes(h.domain, lam, k)
     if not modes:
         raise PreconditionError(
@@ -228,24 +233,9 @@ def _window(h: Multiplier, lam: float, k: float):
     return (len(modes), *_edges(h, modes))
 
 
-def windowed_matrix(h: Multiplier, lam: float, k: float) -> np.ndarray:
-    """Mean-free multiplier compressed to the modes in (lam-k, lam+k].
-
-    Entries <e_m, (h - mean) e_n> for orthonormal eigenmodes, in closed form
-    from the coefficient table (see _edges), scattered into a dense array.
-    The result is symmetric exactly.  A diagonal entry (m, m) is zero unless
-    some f != 0 has f_j in {0, 2 m_j} on every axis, which only a Neumann
-    box allows.
-    """
-    n, rows, cols, values = _window(h, lam, k)
-    E = np.zeros((n, n))
-    E[rows, cols] = values
-    return E
-
-
 def windowed_norm(h: Multiplier, lam: float, k: float) -> float:
     """Operator norm of the windowed compression (the largest block norm)."""
-    return float(edge_norms([_window(h, lam, k)])[0])
+    return float(edge_norms([window_entries(h, lam, k)])[0])
 
 
 @dataclass(frozen=True)

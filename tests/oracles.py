@@ -156,6 +156,15 @@ def window_modes_by_loops(domain, lam, k):
     return [ls for _, ls in sorted(found)]
 
 
+def dense(n, rows, cols, values):
+    """The n x n array of a matrix given by its nonzero entries, the form
+    imhyp builds window matrices in: the view to compare against
+    quadrature_windowed_matrix and numpy."""
+    E = np.zeros((n, n))
+    E[rows, cols] = values
+    return E
+
+
 def quadrature_windowed_matrix(h, lam, k):
     """Windowed multiplier compression by trapezoid/torus quadrature.
 

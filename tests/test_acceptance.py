@@ -13,7 +13,7 @@ import numpy as np
 import sympy
 import pytest
 
-from imhyp.dense_eig import jacobi_eigenvalues
+from imhyp.dense_eig import edge_norms, jacobi_eigenvalues
 from imhyp.lattice_spectrum import (
     BoxDomain,
     enumerate_spectrum,
@@ -30,9 +30,8 @@ from imhyp.spatial_averaging import (
     Multiplier,
     h2_norm,
     mean,
+    window_entries,
     window_modes,
-    windowed_matrix,
-    windowed_norm,
 )
 from imhyp.stationary_spectrum import (
     ZERO_TOL,
@@ -43,7 +42,7 @@ from imhyp.stationary_spectrum import (
     operator_spectrum,
     unstable_index,
 )
-from oracles import quadrature_windowed_matrix, sturm_eigenvalues
+from oracles import dense, quadrature_windowed_matrix, sturm_eigenvalues
 
 CUBE = BoxDomain(dim=3)
 
@@ -148,6 +147,9 @@ def test_c5_spatial_averaging_soundness():
             vals = vals + term
         return float(np.abs(vals - mean(h)).max())
 
+    # 20 nonempty windows for each of 100 multipliers; their norms are
+    # solved in one batch per multiplier scale, as sap_scan solves a scan
+    windows = []
     for _ in range(100):
         coeffs = {}
         for _ in range(int(rng.integers(2, 6))):
@@ -156,23 +158,27 @@ def test_c5_spatial_averaging_soundness():
         h = Multiplier(CUBE, coeffs)
         scaled = Multiplier(CUBE, {f: 1e3 * c for f, c in h.coeffs.items()})
         bound = sup_deviation(h) + 1e-8
-        h2 = h2_norm(h)
-        h2_scaled = h2_norm(scaled)
         done = 0
         while done < 20:
             lam = float(rng.uniform(3.0, 40.0))
             k = float(rng.uniform(0.5, 2.5))
             if not window_modes(CUBE, lam, k):
                 continue
-            norm = windowed_norm(h, lam, k)
-            assert norm <= bound
-            E = windowed_matrix(h, lam, k)
-            Q = quadrature_windowed_matrix(h, lam, k)
-            assert np.abs(E - Q).max() < 1e-10
-            eps = norm / h2
-            eps_scaled = windowed_norm(scaled, lam, k) / h2_scaled
-            assert abs(eps - eps_scaled) <= 1e-10 * max(1.0, eps)
+            windows.append((h, scaled, bound, lam, k))
             done += 1
+
+    entries = [window_entries(h, lam, k) for h, _, _, lam, k in windows]
+    norms = edge_norms(entries)
+    scaled_norms = edge_norms(
+        window_entries(scaled, lam, k) for _, scaled, _, lam, k in windows)
+    for (h, scaled, bound, lam, k), E, norm, norm_scaled in zip(
+            windows, entries, norms.tolist(), scaled_norms.tolist()):
+        assert norm <= bound
+        Q = quadrature_windowed_matrix(h, lam, k)
+        assert np.abs(dense(*E) - Q).max() < 1e-10
+        eps = norm / h2_norm(h)
+        eps_scaled = norm_scaled / h2_norm(scaled)
+        assert abs(eps - eps_scaled) <= 1e-10 * max(1.0, eps)
 
 
 def test_c6_jacobi_against_sturm_bisection():

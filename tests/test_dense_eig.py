@@ -9,8 +9,6 @@ from imhyp.dense_eig import (
     edge_norms,
     jacobi_eigenvalues,
     power_spectral_norm,
-    spectral_norm,
-    spectral_norms,
 )
 from imhyp.errors import ConfigError, NumericalFailure
 from oracles import sturm_eigenvalues
@@ -19,6 +17,17 @@ from oracles import sturm_eigenvalues
 def random_symmetric(rng, n, scale=1.0):
     A = rng.normal(size=(n, n)) * scale
     return (A + A.T) / 2.0
+
+
+def entries(A):
+    """(n, rows, cols, values) of a dense array: the form edge_norms takes."""
+    rows, cols = np.nonzero(A)
+    return len(A), rows, cols, A[rows, cols]
+
+
+def norm(A):
+    """edge_norms of one dense array."""
+    return float(edge_norms([entries(A)])[0])
 
 
 class TestJacobi:
@@ -108,24 +117,26 @@ class TestJacobi:
 
 class TestSpectralNorm:
     def test_empty_matrix(self):
-        assert spectral_norm(np.zeros((0, 0))) == 0.0
+        assert norm(np.zeros((0, 0))) == 0.0
+        assert power_spectral_norm(np.zeros((0, 0))) == 0.0
 
     def test_small_matrix_uses_jacobi(self):
         rng = np.random.default_rng(44)
         A = random_symmetric(rng, 8)
         want = float(np.abs(np.linalg.eigvalsh(A)).max())
-        assert spectral_norm(A) == pytest.approx(want, rel=1e-12)
+        assert norm(A) == pytest.approx(want, rel=1e-12)
 
     def test_large_matrix_power_iteration(self):
         rng = np.random.default_rng(45)
         A = random_symmetric(rng, 600)
         want = float(np.abs(np.linalg.eigvalsh(A)).max())
         assert power_spectral_norm(A) == pytest.approx(want, rel=1e-9)
-        assert spectral_norm(A) == pytest.approx(want, rel=1e-9)
+        assert norm(A) == pytest.approx(want, rel=1e-9)
 
     def test_zero_matrix(self):
-        assert spectral_norm(np.zeros((700, 700))) == 0.0
-        assert spectral_norm(np.zeros((3, 3))) == 0.0
+        for n in (3, 700):
+            assert norm(np.zeros((n, n))) == 0.0
+            assert power_spectral_norm(np.zeros((n, n))) == 0.0
 
     def test_block_split_is_exact(self):
         # block-diagonal matrices hidden by a permutation
@@ -141,7 +152,7 @@ class TestSpectralNorm:
             perm = rng.permutation(n)
             A = A[np.ix_(perm, perm)]
             want = max(float(np.abs(np.linalg.eigvalsh(b)).max()) for b in blocks)
-            assert spectral_norm(A) == pytest.approx(want, rel=1e-13)
+            assert norm(A) == pytest.approx(want, rel=1e-13)
             # each block is solved, with its indices in ascending order, as
             # jacobi_eigenvalues solves it alone, and a 2x2 block bitwise by
             # the closed form of _eig2x2_float
@@ -157,7 +168,7 @@ class TestSpectralNorm:
                     eigs = jacobi_eigenvalues(block)
                 parts.append(float(np.abs(eigs).max()))
                 at += len(b)
-            assert spectral_norm(A) == max(parts)
+            assert norm(A) == max(parts)
 
     def test_norms_of_many_match_one_at_a_time(self):
         rng = np.random.default_rng(50)
@@ -167,10 +178,10 @@ class TestSpectralNorm:
             A = random_symmetric(rng, n)
             A[np.abs(A) < 0.8] = 0.0  # sparse patterns split into blocks
             mats.append(A)
-        got = spectral_norms(iter(mats))
+        got = edge_norms(map(entries, mats))
         assert got.shape == (30,)
-        assert [float(x) for x in got] == [spectral_norm(A) for A in mats]
-        assert spectral_norms([]).shape == (0,)
+        assert [float(x) for x in got] == [norm(A) for A in mats]
+        assert edge_norms([]).shape == (0,)
 
     def test_edge_norms_take_entries_in_any_order(self):
         rng = np.random.default_rng(52)
@@ -181,7 +192,7 @@ class TestSpectralNorm:
             rows, cols = np.nonzero(A)
             p = rng.permutation(rows.size)
             got = edge_norms([(n, rows[p], cols[p], A[rows, cols][p])])
-            assert float(got[0]) == spectral_norm(A)
+            assert float(got[0]) == norm(A)
         # 1x1 blocks skip Jacobi and give what it gives, |entry|
         d = rng.normal(size=7)
         d[2] = 0.0
@@ -191,18 +202,9 @@ class TestSpectralNorm:
         assert got[1] == 0.0
 
     def test_stacking_cap_does_not_change_norms(self, monkeypatch):
-        import imhyp.dense_eig as dense_eig
-
         rng = np.random.default_rng(51)
-        mats = [random_symmetric(rng, int(rng.integers(1, 12))) for _ in range(25)]
-        full = spectral_norms(mats)
+        mats = [entries(random_symmetric(rng, int(rng.integers(1, 12))))
+                for _ in range(25)]
+        full = edge_norms(mats)
         monkeypatch.setattr(dense_eig, "STACK_ENTRIES", 16)
-        assert np.array_equal(spectral_norms(mats), full)
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ConfigError):
-            spectral_norm(np.ones((2, 3)))
-        with pytest.raises(ConfigError):
-            spectral_norm(np.zeros((2, 3, 3)))
-        with pytest.raises(ConfigError):
-            spectral_norms([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])])
+        assert np.array_equal(edge_norms(mats), full)

@@ -42,6 +42,10 @@ class TestValidate:
     def test_valid_config_is_clean(self):
         assert validate({"command": "spectrum", "cutoff": 10}) == []
 
+    @pytest.mark.parametrize("config", [["gaps"], None])
+    def test_non_object_config(self, config):
+        assert validate(config) == ["config must be a JSON object"]
+
     def test_unknown_command_suggestion(self):
         diags = validate({"command": "spectrun"})
         assert "did you mean 'spectrum'" in diags[0]
@@ -844,6 +848,20 @@ class TestFilesAndConfig:
         assert report["command"] == "gaps"
         # verdict echoed to stdout when the report goes to a file
         assert report["verdict"] in out
+
+    def test_failed_rename_leaves_no_file(self, capsys, tmp_path, monkeypatch):
+        # the temp file beside the target is removed when the rename fails
+        def refuse(src, dst):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(driver_mod.os, "replace", refuse)
+        out_path = tmp_path / "report.json"
+        code, out, err = cli(capsys, "gaps", "--cutoff", "30",
+                             "--out", str(out_path))
+        assert code == 1 and out == ""
+        assert err == (f"imhyp: config error: cannot write {out_path}: "
+                       "Permission denied\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_spectrum_csv(self, capsys, tmp_path):
         csv_path = tmp_path / "spec.csv"

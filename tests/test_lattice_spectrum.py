@@ -138,6 +138,9 @@ class TestEnumerateSpectrum:
             BoxDomain(1, sides=(-1.0,))
         with pytest.raises(ConfigError):
             enumerate_spectrum(BoxDomain(1), -1.0)
+        with pytest.raises(ConfigError, match="periodic_scaling must be one of"):
+            enumerate_spectrum(BoxDomain(1, bc="periodic"), 10.0,
+                               periodic_scaling="physics")
 
     def test_csv_round_trip(self, tmp_path):
         # spectrum --csv writes every entry at 17 digits, so the rows read
@@ -154,6 +157,17 @@ class TestEnumerateSpectrum:
                     for lam, m in (row.split(",") for row in rows)]
             assert back == enumerate_spectrum(domain, cutoff).entries()
             assert rows[-1].startswith("102,") == domain.is_pi_box
+
+
+class TestSpectrum:
+    @pytest.mark.parametrize("eigs, mults, problem", [
+        ([1.0, 0.5], [1, 1], "eigenvalues must be strictly ascending"),
+        ([1.0, 2.0], [1], "must be 1-D of equal length"),
+        ([1.0, 2.0], [1, 0], "multiplicities must be positive"),
+    ], ids=["unsorted", "lengths", "zero-multiplicity"])
+    def test_malformed_spectrum_refused(self, eigs, mults, problem):
+        with pytest.raises(ConfigError, match=problem):
+            Spectrum(np.array(eigs), np.array(mults), cutoff=10.0)
 
 
 class TestGapStats:
@@ -341,5 +355,12 @@ class TestWeylFit:
     def test_needs_100_entries(self):
         spec = enumerate_spectrum(BoxDomain(1, bc="dirichlet"), 99**2)
         with pytest.raises(PreconditionError):
+            weyl_fit(spec, 1)
+
+    def test_needs_a_positive_upper_half(self):
+        # 200 eigenvalues -200..-1: no logarithm of the upper half exists
+        spec = Spectrum(np.arange(-200.0, 0.0), np.ones(200, dtype=int), cutoff=0.0)
+        with pytest.raises(PreconditionError,
+                           match="upper half of the spectrum must be positive"):
             weyl_fit(spec, 1)
 

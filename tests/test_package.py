@@ -23,7 +23,7 @@ def test_all_is_the_public_namespace():
 
 def test_all_holds_a_name_from_each_submodule():
     for name in ("ConfigError", "enumerate_spectrum", "fixed_points",
-                 "anhim_common_gamma", "spectral_norms", "sap_scan"):
+                 "anhim_common_gamma", "edge_norms", "sap_scan"):
         assert name in imhyp.__all__
 
 

@@ -16,14 +16,15 @@ from imhyp.spatial_averaging import (
     mean,
     multiplier_from_json_dict,
     sap_scan,
+    window_entries,
     window_modes,
-    windowed_matrix,
     windowed_norm,
 )
 import imhyp.dense_eig as dense_eig
 import imhyp.lattice_spectrum as lattice_spectrum
 import imhyp.spatial_averaging as spatial_averaging
 from oracles import (
+    dense,
     quadrature_windowed_matrix,
     sturm_eigenvalues,
     window_modes_by_loops,
@@ -97,6 +98,12 @@ class TestMultiplier:
             Multiplier(CUBE, {(0.5, 0, 0): 1.0})
         with pytest.raises(ConfigError):
             Multiplier(CUBE, {(1, 0): 1.0})
+
+    @pytest.mark.parametrize("row", [[1, 2.0], [1, 0, 0, 0, 2.0]])
+    def test_rejects_row_in_neither_form(self, row):
+        with pytest.raises(ConfigError, match="is neither \\(freq-tuple, value\\) "
+                                              "nor 3 frequencies plus a value"):
+            Multiplier(CUBE, [[1, 0, 0, 1.0], row])
 
     def test_rejects_nonfinite_value(self):
         with pytest.raises(ConfigError):
@@ -250,7 +257,7 @@ class TestWindowModes:
 class TestWindowedMatrix:
     def test_cosine_coupling_and_zero_diagonal(self):
         modes = window_modes(CUBE, 12.5, 4.0)
-        E = windowed_matrix(COS_X1, 12.5, 4.0)
+        E = dense(*window_entries(COS_X1, 12.5, 4.0))
         i = modes.index((3, 0, 0))
         j = modes.index((4, 0, 0))
         assert E[i, j] == pytest.approx(0.5, abs=1e-12)
@@ -264,7 +271,7 @@ class TestWindowedMatrix:
                 lam = float(rng.uniform(4, 40))
                 if not window_modes(domain, lam, 2.0):
                     continue
-                E = windowed_matrix(h, lam, 2.0)
+                E = dense(*window_entries(h, lam, 2.0))
                 assert np.array_equal(E, E.T)
 
     def test_matches_quadrature_neumann(self):
@@ -276,7 +283,7 @@ class TestWindowedMatrix:
                 k = float(rng.uniform(0.5, 3.5))
                 if not window_modes(domain, lam, k):
                     continue
-                E = windowed_matrix(h, lam, k)
+                E = dense(*window_entries(h, lam, k))
                 Q = quadrature_windowed_matrix(h, lam, k)
                 assert np.abs(E - Q).max() < 1e-10
 
@@ -289,18 +296,19 @@ class TestWindowedMatrix:
                 k = float(rng.uniform(0.5, 2.5))
                 if not window_modes(domain, lam, k):
                     continue
-                E = windowed_matrix(h, lam, k)
+                E = dense(*window_entries(h, lam, k))
                 Q = quadrature_windowed_matrix(h, lam, k)
                 assert np.abs(E - Q).max() < 1e-10
 
     def test_constant_gives_zero_matrix(self):
         h = Multiplier(CUBE, {(0, 0, 0): 5.0})
-        assert np.all(windowed_matrix(h, 12.5, 4.0) == 0.0)
+        n, rows, cols, values = window_entries(h, 12.5, 4.0)
+        assert n > 0 and rows.size == cols.size == values.size == 0
 
     def test_empty_window_rejected(self):
         # no cube eigenvalue lies in (6.2, 6.8]
         with pytest.raises(PreconditionError):
-            windowed_matrix(COS_X1, 6.5, 0.3)
+            window_entries(COS_X1, 6.5, 0.3)
 
     def test_cancelled_entry_is_no_entry(self):
         # h = cos x - cos 3x on (0, pi): <e_1, h e_2> = 1/2 - 1/2 is exactly 0,
@@ -308,12 +316,12 @@ class TestWindowedMatrix:
         h = Multiplier(BoxDomain(dim=1), {(1,): 1.0, (3,): -1.0})
         rows, _, values = spatial_averaging._edges(h, [(1,), (2,)])
         assert rows.size == 0 and values.size == 0
-        assert np.array_equal(windowed_matrix(h, 2.5, 2.0), np.zeros((2, 2)))
+        n, rows, _, values = window_entries(h, 2.5, 2.0)
+        assert n == 2 and rows.size == 0 and values.size == 0
         assert windowed_norm(h, 2.5, 2.0) == 0.0
         modes = [(0,), (1,), (2,), (3,), (4,)]
         rows, cols, values = spatial_averaging._edges(h, modes)
-        E = np.zeros((5, 5))
-        E[rows, cols] = values
+        E = dense(5, rows, cols, values)
         assert np.all(values != 0.0) and E[1, 2] == E[2, 1] == 0.0
         assert np.array_equal(np.argwhere(E), np.stack([rows, cols], axis=1))
         assert E[0, 1] == math.sqrt(2.0) / 2.0 and E[0, 3] == -math.sqrt(2.0) / 2.0
@@ -325,9 +333,9 @@ class TestWindowedMatrix:
         zero = (0, 0, 0)
         shifted_coeffs[zero] = shifted_coeffs.get(zero, 0.0) + 4.25
         shifted = Multiplier(CUBE, shifted_coeffs)
-        assert np.array_equal(
-            windowed_matrix(h, 15.0, 3.0), windowed_matrix(shifted, 15.0, 3.0)
-        )
+        for a, b in zip(window_entries(h, 15.0, 3.0),
+                        window_entries(shifted, 15.0, 3.0)):
+            assert np.array_equal(a, b)
 
 
 class TestWindowedNorm:
@@ -335,7 +343,8 @@ class TestWindowedNorm:
         val = windowed_norm(COS_X1, 50.0, 5.0)
         assert 0.0 < val <= 1.0
         assert val == pytest.approx(math.sqrt(3.0) / 2.0, rel=1e-12)
-        brute = float(np.abs(np.linalg.eigvalsh(windowed_matrix(COS_X1, 50.0, 5.0))).max())
+        E = dense(*window_entries(COS_X1, 50.0, 5.0))
+        brute = float(np.abs(np.linalg.eigvalsh(E)).max())
         assert val == pytest.approx(brute, rel=1e-12)
 
     def test_monotone_in_window_width(self):
@@ -358,14 +367,14 @@ class TestWindowedNorm:
             for _ in range(3):
                 cases.append((random_multiplier(rng, domain, max_freq=3),
                               float(rng.uniform(4, 25)), 2.0))
-        dense = random_multiplier(rng, CUBE, terms=int(rng.integers(8, 21)))
-        assert len(dense.coeffs) >= 8
-        cases += [(dense, 14.0, 3.0), (dense, 22.0, 2.0)]
+        many = random_multiplier(rng, CUBE, terms=int(rng.integers(8, 21)))
+        assert len(many.coeffs) >= 8
+        cases += [(many, 14.0, 3.0), (many, 22.0, 2.0)]
         checked = 0
         for h, lam, k in cases:
             if not window_modes(h.domain, lam, k):
                 continue
-            E = windowed_matrix(h, lam, k)
+            E = dense(*window_entries(h, lam, k))
             want = float(np.abs(sturm_eigenvalues(E, tol=1e-15)).max())
             assert windowed_norm(h, lam, k) == pytest.approx(want, rel=1e-12, abs=1e-14)
             checked += 1
@@ -488,8 +497,8 @@ class TestSapScanWindows:
 
     @pytest.mark.parametrize("scan", range(len(SCANS)))
     def test_window_slices_equal_window_modes(self, scan, monkeypatch):
-        # each window the scan solves has as many modes as window_modes and,
-        # scattered, is windowed_matrix at its midpoint bit for bit
+        # each window the scan solves is window_entries at its midpoint, bit
+        # for bit
         h, k, rho, lambda_max = SCANS[scan]
         seen = []
         edge_norms = spatial_averaging.edge_norms
@@ -504,13 +513,12 @@ class TestSapScanWindows:
         monkeypatch.undo()
         mids = sorted(r.lam for r in reports)
         assert len(seen) == len(mids)
-        for mid, (n, rows, cols, values) in zip(mids, seen):
-            assert n == len(window_modes(h.domain, mid, k))
-            if n:
-                E = np.zeros((n, n))
-                E[rows, cols] = values
-                assert np.array_equal(E, windowed_matrix(h, mid, k))
-                assert np.all(values != 0.0)
+        for mid, window in zip(mids, seen):
+            assert window[0] == len(window_modes(h.domain, mid, k))
+            if window[0]:
+                for a, b in zip(window, window_entries(h, mid, k)):
+                    assert np.array_equal(a, b)
+                assert np.all(window[3] != 0.0)
 
     def test_scan_peak_memory_below_one_dense_window(self):
         # the k=40 window at lambda 111.5 has n=762 modes and 1,258 entries; a

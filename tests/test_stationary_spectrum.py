@@ -174,6 +174,10 @@ class TestParityReport:
         with pytest.raises(ConfigError, match="share"):
             parity_report([scalar_lin(1.5, 1.0), other], 100.0)
 
+    def test_no_equilibria_refused(self):
+        with pytest.raises(ConfigError, match="need at least one linearization"):
+            parity_report([], 100.0)
+
 
 class TestCountProfile:
     def test_reference_counts(self):
