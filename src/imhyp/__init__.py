@@ -11,7 +11,7 @@ Five analysis areas plus a reporting driver:
 - spatial_averaging: band-limited multipliers, windowed compressions as
   entry lists and their norms, gap scans
 - dense_eig: symmetric eigenvalues by batched Jacobi, spectral norms with an
-  exact block split, power iteration for large blocks
+  exact block split, LAPACK eigvalsh for blocks over 512 modes
 - driver: validated run configs, CLI, all file I/O and all report and CSV
   text (the other modules return results and read field and multiplier JSON)
 """
@@ -80,11 +80,7 @@ from .stationary_spectrum import (
     parity_report,
     unstable_index,
 )
-from .dense_eig import (
-    edge_norms,
-    jacobi_eigenvalues,
-    power_spectral_norm,
-)
+from .dense_eig import edge_norms, jacobi_eigenvalues
 from .spatial_averaging import (
     Multiplier,
     SAPWindowReport,

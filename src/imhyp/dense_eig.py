@@ -5,17 +5,17 @@ nonzero pattern, and its spectral norm is the largest block norm: the split
 is a permutation similarity, so it is exact.  ``edge_norms`` takes each
 matrix as its nonzero entries, splits it once by min-label propagation over
 them and answers 1x1 blocks by their |entry| and 2x2 blocks by the closed
-form of ``_eig2x2_float``.  It gathers the larger blocks of many matrices by
-size and solves every size as one stack with a batched round-robin Jacobi
-(Brent & Luk, SIAM J. Sci. Stat. Comput. 6 (1985)): a sweep is n-1 steps,
-and each step applies n/2 disjoint rotations to every matrix of the stack
-at once; no LAPACK or BLAS routine is involved.  Only blocks above 512x512
-take power iteration on A*A instead; its BLAS products (``M @ M``,
-``B @ v``, ``np.linalg.norm``) can move such a norm's last bits between
-platforms.  Both iterations stop at module constants (JACOBI_TOL within
-JACOBI_MAX_SWEEPS, POWER_TOL within POWER_MAX_ITER), not at caller-chosen
-tolerances.  ``_eig2x2_float`` serves the field and certificate layers:
-closed-form 2x2 eigenvalues.
+form of ``_eig2x2_float``.  It gathers the blocks of 3 to JACOBI_MAX_N modes
+of many matrices by size and solves every size as one stack with a batched
+round-robin Jacobi (Brent & Luk, SIAM J. Sci. Stat. Comput. 6 (1985)): a
+sweep is n-1 steps, and each step applies n/2 disjoint rotations to every
+matrix of the stack at once; no LAPACK or BLAS routine is involved, and the
+sweeps stop at module constants (JACOBI_TOL within JACOBI_MAX_SWEEPS), not
+at caller-chosen tolerances.  Only blocks over JACOBI_MAX_N modes take
+LAPACK's ``eigvalsh`` instead, one call per matrix and block size: a
+backward-stable direct solver that cannot fail to settle, but whose last
+bits can move between LAPACK builds.  ``_eig2x2_float`` serves the field and
+certificate layers: closed-form 2x2 eigenvalues.
 """
 
 from __future__ import annotations
@@ -29,18 +29,17 @@ from .errors import ConfigError, NumericalFailure
 
 JACOBI_TOL = 1e-12
 JACOBI_MAX_SWEEPS = 50
-POWER_TOL = 1e-12
-POWER_MAX_ITER = 20_000
-POWER_CROSSOVER = 512
+# edge_norms solves blocks up to this many modes by Jacobi, larger by eigvalsh
+JACOBI_MAX_N = 512
 # edge_norms solves its pending stacks once they hold this many entries
 STACK_ENTRIES = 1 << 20
 
 
-def _check_symmetric(A, ndims=(2, 3)) -> np.ndarray:
-    """A as a float array of ndim in ndims: one symmetric (n, n) matrix or a
-    (B, n, n) stack of them."""
+def _check_symmetric(A) -> np.ndarray:
+    """A as a float array: one symmetric (n, n) matrix or a (B, n, n) stack
+    of them."""
     M = np.array(A, dtype=float)
-    if M.ndim not in ndims or M.shape[-1] != M.shape[-2]:
+    if M.ndim not in (2, 3) or M.shape[-1] != M.shape[-2]:
         raise ConfigError(f"matrix must be square, got shape {M.shape}")
     if M.size:
         atol = 1e-12 * (1 + np.abs(M).max(axis=(-2, -1), keepdims=True))
@@ -166,36 +165,6 @@ def jacobi_eigenvalues(A) -> np.ndarray:
     return eigs if S.ndim == 3 else eigs[0]
 
 
-def power_spectral_norm(A) -> float:
-    """Spectral norm of a symmetric matrix via power iteration on A @ A.
-
-    A @ A is positive semidefinite with top eigenvalue ||A||^2, so the
-    iteration is monotone and sign-proof.
-    """
-    M = _check_symmetric(A, ndims=(2,))
-    n = M.shape[0]
-    if n == 0:
-        return 0.0
-    B = M @ M
-    rng = np.random.default_rng(0)  # a fixed start: the same norm every run
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    prev = 0.0
-    for _ in range(POWER_MAX_ITER):
-        w = B @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        est = float(v @ (B @ v))
-        if abs(est - prev) <= POWER_TOL * max(1.0, est):
-            return float(np.sqrt(max(est, 0.0)))
-        prev = est
-    raise NumericalFailure(
-        f"power iteration did not settle in {POWER_MAX_ITER} steps"
-    )
-
-
 def _blocks(n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray):
     """The diagonal blocks of the n x n matrix with entries values at (rows,
     cols) over the connected components of that pattern, as (b, s, s) stacks
@@ -231,11 +200,13 @@ def edge_norms(matrices) -> np.ndarray:
     Each matrix is split into its blocks.  A 1x1 block's norm is its |entry|,
     bitwise what Jacobi returns for it.  A 2x2 block [[a, b], [b, d]] gets
     (|a+d| + sqrt((a-d)(a-d) + 4b*b)) / 2, bitwise max |xi| of
-    _eig2x2_float(a, b, b, d), where Jacobi can be an ulp low.  Larger
-    blocks of all matrices are stacked by size (odd sizes padded to the next
-    even one, which sets the rotation schedule) and solved together,
-    whenever the pending stacks reach STACK_ENTRIES entries and at the end,
-    so an iterable that builds its matrices lazily keeps memory bounded.
+    _eig2x2_float(a, b, b, d), where Jacobi can be an ulp low.  Blocks of 3
+    to JACOBI_MAX_N modes of all matrices are stacked by size (odd sizes
+    padded to the next even one, which sets the rotation schedule) and
+    solved together, whenever the pending stacks reach STACK_ENTRIES entries
+    and at the end, so an iterable that builds its matrices lazily keeps
+    memory bounded.  Larger blocks take one LAPACK eigvalsh per matrix and
+    block size.
     """
     pending: dict[int, list] = {}
     owners, values = [], []
@@ -254,7 +225,7 @@ def edge_norms(matrices) -> np.ndarray:
     for matrix in matrices:
         for blocks in _blocks(*matrix):
             s = blocks.shape[-1]
-            if 2 < s <= POWER_CROSSOVER:
+            if 2 < s <= JACOBI_MAX_N:
                 blocks = _padded(blocks)
                 pending.setdefault(blocks.shape[-1], []).append((count, s, blocks))
                 entries += blocks.size
@@ -263,9 +234,11 @@ def edge_norms(matrices) -> np.ndarray:
                 a, b, d = blocks[:, 0, 0], blocks[:, 0, 1], blocks[:, 1, 1]
                 disc = (a - d) * (a - d) + 4.0 * b * b
                 values.append((np.abs(a + d) + np.sqrt(disc)) / 2.0)
+            elif s == 1:
+                values.append(np.abs(blocks[:, 0, 0]))
             else:
-                values.append(np.abs(blocks[:, 0, 0]) if s == 1 else
-                              np.array([power_spectral_norm(b) for b in blocks]))
+                eigs = np.linalg.eigvalsh(_check_symmetric(blocks))
+                values.append(np.abs(eigs).max(axis=1))
             owners.append(np.full(len(blocks), count))
         count += 1
         if entries >= STACK_ENTRIES:

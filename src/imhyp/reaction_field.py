@@ -12,8 +12,8 @@ symbolic parameters every fixed point, Jacobian and delta stays exact.
 sympy is imported only by the exact paths (the exact Prop. 3.5 field and
 field JSON with string values), so float work never loads it.  Fields are
 read from JSON dicts; rendering reports and file I/O are the driver's.
-The method's tolerances (DEDUPE_TOL, LADDER_TOL, PROP34_TOL on
-PROP34_BRACKET, PROP35_LADDER_TOL) are module constants, not parameters, so
+The method's tolerances (DEDUPE_TOL, LADDER_TOL, LADDER_SPACING, PROP34_TOL
+on PROP34_BRACKET, PROP35_LADDER_TOL) are module constants, not parameters, so
 no caller can widen a ladder match or move the Prop. 3.4 bracket.
 
 Exact values stay canonical by ``expand`` and ``sqrtdenest``, not
@@ -48,6 +48,8 @@ NEWTON_STEP_TOL = 1e-13
 DEDUPE_TOL = 1e-8
 # lemma33_check matches a gap to its target i when |delta - i| <= LADDER_TOL
 LADDER_TOL = 1e-6
+# lemma33_check takes its four points at least LADDER_SPACING apart
+LADDER_SPACING = 1e-6
 # solve_prop34 bisects middle_gap - 2 on this bracket, whose ends have
 # opposite signs, until |middle_gap - 2| <= PROP34_TOL
 PROP34_BRACKET = (7.0, 20.0)
@@ -159,7 +161,11 @@ class GeneralPoly:
                     raise ConfigError(
                         f"{label} term v1^{i}*v2^{j} outside total degree 5"
                     )
-                norm.append((i, j, float(c)))
+                c = float(c)
+                if not math.isfinite(c):
+                    raise ConfigError(
+                        f"{label} coefficient of v1^{i}*v2^{j} is not finite")
+                norm.append((i, j, c))
             object.__setattr__(self, f"{label}_coeffs", tuple(norm))
 
     def f(self, v):
@@ -398,7 +404,8 @@ def lemma33_check(
 
     Existence of such a ladder rules out a normally hyperbolic inertial
     manifold for the associated reaction-diffusion system.  Matching is by
-    |delta(p) - i| <= LADDER_TOL with points distinct at distance >= 1e-6.
+    |delta(p) - i| <= LADDER_TOL with points distinct at distance >=
+    LADDER_SPACING.
     """
     analyses = fixed_points(field, region)
     slots = []
@@ -411,7 +418,8 @@ def lemma33_check(
             return {}
         for an in slots[i]:
             pf = an.point_float
-            if any(math.hypot(pf[0] - q[0], pf[1] - q[1]) < 1e-6 for q in used):
+            if any(math.hypot(pf[0] - q[0], pf[1] - q[1]) < LADDER_SPACING
+                   for q in used):
                 continue
             rest = assign(i + 1, used + [pf])
             if rest is not None:

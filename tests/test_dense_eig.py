@@ -1,15 +1,11 @@
-"""Jacobi and power-iteration eigensolvers against Sturm bisection and numpy."""
+"""Jacobi and the large-block eigvalsh path against Sturm bisection, numpy and
+closed forms."""
 
 import numpy as np
 import pytest
 
 from imhyp import dense_eig
-from imhyp.dense_eig import (
-    _eig2x2_float,
-    edge_norms,
-    jacobi_eigenvalues,
-    power_spectral_norm,
-)
+from imhyp.dense_eig import _eig2x2_float, edge_norms, jacobi_eigenvalues
 from imhyp.errors import ConfigError, NumericalFailure
 from oracles import sturm_eigenvalues
 
@@ -118,7 +114,6 @@ class TestJacobi:
 class TestSpectralNorm:
     def test_empty_matrix(self):
         assert norm(np.zeros((0, 0))) == 0.0
-        assert power_spectral_norm(np.zeros((0, 0))) == 0.0
 
     def test_small_matrix_uses_jacobi(self):
         rng = np.random.default_rng(44)
@@ -126,17 +121,50 @@ class TestSpectralNorm:
         want = float(np.abs(np.linalg.eigvalsh(A)).max())
         assert norm(A) == pytest.approx(want, rel=1e-12)
 
-    def test_large_matrix_power_iteration(self):
+    def test_large_block_path_laplacian(self):
+        # tridiag(-1, 2, -1) has eigenvalues 2 - 2cos(j pi/(n+1)), j = 1..n;
+        # 600 modes is one block over JACOBI_MAX_N
+        n = 600
+        A = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+        want = 2.0 + 2.0 * np.cos(np.pi / (n + 1))
+        assert abs(norm(A) - want) <= 4 * np.spacing(want)
+
+    def test_large_block_with_close_top_eigenvalues(self):
+        # Q diag(1, 1 - 1e-4, ...) Q^T: the top gap is 1e-4 and the norm 1;
+        # building the block rounds at the order of 1e-15
         rng = np.random.default_rng(45)
-        A = random_symmetric(rng, 600)
-        want = float(np.abs(np.linalg.eigvalsh(A)).max())
-        assert power_spectral_norm(A) == pytest.approx(want, rel=1e-9)
-        assert norm(A) == pytest.approx(want, rel=1e-9)
+        d = np.concatenate(([1.0, 1.0 - 1e-4], np.linspace(0.9, -0.9, 598)))
+        Q = np.linalg.qr(rng.normal(size=(600, 600)))[0]
+        A = (Q * d) @ Q.T
+        A = (A + A.T) / 2.0
+        assert abs(norm(A) - 1.0) <= 1e-14
+
+    def test_large_blocks_of_many_matrices(self):
+        # two equal-size path blocks under a permutation, in one matrix among
+        # others: each matrix gets the norm of its own largest block
+        rng = np.random.default_rng(53)
+        n = 520
+        P = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+        A = np.zeros((2 * n, 2 * n))
+        A[:n, :n], A[n:, n:] = P, 0.5 * P
+        perm = rng.permutation(2 * n)
+        small = random_symmetric(rng, 5)
+        got = edge_norms([entries(small), entries(A[np.ix_(perm, perm)]),
+                          entries(0.25 * P)])
+        want = 2.0 + 2.0 * np.cos(np.pi / (n + 1))
+        assert got[0] == norm(small)
+        assert abs(got[1] - want) <= 4 * np.spacing(want)
+        assert abs(got[2] - want / 4.0) <= 4 * np.spacing(want / 4.0)
+
+    def test_large_block_must_be_symmetric(self):
+        n, rows, cols, values = entries(2.0 * np.eye(600) - np.eye(600, k=1))
+        with pytest.raises(ConfigError, match="symmetric"):
+            edge_norms([(n, np.append(rows, 1), np.append(cols, 0),
+                         np.append(values, 1.0))])
 
     def test_zero_matrix(self):
         for n in (3, 700):
             assert norm(np.zeros((n, n))) == 0.0
-            assert power_spectral_norm(np.zeros((n, n))) == 0.0
 
     def test_block_split_is_exact(self):
         # block-diagonal matrices hidden by a permutation

@@ -614,6 +614,19 @@ class TestMainExitCodes:
         assert code == 1 and out == ""
         assert err.startswith("imhyp: config error: k must be positive and finite")
 
+    @pytest.mark.parametrize("command", ["fixed-points", "lemma33"])
+    @pytest.mark.parametrize("coef", ['"nan"', "NaN", "-Infinity", "1e400"])
+    def test_non_finite_poly_coefficient_refused(self, capsys, tmp_path,
+                                                 command, coef):
+        # a NaN term makes every residual NaN, so no candidate is ever kept
+        path = tmp_path / "field.json"
+        path.write_text(f'{{"kind": "poly", "f1": [[1, 0, 1.0], [2, 0, {coef}]], '
+                        f'"f2": [[0, 1, -1.0]]}}')
+        code, out, err = cli(capsys, command, "--field", str(path))
+        assert code == 1 and out == ""
+        assert err == ("imhyp: config error: f1 coefficient of v1^2*v2^0 "
+                       "is not finite\n")
+
     def test_mixed_exact_and_float_field_is_a_float_field(self, capsys, tmp_path):
         import sympy
 
@@ -766,6 +779,23 @@ def test_wide_rho_sap_scan_is_not_refused(capsys):
     report = json.loads(out)
     assert report["result"]["windows"] == 0
     assert report["verdict"] == "no spectral gap wide enough for the requested rho"
+
+
+def test_sap_scan_windows_over_512_modes(capsys, tmp_path):
+    # h = cos x on the Neumann interval couples each mode l to l +- 1 with
+    # entries 1/2 (1/sqrt 2 from l = 0): each 548-mode window is the
+    # Gauss-Chebyshev Jacobi matrix, whose norm is cos(pi/1096) exactly
+    path = tmp_path / "h1.json"
+    path.write_text('{"domain": {"dim": 1}, "coeffs": [[1, 1.0]]}')
+    code, out, err = cli(capsys, "sap-scan", "--h", str(path), "--k", "300000",
+                         "--rho", "1", "--lambda-max", "2")
+    assert code == 0 and err == ""
+    rows = json.loads(out)["result"]["reports"]
+    want = math.cos(math.pi / 1096)
+    assert len(rows) == 2
+    for row in rows:
+        assert row["window_modes"] == 548
+        assert abs(row["op_norm"] - want) <= 4 * np.spacing(want)
 
 
 @pytest.mark.parametrize("argv", [
