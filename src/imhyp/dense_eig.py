@@ -48,6 +48,20 @@ def _check_symmetric(A) -> np.ndarray:
     return M
 
 
+def _check_entries(n, rows, cols, values) -> None:
+    """Refuse an entry list whose matrix is not symmetric: every nonzero
+    entry needs its transpose, equal within _check_symmetric's tolerance."""
+    if not values.all():
+        nz = values != 0
+        rows, cols, values = rows[nz], cols[nz], values[nz]
+    key, tkey = rows * n + cols, cols * n + rows
+    a, b = key.argsort(), tkey.argsort()
+    atol = 1e-12 * (1 + np.abs(values).max(initial=0.0))
+    if not (np.array_equal(key[a], tkey[b])
+            and (np.abs(values[a] - values[b]) <= atol).all()):
+        raise ConfigError("matrix must be symmetric")
+
+
 @functools.lru_cache(maxsize=64)
 def _round_robin(m: int) -> tuple[tuple, ...]:
     """The m-1 steps of one sweep for even m, each as (p, q) index arrays:
@@ -197,8 +211,9 @@ def edge_norms(matrices) -> np.ndarray:
     """max |eigenvalue| of each symmetric matrix in an iterable of
     (n, rows, cols, values): an n x n matrix given by its nonzero entries.
 
-    Each matrix is split into its blocks.  A 1x1 block's norm is its |entry|,
-    bitwise what Jacobi returns for it.  A 2x2 block [[a, b], [b, d]] gets
+    Each matrix is checked for symmetry (ConfigError if it is not), then
+    split into its blocks.  A 1x1 block's norm is its |entry|, bitwise what
+    Jacobi returns for it.  A 2x2 block [[a, b], [b, d]] gets
     (|a+d| + sqrt((a-d)(a-d) + 4b*b)) / 2, bitwise max |xi| of
     _eig2x2_float(a, b, b, d), where Jacobi can be an ulp low.  Blocks of 3
     to JACOBI_MAX_N modes of all matrices are stacked by size (odd sizes
@@ -223,6 +238,7 @@ def edge_norms(matrices) -> np.ndarray:
         pending.clear()
 
     for matrix in matrices:
+        _check_entries(*matrix)
         for blocks in _blocks(*matrix):
             s = blocks.shape[-1]
             if 2 < s <= JACOBI_MAX_N:
@@ -237,7 +253,7 @@ def edge_norms(matrices) -> np.ndarray:
             elif s == 1:
                 values.append(np.abs(blocks[:, 0, 0]))
             else:
-                eigs = np.linalg.eigvalsh(_check_symmetric(blocks))
+                eigs = np.linalg.eigvalsh(blocks)
                 values.append(np.abs(eigs).max(axis=1))
             owners.append(np.full(len(blocks), count))
         count += 1

@@ -481,7 +481,7 @@ def _linearizations(p, domain) -> list:
 
 
 def _analysis_row(a) -> dict:
-    """A fixed-point analysis with sympy values as floats and complex
+    """A fixed-point analysis with exact values as floats and complex
     eigenvalues as [re, im] pairs."""
     return {
         "point": a.point_float,

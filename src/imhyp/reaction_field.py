@@ -7,24 +7,28 @@ fixed point p; a field carrying four fixed points with delta ladder 0,1,2,3
 obstructs normal hyperbolicity of any inertial manifold of the associated
 reaction-diffusion system.
 
-Parameters of the named families may be floats or sympy expressions; with
-symbolic parameters every fixed point, Jacobian and delta stays exact.
-sympy is imported only by the exact paths (the exact Prop. 3.5 field and
-field JSON with string values), so float work never loads it.  Fields are
-read from JSON dicts; rendering reports and file I/O are the driver's.
+Parameters of the named families may be floats or exact values, and exact
+ones keep every fixed point, Jacobian and delta exact.  The builtin exact
+Prop. 3.5 field runs on ``_Surd``, sums q*sqrt(n) over square-free n: these
+roots are linearly independent over Q (Besicovitch, J. London Math. Soc. 15
+(1940)), so a value is 0 only when all its q are.  Field JSON with string
+values (and exact coupled fields, whose sqrt((b+1)/(ab+1)) lies outside
+that type) loads sympy; nothing else does.  Fields are read from JSON
+dicts; rendering reports and file I/O are the driver's.
 The method's tolerances (DEDUPE_TOL, LADDER_TOL, LADDER_SPACING, PROP34_TOL
 on PROP34_BRACKET, PROP35_LADDER_TOL) are module constants, not parameters, so
 no caller can widen a ladder match or move the Prop. 3.4 bracket.
 
-Exact values stay canonical by ``expand`` and ``sqrtdenest``, not
+Sympy values stay canonical by ``expand`` and ``sqrtdenest``, not
 ``simplify``; signs come from sympy, or from a float where it cannot tell.
-Only the residual keeps one ``simplify`` per point: on fields mixing floats
-with exact values an expanded |f(p)| keeps round-off that fails the
+Only the sympy residual keeps one ``simplify`` per point: on fields mixing
+floats with sympy values an expanded |f(p)| keeps round-off that fails the
 residual gate or turns complex.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import astuple, dataclass
@@ -58,19 +62,123 @@ PROP34_TOL = 1e-10
 PROP35_LADDER_TOL = 1e-12
 
 
+def _exact(x):
+    """x as a _Surd, a non-finite float as itself, else NotImplemented."""
+    from fractions import Fraction  # only exact work loads it
+    if isinstance(x, (int, Fraction)) or isinstance(x, float) and math.isfinite(x):
+        return _Surd([(1, Fraction(x))])
+    return x if isinstance(x, (_Surd, float)) else NotImplemented
+
+
+def _round(x) -> float:
+    """The rational x rounded to a float, +-inf past the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+class _Surd:
+    """The exact sum of (n, q) pairs q*sqrt(n), kept as {n: nonzero rational
+    q} over square-free n >= 1, so == compares coefficients."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, pairs=()):
+        terms = {}
+        for n, q in pairs:
+            terms[n] = terms.get(n, 0) + q
+        self.terms = {n: q for n, q in terms.items() if q}
+
+    def __add__(self, other):
+        o = _exact(other)
+        if not isinstance(o, _Surd):
+            return o if o is NotImplemented else float(self) + o
+        return _Surd([*self.terms.items(), *o.terms.items()])
+
+    def __mul__(self, other):
+        o = _exact(other)
+        if not isinstance(o, _Surd):
+            return o if o is NotImplemented else float(self) * o
+        # sqrt(n1) sqrt(n2) = g sqrt(n1 n2 / g^2) with g = gcd(n1, n2)
+        return _Surd((n1 * n2 // math.gcd(n1, n2) ** 2, q1 * q2 * math.gcd(n1, n2))
+                     for n1, q1 in self.terms.items() for n2, q2 in o.terms.items())
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __neg__(self):
+        return _Surd((n, -q) for n, q in self.terms.items())
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __pow__(self, k: int):  # k >= 0
+        return math.prod([self] * k, start=_Surd([(1, 1)]))
+
+    def __eq__(self, other):  # never equal to a non-finite float
+        o = _exact(other)
+        return self.terms == o.terms if isinstance(o, _Surd) else NotImplemented
+
+    def __hash__(self):  # a rational hashes as its int or Fraction
+        return hash(self.terms.get(1, 0) if set(self.terms) <= {1}
+                    else frozenset(self.terms.items()))
+
+    def _bounds(self):
+        """Rationals lo <= self <= hi at 64, 128, 256, ... bits, each sqrt(n)
+        taken by isqrt: for an irrational value they part, in time, from 0
+        and from every rounding boundary."""
+        from fractions import Fraction
+        for bits in (64 << k for k in itertools.count()):
+            lo = hi = self.terms.get(1, Fraction(0))
+            for n, q in self.terms.items():
+                if n > 1:
+                    r = math.isqrt(n << 2 * bits)  # r <= sqrt(n) 2**bits < r + 1
+                    a, b = q * Fraction(r, 1 << bits), q * Fraction(r + 1, 1 << bits)
+                    lo, hi = lo + min(a, b), hi + max(a, b)
+            yield lo, hi
+
+    @property
+    def is_negative(self) -> bool:
+        return bool(self.terms) and next(hi < 0 for lo, hi in self._bounds()
+                                         if hi < 0 or lo > 0)
+
+    def __float__(self) -> float:  # complex() takes it too
+        # correctly rounded: once both bounds round alike, so does the value
+        rounded = (tuple(map(_round, bounds)) for bounds in self._bounds())
+        return next(lo for lo, hi in rounded if lo == hi)
+
+    def __repr__(self) -> str:
+        text = ""
+        for n, q in sorted(self.terms.items(), reverse=True):  # rational last
+            body = str(abs(q)) if n == 1 else f"{abs(q)}*sqrt({n})".removeprefix("1*")
+            text = f"{text} {'-+'[q > 0]} {body}" if text else "-" * (q < 0) + body
+        return text or "0"
+
+    def _sympy_(self):
+        import sympy as sym
+        return sym.Add(*(sym.Rational(q.numerator, q.denominator) * sym.sqrt(n)
+                         for n, q in self.terms.items()))
+
+
 def _symbolic(*vals) -> bool:
     sym = sys.modules.get("sympy")  # no sympy value exists before its import
-    return sym is not None and any(isinstance(v, sym.Basic) for v in vals)
+    return any(isinstance(v, _Surd) or sym is not None and isinstance(v, sym.Basic)
+               for v in vals)
 
 def _zero(*vals):
-    """0 of the values' kind: sympy's exact 0 if any is symbolic, else 0.0."""
+    """0 of the values' kind: an exact 0 if any is exact, else 0.0."""
     if not _symbolic(*vals):
         return 0.0
+    if any(isinstance(v, _Surd) for v in vals):
+        return _Surd()
     import sympy as sym
     return sym.Integer(0)
 
 def _negative(x) -> bool:
-    """Whether the real x is below 0: sympy decides an exact x, float(x) the rest."""
+    """Whether the real x is below 0: an exact x decides, float(x) the rest."""
     negative = getattr(x, "is_negative", None)
     return float(x) < 0 if negative is None else bool(negative)
 
@@ -204,10 +312,13 @@ def _eig2x2(J):
     (a, b), (c, d) = J
     if not _symbolic(a, b, c, d):
         return _eig2x2_float(a, b, c, d)
-    import sympy as sym
     if b * c == 0:
-        gap = sym.expand(a - d)
+        gap = a - d
+        if not isinstance(gap, _Surd):
+            import sympy as sym
+            gap = sym.expand(gap)
         return (d, a, -gap) if _negative(gap) else (a, d, gap)
+    import sympy as sym
     tr = a + d
     disc = sym.expand((a - d) ** 2 + 4 * b * c)
     if _negative(disc):
@@ -241,11 +352,13 @@ class FixedPointAnalysis:
 
 
 def _residual(field: PlanarField, p):
-    """|f(p)|; inf when f(p) leaves the float range."""
+    """|f(p)|, an exact 0 at an exact fixed point; inf past the float range."""
     try:
         f1, f2 = field.f(p)
     except OverflowError:  # Python-float ** raises instead of returning inf
         return math.inf
+    if isinstance(f1, _Surd) or isinstance(f2, _Surd):
+        return _Surd() if f1 == 0 == f2 else math.hypot(float(f1), float(f2))
     if _symbolic(f1, f2):
         import sympy as sym
         return sym.simplify(sym.sqrt(f1**2 + f2**2))
@@ -360,22 +473,14 @@ def fixed_points(
         cands = _newton_candidates(field, region)
     else:
         cands = _closed_form_candidates(field)
-    cands = [
-        p
-        for p in cands
-        if x0 - 1e-9 <= float(p[0]) <= x1 + 1e-9
-        and y0 - 1e-9 <= float(p[1]) <= y1 + 1e-9
-    ]
-    cands.sort(key=lambda p: (float(p[0]), float(p[1])))
-    kept = []
-    kept_f = []
-    for p in cands:
-        pf = (float(p[0]), float(p[1]))
-        if any(math.hypot(pf[0] - q[0], pf[1] - q[1]) <= DEDUPE_TOL
-               for q in kept_f):
-            continue
-        kept.append(p)
-        kept_f.append(pf)
+    kept, kept_f = [], []
+    for pf, p in sorted((((float(p[0]), float(p[1])), p) for p in cands),
+                        key=lambda c: c[0]):
+        if (x0 - 1e-9 <= pf[0] <= x1 + 1e-9 and y0 - 1e-9 <= pf[1] <= y1 + 1e-9
+                and all(math.hypot(pf[0] - q[0], pf[1] - q[1]) > DEDUPE_TOL
+                        for q in kept_f)):
+            kept.append(p)
+            kept_f.append(pf)
     analyses = [analyze_point(field, p) for p in kept]
     for an in analyses:
         norm = math.hypot(*an.point_float)
@@ -526,8 +631,7 @@ def solve_prop34() -> Prop34Constants:
 def prop35_field(exact: bool = True) -> CubicUncoupled:
     """The componentwise cubic with the exact 0,1,2,3 gap ladder."""
     if exact:
-        import sympy as sym
-        return CubicUncoupled(sym.Integer(2), sym.sqrt(3), sym.sqrt(6), sym.sqrt(2))
+        return CubicUncoupled(_Surd([(1, 2)]), *(_Surd([(n, 1)]) for n in (3, 6, 2)))
     return CubicUncoupled(2.0, math.sqrt(3.0), math.sqrt(6.0), math.sqrt(2.0))
 
 

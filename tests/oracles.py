@@ -168,9 +168,11 @@ def dense(n, rows, cols, values):
 def quadrature_windowed_matrix(h, lam, k):
     """Windowed multiplier compression by trapezoid/torus quadrature.
 
-    Independent of the closed-form product-rule path: mode functions and the
-    multiplier are evaluated on a tensor grid dense enough to integrate the
-    band-limited integrands exactly, over the modes of window_modes_by_loops.
+    Independent of the closed-form product-rule path: the integrals are
+    quadratures on a tensor grid dense enough to integrate the band-limited
+    integrands exactly, over the modes of window_modes_by_loops.  The
+    Neumann rule is summed axis by axis, which for these separable
+    integrands is the same finite sum as over the whole grid.
     """
     domain = h.domain
     dim = domain.dim
@@ -185,41 +187,42 @@ def quadrature_windowed_matrix(h, lam, k):
     hbar = h.coeffs.get((0,) * dim, 0.0)
 
     if domain.bc == "neumann":
-        axes_x, axes_w = [], []
+        # the trapezoid rule on a tensor grid factors over the axes for the
+        # separable integrands cos(f.x/a) e_m e_n: per axis, a cosine table
+        # (row l = cos(l x / a) on the nodes) and the weights give the
+        # one-dimensional rule for every triple of frequencies at once
+        rules = []
         for a in scales:
             L = math.pi * a
             x = np.linspace(0.0, L, pts)
             w = np.full(pts, L / (pts - 1))
             w[0] *= 0.5
             w[-1] *= 0.5
-            axes_x.append(x)
-            axes_w.append(w)
+            T = np.cos(np.multiply.outer(np.arange(F + maxfreq + 1), x) / a)
+            # rules[j][f][p, q] = sum_x w cos(f x/a) cos(p x/a) cos(q x/a)
+            rules.append(np.einsum("fx,px,qx->fpq", T[: F + 1] * w, T, T))
+        idx = np.array(modes).reshape(len(modes), dim)
 
-        def mode_values(m):
-            vals = np.ones(1)
+        def integral(f):
+            """The quadrature of cos(f.x/a) e_m e_n, unnormalized, for all
+            mode pairs."""
+            out = np.ones((len(modes), len(modes)))
             for j in range(dim):
-                vals = np.multiply.outer(vals, np.cos(m[j] * axes_x[j] / scales[j]))
-            return vals.ravel()
+                out *= rules[j][abs(f[j])][np.ix_(idx[:, j], idx[:, j])]
+            return out
 
-        weights = np.ones(1)
-        for j in range(dim):
-            weights = np.multiply.outer(weights, axes_w[j])
-        weights = weights.ravel()
-
-        hvals = np.zeros(pts**dim)
-        for m, c in h.coeffs.items():
-            hvals += c * mode_values(m)
-        hvals -= hbar
-
-        Phi = np.empty((len(modes), pts**dim))
-        for i, m in enumerate(modes):
-            # cos(m x / a) has squared L2 norm pi a (m = 0) or pi a / 2 on (0, pi a)
-            norm = math.prod(
+        A = -hbar * integral((0,) * dim)
+        for f, c in h.coeffs.items():
+            A += c * integral(f)
+        # cos(m x / a) has squared L2 norm pi a (m = 0) or pi a / 2 on (0, pi a)
+        norms = np.array([
+            math.prod(
                 math.sqrt((1.0 if mj == 0 else 2.0) / (math.pi * a))
                 for mj, a in zip(m, scales)
             )
-            Phi[i] = norm * mode_values(m)
-        return (Phi * (weights * hvals)) @ Phi.T
+            for m in modes
+        ])
+        return norms[:, None] * A * norms[None, :]
 
     # periodic, "paper" scaling frequency set: uniform grid on the 2*pi*a torus
     axes_x, cellw = [], 1.0

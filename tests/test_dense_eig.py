@@ -162,6 +162,25 @@ class TestSpectralNorm:
             edge_norms([(n, np.append(rows, 1), np.append(cols, 0),
                          np.append(values, 1.0))])
 
+    @pytest.mark.parametrize("A", [
+        [[1.0, 2.0, 0.0], [0.0, 1.0, 3.0], [0.0, 3.0, 1.0]],  # Jacobi block
+        [[1.0, 2.0], [0.5, 1.0]],  # closed-form block, once read from one side
+        [[1.0, 2.0], [2.0 + 1e-9, 1.0]],
+        [[0.0, 1.0], [0.0, 0.0]],
+    ], ids=["3x3", "2x2", "2x2-near", "2x2-one-sided"])
+    def test_every_block_must_be_symmetric(self, A):
+        with pytest.raises(ConfigError, match="symmetric"):
+            edge_norms([entries(np.array(A))])
+        # one asymmetric matrix among symmetric ones fails the call
+        with pytest.raises(ConfigError, match="symmetric"):
+            edge_norms([entries(np.eye(2)), entries(np.array(A))])
+
+    def test_symmetry_check_ignores_explicit_zeros(self):
+        # an explicit zero entry needs no transpose
+        got = edge_norms([(2, np.array([0, 1, 1]), np.array([0, 1, 0]),
+                           np.array([1.0, 3.0, 0.0]))])
+        assert got.tolist() == [3.0]
+
     def test_zero_matrix(self):
         for n in (3, 700):
             assert norm(np.zeros((n, n))) == 0.0

@@ -511,6 +511,10 @@ class TestMainExitCodes:
         ("prop35", "1e200,0", "|f(p)| = inf"),
         ("prop34", "1e200,0", "|f(p)| = inf"),
         ("prop35-float", "nan,0", "|f(p)| = nan"),
+        ("prop35", "nan,0", "|f(p)| = nan"),
+        ("prop35", "inf,0", "|f(p)| = inf"),
+        ("prop35", "1e300,0", "|f(p)| = inf"),
+        ("prop35", "0.5,0.5", "|f(p)| = 1.284e+00"),
     ])
     def test_far_or_nan_point_is_not_a_fixed_point(self, capsys, field, at, shown):
         code, out, err = cli(capsys, "delta", "--field", field, "--at", at)
@@ -518,6 +522,15 @@ class TestMainExitCodes:
         assert err.startswith("imhyp: hypothesis not met: point (")
         assert f"is not a fixed point: {shown} exceeds 1e-08" in err
         assert err.count("\n") == 1
+
+    def test_exact_field_at_the_float_of_a_fixed_point(self, capsys):
+        # the doubles nearest (sqrt 3, sqrt 2) leave |f(p)| of about 1.5e-16
+        code, out, err = cli(capsys, "delta", "--field", "prop35",
+                             "--at", "1.7320508075688772,1.4142135623730951")
+        assert (code, err) == (0, "")
+        result = json.loads(out)["result"]
+        assert 0.0 < result["residual"] <= 1e-15
+        assert abs(result["delta"] - 1.0) <= 1e-14
 
     def test_lemma41_nonpositive_difference(self, capsys):
         code, _, err = cli(

@@ -1,4 +1,5 @@
-"""Import graph: sympy is loaded by the exact paths only.
+"""Import graph: sympy is loaded by field JSON with string values only; the
+float paths and the builtin exact prop35 field never load it.
 
 The test modules import sympy themselves, so each check runs in a fresh
 interpreter.
@@ -26,6 +27,17 @@ FLOAT_ARGV = [
     ["prop35-verify", "--exact", "false"],
 ]
 
+# the builtin exact prop35 field, one config per command that takes it
+PROP35_ARGV = [
+    ["delta", "--field", "prop35", "--at", "0,0"],
+    ["lemma33", "--field", "prop35"],
+    ["fixed-points", "--field", "prop35"],
+    ["prop35-verify", "--exact", "true"],
+    ["parity", "--field", "prop35", "--nu", "1", "--cutoff", "200"],
+]
+STRING_FIELD = {"kind": "cubic_uncoupled", "a": "2", "b": "sqrt(3)",
+                "c": "sqrt(6)", "d": "sqrt(2)"}
+
 # exact golden configs, each run cold so that sympy's cache cannot decide the
 # bytes: (golden name: argv)
 EXACT_ARGV = {
@@ -33,6 +45,7 @@ EXACT_ARGV = {
     "lemma33-prop35": ["lemma33", "--field", "prop35"],
     "fixed-points-prop35-exact-csv": ["fixed-points", "--field", "prop35",
                                       "--csv", "fixed.csv"],
+    "prop35-verify-exact": ["prop35-verify"],
 }
 
 # the benchmark tracer wraps the public functions of these modules once the
@@ -55,17 +68,14 @@ print(json.dumps({"layers": layers, "seen": seen}))
 EXACT_SCRIPT = """
 import json, sys
 from imhyp.reaction_field import field_from_json_dict, verify_prop35
-cold = "sympy" not in sys.modules
-field = field_from_json_dict(
-    {"kind": "cubic_uncoupled", "a": "2", "b": "sqrt(3)", "c": "sqrt(6)",
-     "d": "sqrt(2)"}
-)
 report = verify_prop35(exact=True)
+cold = "sympy" not in sys.modules
+field = field_from_json_dict(json.loads(sys.argv[1]))
 import sympy
 print(json.dumps({
     "cold": cold,
     "field": [isinstance(getattr(field, k), sympy.Basic) for k in "abcd"],
-    "deltas": [isinstance(d, sympy.Basic) for d in report.deltas],
+    "deltas": [repr(d) for d in report.deltas],
     "ladder": [d == i for i, d in enumerate(report.deltas)],
 }))
 """
@@ -103,10 +113,24 @@ def test_exact_report_bytes_in_a_fresh_interpreter(name, tmp_path):
     assert {f.name: f.read_text() for f in tmp_path.iterdir()} == want
 
 
+def test_builtin_prop35_never_imports_sympy(tmp_path):
+    # a field JSON with string values, run last, is what loads it
+    (tmp_path / "field.json").write_text(json.dumps(STRING_FIELD))
+    argv = PROP35_ARGV + [["fixed-points", "--field", "field.json"]]
+    proc = fresh_python("-c", FLOAT_SCRIPT, json.dumps(argv), json.dumps(LAYERS),
+                        cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)["seen"]
+    assert [code for _, code, _ in seen] == [0] * (len(argv) + 1)
+    assert [loaded for _, _, loaded in seen] == [False] * len(argv) + [True]
+
+
 def test_exact_values_stay_symbolic_in_a_fresh_interpreter():
-    proc = fresh_python("-c", EXACT_SCRIPT)
+    # the exact prop35 ladder is exactly 0, 1, 2, 3 without sympy; string
+    # values still give sympy values
+    proc = fresh_python("-c", EXACT_SCRIPT, json.dumps(STRING_FIELD))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {
-        "cold": True, "field": [True] * 4, "deltas": [True] * 4,
+        "cold": True, "field": [True] * 4, "deltas": ["0", "1", "2", "3"],
         "ladder": [True] * 4,
     }

@@ -369,6 +369,73 @@ class TestProp35:
         assert not lemma33_check(CubicCoupled(k=1.0, a=4.0, b=1.0)).verdict
 
 
+def rounded(x):
+    """The double nearest the exact value x, from 40 significant digits."""
+    return float(sym.N(sym.sympify(x), 40))
+
+
+class TestSurd:
+    """The exact number type of the builtin prop35 field."""
+
+    @staticmethod
+    def root(n):
+        """sqrt(n) for a square-free n."""
+        return reaction_field._Surd([(n, 1)])
+
+    def test_floats_at_the_nine_fixed_points_are_correctly_rounded(self):
+        analyses = fixed_points(prop35_field(exact=True))
+        assert len(analyses) == 9
+        for an in analyses:
+            (j00, j01), (j10, j11) = an.jacobian
+            values = (*an.point, j00, j01, j10, j11, *an.eigenvalues, an.delta)
+            assert all(isinstance(v, reaction_field._Surd) for v in values)
+            assert [float(v) for v in values] == [rounded(v) for v in values]
+            assert an.residual == 0 and an.residual_float == 0.0
+
+    def test_sign_of_values_near_zero(self):
+        s2 = self.root(2)
+        near = 1393 * s2 - 1970  # 2 * 1393**2 = 1970**2 - 2
+        assert near.is_negative and not (-near).is_negative
+        assert float(near) == rounded(near)
+        # (1 - sqrt 2)**61 is about -4e-24: float arithmetic on its two
+        # terms, each about 2e23, cannot even tell its sign
+        tiny = (1 - s2) ** 61
+        assert tiny.is_negative and not (tiny * tiny).is_negative
+        assert float(tiny) == rounded(tiny) < 0
+        assert not reaction_field._Surd().is_negative
+
+    def test_zero_is_canonical(self):
+        s2, s3, s6 = self.root(2), self.root(3), self.root(6)
+        assert (s2 + s3) ** 2 - 5 - 2 * s6 == 0
+        assert (s6 - s2 * s3).terms == {}
+        assert s2 * s2 == 2 and s2 * s6 == 2 * s3 and s6 * s6 * s3 == 6 * s3
+        assert hash(s2 * s2) == hash(2) and hash(s2 * s6) == hash(2 * s3)
+        assert s2 + s3 != self.root(5) and s2 != 1.4142135623730951
+        # a float operand is taken exactly: the double nearest sqrt 2 is above it
+        gap = s2 - 1.4142135623730951
+        assert gap.is_negative and float(gap) == rounded(gap) != 0.0
+        assert s2 * 0.0 == 0 and type(s2 * 0.0) is reaction_field._Surd
+
+    def test_non_finite_floats_and_overflow(self):
+        s2 = self.root(2)
+        assert s2 + math.inf == math.inf and type(s2 - math.inf) is float
+        assert math.isnan(s2 * math.nan) and math.isnan(math.nan - s2)
+        huge = s2 * 1e300 * 1e300
+        assert float(huge) == math.inf and float(-huge) == -math.inf
+        assert not huge.is_negative
+
+    def test_repr_and_sympy(self):
+        s3 = self.root(3)
+        assert repr(2 * s3 - 3) == "2*sqrt(3) - 3"
+        assert repr(-s3 * self.root(2) + 1) == "-sqrt(6) + 1"
+        assert repr(s3 * Fraction(3, 4) - Fraction(1, 2)) == "3/4*sqrt(3) - 1/2"
+        assert repr(-s3 - self.root(2)) == "-sqrt(3) - sqrt(2)"
+        assert repr(reaction_field._Surd()) == "0"
+        assert sym.sympify(2 * s3 - 3) == 2 * sym.sqrt(3) - 3
+        assert sym.simplify(s3 - sym.sqrt(3)) == 0
+        assert complex(2 * s3 - 3) == complex(rounded(2 * sym.sqrt(3) - 3))
+
+
 class TestDissipativityAndRegion:
     def test_coupled_radius(self):
         f = CubicCoupled(k=0.5, a=3.0, b=0.25)
