@@ -15,15 +15,17 @@ roots are linearly independent over Q (Besicovitch, J. London Math. Soc. 15
 values (and exact coupled fields, whose sqrt((b+1)/(ab+1)) lies outside
 that type) loads sympy; nothing else does.  Fields are read from JSON
 dicts; rendering reports and file I/O are the driver's.
-The method's tolerances (DEDUPE_TOL, LADDER_TOL, LADDER_SPACING, PROP34_TOL
-on PROP34_BRACKET, PROP35_LADDER_TOL) are module constants, not parameters, so
+The method's tolerances (DEDUPE_TOL, LADDER_TOL, PROP34_TOL on
+PROP34_BRACKET, PROP35_LADDER_TOL) are module constants, not parameters, so
 no caller can widen a ladder match or move the Prop. 3.4 bracket.
 
 Sympy values stay canonical by ``expand`` and ``sqrtdenest``, not
 ``simplify``; signs come from sympy, or from a float where it cannot tell.
-Only the sympy residual keeps one ``simplify`` per point: on fields mixing
-floats with sympy values an expanded |f(p)| keeps round-off that fails the
-residual gate or turns complex.
+The residual |f(p)| follows one rule for every number kind: an exact 0 when
+both components are exactly 0 (``==`` on ``_Surd``, one ``simplify`` per
+sympy component), else the float hypot of the two components.  A symbolic
+sqrt(f1^2 + f2^2) would keep the round-off of a float point on a sympy
+field, and can come out complex there.
 """
 
 from __future__ import annotations
@@ -52,8 +54,6 @@ NEWTON_STEP_TOL = 1e-13
 DEDUPE_TOL = 1e-8
 # lemma33_check matches a gap to its target i when |delta - i| <= LADDER_TOL
 LADDER_TOL = 1e-6
-# lemma33_check takes its four points at least LADDER_SPACING apart
-LADDER_SPACING = 1e-6
 # solve_prop34 bisects middle_gap - 2 on this bracket, whose ends have
 # opposite signs, until |middle_gap - 2| <= PROP34_TOL
 PROP34_BRACKET = (7.0, 20.0)
@@ -169,13 +169,8 @@ def _symbolic(*vals) -> bool:
                for v in vals)
 
 def _zero(*vals):
-    """0 of the values' kind: an exact 0 if any is exact, else 0.0."""
-    if not _symbolic(*vals):
-        return 0.0
-    if any(isinstance(v, _Surd) for v in vals):
-        return _Surd()
-    import sympy as sym
-    return sym.Integer(0)
+    """0 of the values' kind: 0 times the first exact one, else 0.0."""
+    return next((0 * v for v in vals if _symbolic(v)), 0.0)
 
 def _negative(x) -> bool:
     """Whether the real x is below 0: an exact x decides, float(x) the rest."""
@@ -352,17 +347,22 @@ class FixedPointAnalysis:
 
 
 def _residual(field: PlanarField, p):
-    """|f(p)|, an exact 0 at an exact fixed point; inf past the float range."""
+    """|f(p)|: an exact 0 when both components are exactly 0, else a float,
+    inf past the float range."""
     try:
         f1, f2 = field.f(p)
     except OverflowError:  # Python-float ** raises instead of returning inf
         return math.inf
-    if isinstance(f1, _Surd) or isinstance(f2, _Surd):
-        return _Surd() if f1 == 0 == f2 else math.hypot(float(f1), float(f2))
-    if _symbolic(f1, f2):
-        import sympy as sym
-        return sym.simplify(sym.sqrt(f1**2 + f2**2))
+    if _symbolic(f1, f2) and all(map(_exactly_zero, (f1, f2))):
+        return _zero(f1, f2)
     return math.hypot(float(f1), float(f2))
+
+
+def _exactly_zero(x) -> bool:
+    if not _symbolic(x) or isinstance(x, _Surd):
+        return x == 0
+    import sympy as sym
+    return sym.simplify(x) == 0
 
 
 def _analysis(field: PlanarField, p, residual) -> FixedPointAnalysis:
@@ -393,7 +393,7 @@ def delta_of(field: PlanarField, p) -> FixedPointAnalysis:
     return _analysis(field, p, residual)
 
 
-def _closed_form_candidates(field: PlanarField):
+def _closed_form_candidates(field: CubicCoupled | CubicUncoupled):
     if isinstance(field, CubicCoupled):
         k, a, b = field.k, field.a, field.b
         zero = _zero(k, a, b)
@@ -411,11 +411,8 @@ def _closed_form_candidates(field: PlanarField):
             y2 = _sqrt((a - 1) / (a * b + 1))
             cands += [(sx * x2, sy * y2) for sx in (1, -1) for sy in (1, -1)]
         return cands
-    if isinstance(field, CubicUncoupled):
-        zero = _zero(field.a, field.b, field.c, field.d)
-        return [(x, y) for x in (zero, field.a, field.b)
-                for y in (zero, field.c, field.d)]
-    raise ConfigError(f"no closed forms for {type(field).__name__}")
+    zero = _zero(field.a, field.b, field.c, field.d)
+    return [(x, y) for x in (zero, field.a, field.b) for y in (zero, field.c, field.d)]
 
 
 def _newton_candidates(field: GeneralPoly, region: Region):
@@ -494,9 +491,8 @@ def fixed_points(
 
 @dataclass(frozen=True)
 class Lemma33Result:
-    """verdict: a full ladder exists.  matches maps each target delta to a
-    fixed point: the distinct assignment when verdict holds, else the first
-    point hitting each target that any point hits."""
+    """matches maps each target delta that a fixed point hits to the first
+    such point; verdict: all four targets are hit."""
 
     verdict: bool
     matches: dict
@@ -509,33 +505,14 @@ def lemma33_check(
 
     Existence of such a ladder rules out a normally hyperbolic inertial
     manifold for the associated reaction-diffusion system.  Matching is by
-    |delta(p) - i| <= LADDER_TOL with points distinct at distance >=
-    LADDER_SPACING.
+    |delta(p) - i| <= LADDER_TOL; fixed_points keeps its points DEDUPE_TOL
+    apart, and no point hits two targets, so the first hits are distinct.
     """
     analyses = fixed_points(field, region)
-    slots = []
-    for i in range(4):
-        slots.append([an for an in analyses
-                      if abs(an.delta_float - i) <= LADDER_TOL])
-
-    def assign(i, used):
-        if i == 4:
-            return {}
-        for an in slots[i]:
-            pf = an.point_float
-            if any(math.hypot(pf[0] - q[0], pf[1] - q[1]) < LADDER_SPACING
-                   for q in used):
-                continue
-            rest = assign(i + 1, used + [pf])
-            if rest is not None:
-                rest[i] = an
-                return rest
-        return None
-
-    matches = assign(0, [])
-    if matches is None:
-        return Lemma33Result(False, {i: hits[0] for i, hits in enumerate(slots) if hits})
-    return Lemma33Result(True, {i: matches[i] for i in range(4)})
+    slots = [[an for an in analyses if abs(an.delta_float - i) <= LADDER_TOL]
+             for i in range(4)]
+    matches = {i: hits[0] for i, hits in enumerate(slots) if hits}
+    return Lemma33Result(len(matches) == 4, matches)
 
 
 def coupled_ladder_params(a: float) -> tuple[float, float]:
@@ -598,13 +575,8 @@ def solve_prop34() -> Prop34Constants:
 
     k, b = coupled_ladder_params(a_star)
     field = CubicCoupled(k=k, a=a_star, b=b)
-    p0 = (0.0, 0.0)
-    p1 = (1.0 / math.sqrt(a_star), 0.0)
-    p2 = (
-        math.sqrt((b + 1.0) / (a_star * b + 1.0)),
-        math.sqrt((a_star - 1.0) / (a_star * b + 1.0)),
-    )
-    p3 = (0.0, 1.0 / math.sqrt(b))
+    # the origin, (1/sqrt a, 0), (0, 1/sqrt b) and the interior point
+    p0, p1, _, p3, _, p2, *_ = _closed_form_candidates(field)
     points = (p0, p1, p2, p3)
     deltas = tuple(delta_of(field, p).delta_float for p in points)
     c = math.sqrt(6.0)
@@ -720,11 +692,8 @@ def invariant_region_check(field: CubicCoupled, c) -> bool:
         raise ConfigError("the box invariance criterion applies to the coupled family")
     a, b = field.a, field.b
     csq = c * c
-    if _symbolic(a, b, c):
-        import sympy as sym
-        return (not _negative(sym.expand(csq - 1 / b))
-                and not _negative(sym.expand((a - 1) - csq)))
-    return 1.0 / float(b) <= float(csq) <= float(a) - 1.0
+    # a NaN c is below no bound, yet neither difference is negative
+    return not (math.isnan(float(csq)) or _negative(csq - 1 / b) or _negative(a - 1 - csq))
 
 
 # ---------------------------------------------------------------------------

@@ -91,44 +91,52 @@ def householder_tridiagonal(A):
 
 
 def _sturm_count_below(d, e, xs):
-    """Number of eigenvalues of the tridiagonal (d, e) strictly below each x.
+    """Number of eigenvalues of each tridiagonal (d[b], e[b]) strictly below
+    each xs[b, j].
 
     Classic sign-agreement count on the shifted LDL^T recurrence, vectorized
-    over query points xs.
+    over the matrices of the stack and their query points.
     """
-    xs = np.asarray(xs, dtype=float)
     count = np.zeros(xs.shape, dtype=np.int64)
-    q = d[0] - xs
+    q = d[:, :1] - xs
     count += q < 0
     tiny = 1e-300
-    for i in range(1, len(d)):
+    for i in range(1, d.shape[1]):
         denom = np.where(np.abs(q) < tiny, np.where(q < 0, -tiny, tiny), q)
-        q = d[i] - xs - (e[i - 1] ** 2) / denom
+        q = d[:, i : i + 1] - xs - (e[:, i - 1 : i] ** 2) / denom
         count += q < 0
     return count
 
 
 def sturm_eigenvalues(A, tol=1e-12):
-    """All eigenvalues of a symmetric matrix by Householder tridiagonalization
-    plus bisection on the Sturm eigenvalue counts.  Returns ascending array."""
+    """All eigenvalues of a symmetric matrix, or of each in a (B, n, n) stack,
+    by Householder tridiagonalization plus bisection on the Sturm eigenvalue
+    counts, one bisection for the whole stack.  Returns them ascending, shape
+    (n,) or (B, n)."""
     A = np.asarray(A, dtype=float)
-    n = A.shape[0]
+    stack = A if A.ndim == 3 else A[None]
+    n = stack.shape[-1]
     if n == 1:
-        return np.array([A[0, 0]])
-    d, e = householder_tridiagonal(A)
-    radius = np.abs(d) + np.concatenate(([0.0], np.abs(e))) + np.concatenate((np.abs(e), [0.0]))
-    lo = np.full(n, float(np.min(d - radius)) - 1.0)
-    hi = np.full(n, float(np.max(d + radius)) + 1.0)
-    ks = np.arange(1, n + 1)
-    span = hi[0] - lo[0]
-    iters = max(1, int(math.ceil(math.log2(span / tol))) + 2)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        below = _sturm_count_below(d, e, mid)
-        take_hi = below >= ks  # k-th eigenvalue is below mid
-        hi = np.where(take_hi, mid, hi)
-        lo = np.where(take_hi, lo, mid)
-    return 0.5 * (lo + hi)
+        eigs = stack[:, 0, :]
+    else:
+        d, e = (np.array(t) for t in zip(*map(householder_tridiagonal, stack)))
+        pad = np.zeros((len(stack), 1))
+        radius = (np.abs(d) + np.concatenate((pad, np.abs(e)), axis=1)
+                  + np.concatenate((np.abs(e), pad), axis=1))
+        lo = np.repeat(np.min(d - radius, axis=1, keepdims=True) - 1.0, n, axis=1)
+        hi = np.repeat(np.max(d + radius, axis=1, keepdims=True) + 1.0, n, axis=1)
+        ks = np.arange(1, n + 1)
+        # the widest bracket sets the count, so every matrix ends within tol
+        span = float(np.max(hi - lo))
+        iters = max(1, int(math.ceil(math.log2(span / tol))) + 2)
+        for _ in range(iters):
+            mid = 0.5 * (lo + hi)
+            below = _sturm_count_below(d, e, mid)
+            take_hi = below >= ks  # k-th eigenvalue is below mid
+            hi = np.where(take_hi, mid, hi)
+            lo = np.where(take_hi, lo, mid)
+        eigs = 0.5 * (lo + hi)
+    return eigs if A.ndim == 3 else eigs[0]
 
 
 def window_modes_by_loops(domain, lam, k):

@@ -183,12 +183,15 @@ def test_c5_spatial_averaging_soundness():
 
 def test_c6_jacobi_against_sturm_bisection():
     rng = np.random.default_rng(6)
+    by_size = {}
     for _ in range(1000):
         n = int(rng.integers(1, 13))
         A = rng.normal(size=(n, n)) * float(rng.uniform(0.2, 10.0))
-        A = (A + A.T) / 2.0
-        got = jacobi_eigenvalues(A)
-        want = sturm_eigenvalues(A)
+        by_size.setdefault(n, []).append((A + A.T) / 2.0)
+    # one stack per size for both solvers: the same 1000 matrices
+    for stack in map(np.array, by_size.values()):
+        got = jacobi_eigenvalues(stack)
+        want = sturm_eigenvalues(stack)
         assert np.abs(got - want).max() < 1e-10
 
 

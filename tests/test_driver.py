@@ -30,6 +30,20 @@ def plain(report):
     return json.loads(render_report(report))
 
 
+# the Prop. 3.5 field with its parameters as sympy strings
+PROP35_STRINGS = {"kind": "cubic_uncoupled", "a": "2", "b": "sqrt(3)",
+                  "c": "sqrt(6)", "d": "sqrt(2)"}
+
+
+def field_arg(field, tmp_path):
+    """The --field value: a builtin name as given, a field dict as a file."""
+    if isinstance(field, str):
+        return field
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps(field))
+    return str(path)
+
+
 class TestValidate:
     def test_negative_cutoff(self):
         diags = validate({"command": "spectrum", "cutoff": -3})
@@ -512,12 +526,17 @@ class TestMainExitCodes:
         ("prop34", "1e200,0", "|f(p)| = inf"),
         ("prop35-float", "nan,0", "|f(p)| = nan"),
         ("prop35", "nan,0", "|f(p)| = nan"),
+        (PROP35_STRINGS, "nan,0", "|f(p)| = nan"),
         ("prop35", "inf,0", "|f(p)| = inf"),
+        (PROP35_STRINGS, "inf,0", "|f(p)| = inf"),
         ("prop35", "1e300,0", "|f(p)| = inf"),
+        (PROP35_STRINGS, "1e300,0", "|f(p)| = inf"),
         ("prop35", "0.5,0.5", "|f(p)| = 1.284e+00"),
     ])
-    def test_far_or_nan_point_is_not_a_fixed_point(self, capsys, field, at, shown):
-        code, out, err = cli(capsys, "delta", "--field", field, "--at", at)
+    def test_far_or_nan_point_is_not_a_fixed_point(self, capsys, tmp_path,
+                                                   field, at, shown):
+        code, out, err = cli(capsys, "delta", "--field", field_arg(field, tmp_path),
+                             "--at", at)
         assert code == 2 and out == ""
         assert err.startswith("imhyp: hypothesis not met: point (")
         assert f"is not a fixed point: {shown} exceeds 1e-08" in err
@@ -531,6 +550,17 @@ class TestMainExitCodes:
         result = json.loads(out)["result"]
         assert 0.0 < result["residual"] <= 1e-15
         assert abs(result["delta"] - 1.0) <= 1e-14
+
+    def test_string_field_at_the_float_of_a_fixed_point(self, capsys, tmp_path):
+        # a float point leaves round-off in the sympy components of f(p); the
+        # residual must still be a real float and delta the builtin field's
+        deltas = []
+        for field in ("prop35", field_arg(PROP35_STRINGS, tmp_path)):
+            code, out, err = cli(capsys, "delta", "--field", field,
+                                 "--at", "1.7320508075688772,1.4142135623730951")
+            assert (code, err) == (0, "")
+            deltas.append(json.loads(out)["result"]["delta"])
+        assert abs(deltas[0] - deltas[1]) <= 1e-14
 
     def test_lemma41_nonpositive_difference(self, capsys):
         code, _, err = cli(

@@ -459,6 +459,8 @@ class TestDissipativityAndRegion:
         assert invariant_region_check(CubicCoupled(k=1.0, a=2.0, b=1.0), 1.0)
         assert not invariant_region_check(CubicCoupled(k=1.0, a=2.0, b=1.0), 2.0)
         assert not invariant_region_check(CubicCoupled(k=1.0, a=2.0, b=0.2), 1.0)
+        # NaN is inside no box: neither difference is negative, still not invariant
+        assert not invariant_region_check(CubicCoupled(k=1.0, a=2.0, b=1.0), math.nan)
         c = solve_prop34()
         f = CubicCoupled(k=c.k, a=c.a_star, b=c.b)
         assert invariant_region_check(f, math.sqrt(6.0))
@@ -470,6 +472,7 @@ class TestDissipativityAndRegion:
         assert invariant_region_check(exact, sym.sqrt(2))
         assert not invariant_region_check(exact, sym.sqrt(3))
         assert not invariant_region_check(exact, sym.Rational(7, 5))
+        assert not invariant_region_check(exact, math.nan)
         assert not invariant_region_check(CubicCoupled(k=1.0, a=3.0, b=0.5),
                                           math.sqrt(2.0))
 
