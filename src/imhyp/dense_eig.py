@@ -4,24 +4,22 @@ A symmetric matrix is block diagonal over the connected components of its
 nonzero pattern, and its spectral norm is the largest block norm: the split
 is a permutation similarity, so it is exact.  ``edge_norms`` takes each
 matrix as its nonzero entries, splits it once by min-label propagation over
-them and answers 1x1 blocks by their |entry| and 2x2 blocks by the closed
-form of ``_eig2x2_float``.  It gathers the blocks of 3 to JACOBI_MAX_N modes
-of many matrices by size and solves every size as one stack with a batched
-round-robin Jacobi (Brent & Luk, SIAM J. Sci. Stat. Comput. 6 (1985)): a
-sweep is n-1 steps, and each step applies n/2 disjoint rotations to every
-matrix of the stack at once; no LAPACK or BLAS routine is involved, and the
-sweeps stop at module constants (JACOBI_TOL within JACOBI_MAX_SWEEPS), not
-at caller-chosen tolerances.  Only blocks over JACOBI_MAX_N modes take
-LAPACK's ``eigvalsh`` instead, one call per matrix and block size: a
-backward-stable direct solver that cannot fail to settle, but whose last
-bits can move between LAPACK builds.  ``_eig2x2_float`` serves the field and
-certificate layers: closed-form 2x2 eigenvalues.
+them and answers 1x1 blocks by their |entry| and 2x2 blocks in closed form.
+It gathers the blocks of 3 to JACOBI_MAX_N modes of many matrices by size
+and solves every size as one stack with a batched round-robin Jacobi (Brent
+& Luk, SIAM J. Sci. Stat. Comput. 6 (1985)): a sweep is n-1 steps, and
+each step applies n/2 disjoint rotations to every matrix of the stack at
+once; no LAPACK or BLAS routine is involved, and the sweeps stop at module
+constants (JACOBI_TOL within JACOBI_MAX_SWEEPS), not at caller-chosen
+tolerances.  Only blocks over JACOBI_MAX_N modes take LAPACK's ``eigvalsh``
+instead, one call per matrix and block size: a backward-stable direct solver
+that cannot fail to settle, but whose last bits can move between LAPACK
+builds.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
@@ -214,14 +212,14 @@ def edge_norms(matrices) -> np.ndarray:
     Each matrix is checked for symmetry (ConfigError if it is not), then
     split into its blocks.  A 1x1 block's norm is its |entry|, bitwise what
     Jacobi returns for it.  A 2x2 block [[a, b], [b, d]] gets
-    (|a+d| + sqrt((a-d)(a-d) + 4b*b)) / 2, bitwise max |xi| of
-    _eig2x2_float(a, b, b, d), where Jacobi can be an ulp low.  Blocks of 3
-    to JACOBI_MAX_N modes of all matrices are stacked by size (odd sizes
-    padded to the next even one, which sets the rotation schedule) and
-    solved together, whenever the pending stacks reach STACK_ENTRIES entries
-    and at the end, so an iterable that builds its matrices lazily keeps
-    memory bounded.  Larger blocks take one LAPACK eigvalsh per matrix and
-    block size.
+    (|a+d| + sqrt((a-d)(a-d) + 4b*b)) / 2, bitwise max |xi| of the field
+    layer's reaction_field._eig2x2_float(a, b, b, d), where Jacobi can be an
+    ulp low.  Blocks of 3 to JACOBI_MAX_N modes of all matrices are stacked by
+    size (odd sizes padded to the next even one, which sets the rotation
+    schedule) and solved together, whenever the pending stacks reach
+    STACK_ENTRIES entries and at the end, so an iterable that builds its
+    matrices lazily keeps memory bounded.  Larger blocks take one LAPACK
+    eigvalsh per matrix and block size.
     """
     pending: dict[int, list] = {}
     owners, values = [], []
@@ -265,19 +263,3 @@ def edge_norms(matrices) -> np.ndarray:
     if owners:
         np.maximum.at(norms, np.concatenate(owners), np.concatenate(values))
     return norms
-
-
-def _eig2x2_float(a, b, c, d):
-    """(xi1, xi2, real-part gap) of [[a, b], [c, d]], by descending (Re, Im).
-
-    The discriminant is taken as (a-d)^2 + 4bc: tr^2 - 4det cancels when the
-    two real eigenvalues are close, and can then turn a real pair complex.
-    """
-    a, b, c, d = float(a), float(b), float(c), float(d)
-    tr = a + d
-    disc = (a - d) * (a - d) + 4.0 * b * c
-    if disc < 0.0:
-        im = math.sqrt(-disc) / 2.0
-        return (complex(tr / 2.0, im), complex(tr / 2.0, -im), 0.0)
-    s = math.sqrt(disc)
-    return ((tr + s) / 2.0, (tr - s) / 2.0, s)

@@ -5,66 +5,49 @@ the @_command decorator on its runner: the decorator names the command, lists
 its config keys and fills SCHEMAS and RUNNERS.  One scalar table renders
 every value of a report, certificate or report CSV, a list at a time (floats
 at 17 significant digits); reports are JSON with sorted keys, so identical
-config and version produce identical bytes.  This module does all of the
-package's file I/O: it reads config, field and multiplier JSON and writes
-every report, certificate and CSV, each through a temp-file-plus-rename.
+config and version produce identical bytes; a table's rows take one line
+each.  This module does all of the package's file I/O: it reads config,
+field and multiplier JSON and writes every report, certificate and CSV, each
+through a temp-file-plus-rename.  It binds the five layer modules lazily and
+imports no numpy itself, so --version, config errors and the planar-field
+commands start without numpy; a command loads the layers it calls.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import difflib
+import importlib.util
 import json
 import math
 import os
 import sys
 import tempfile
 import time
+import warnings
 from typing import NamedTuple
-
-import numpy as np
 
 from . import __version__
 from .errors import ConfigError, HypothesisNotMet, NumericalFailure
-from .lattice_spectrum import (
-    BOUNDARY_CONDITIONS,
-    PERIODIC_SCALINGS,
-    BoxDomain,
-    JumpQuery,
-    enumerate_spectrum,
-    gap_stats,
-    jump_condition_scan,
-    three_square_gap_audit,
-    weyl_fit,
-)
-from .reaction_field import (
-    DEFAULT_REGION,
-    CubicCoupled,
-    delta_of,
-    dissipativity_radius,
-    field_from_json_dict,
-    fixed_points,
-    invariant_region_check,
-    lemma33_check,
-    prop35_field,
-    solve_prop34,
-    verify_prop35,
-)
-from .spatial_averaging import (
-    Multiplier,
-    multiplier_from_json_dict,
-    sap_scan,
-)
-from .stationary_spectrum import (
-    GAP_MIN,
-    Linearization,
-    anhim_common_gamma,
-    count_profile,
-    lemma41_threshold,
-    nhim_certificate,
-    parity_report,
-    unstable_index,
-)
+from .lattice_params import BOUNDARY_CONDITIONS, PERIODIC_SCALINGS, JumpQuery
+
+
+def _lazy(name: str):
+    """The module imhyp.<name>: in sys.modules at once, run on the first
+    read of one of its attributes."""
+    fullname = f"{__package__}.{name}"
+    if fullname not in sys.modules:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        sys.modules[fullname] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[fullname])
+    return sys.modules[fullname]
+
+
+# the five layers; a command loads only those it calls, and numpy with them
+lattice_spectrum, reaction_field, stationary_spectrum, spatial_averaging, dense_eig = (
+    map(_lazy, ("lattice_spectrum", "reaction_field", "stationary_spectrum",
+                "spatial_averaging", "dense_eig")))
 
 # ---------------------------------------------------------------------------
 # parameter schema
@@ -297,10 +280,12 @@ def _render(obj, pad: str) -> str:
     """obj as JSON text, each node converted as it is written: numpy arrays
     and scalars by tolist() (a scalar's is its item()), a dataclass as its
     fields, dict keys as strings, sorted, and tuples as lists.  pad starts
-    the closing line; each nested line is indented one space further."""
+    the closing line; each nested line is indented one space further, but a
+    table row stays on one line."""
     if type(obj) in _SCALARS:
         return next(_texts((obj,)))
-    if isinstance(obj, (np.ndarray, np.generic)):
+    np = sys.modules.get("numpy")  # no numpy value exists before its import
+    if np is not None and isinstance(obj, (np.ndarray, np.generic)):
         return _render(obj.tolist(), pad)
     if dataclasses.is_dataclass(obj):
         obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
@@ -316,9 +301,7 @@ def _render(obj, pad: str) -> str:
         items = _texts(obj)
     elif _is_table(obj):
         # such as a histogram of (gap, count) pairs: a column at a time
-        deeper = inner + " "
-        items = ["[" + deeper + ("," + deeper).join(row) + inner + "]"
-                 for row in zip(*map(_texts, zip(*obj)))]
+        items = ["[" + ", ".join(row) + "]" for row in zip(*map(_texts, zip(*obj)))]
     else:
         items = [_render(x, inner) for x in obj]
     body = inner + ("," + inner).join(items) + pad if obj else ""
@@ -379,12 +362,12 @@ def _read_json(path, what: str) -> dict:
 # ---------------------------------------------------------------------------
 # shared builders
 
-def _build_domain(p) -> BoxDomain:
-    return BoxDomain(dim=p["dim"], sides=p["sides"], bc=p["bc"])
+def _build_domain(p) -> lattice_spectrum.BoxDomain:
+    return lattice_spectrum.BoxDomain(dim=p["dim"], sides=p["sides"], bc=p["bc"])
 
 
 def _spectrum(p):
-    return enumerate_spectrum(
+    return lattice_spectrum.enumerate_spectrum(
         _build_domain(p), p["cutoff"], periodic_scaling=p["periodic-scaling"]
     )
 
@@ -397,8 +380,8 @@ def _scalar_field():
 
 
 def _prop34_field():
-    consts = solve_prop34()
-    return CubicCoupled(k=consts.k, a=consts.a_star, b=consts.b)
+    consts = reaction_field.solve_prop34()
+    return reaction_field.CubicCoupled(k=consts.k, a=consts.a_star, b=consts.b)
 
 
 # builtin name -> its planar field; cubic-scalar, f(u) = u - u^3, has none and
@@ -406,11 +389,12 @@ def _prop34_field():
 _BUILTIN_FIELDS = {
     "cubic-scalar": _scalar_field,
     "prop34": _prop34_field,
-    "prop35": lambda: prop35_field(exact=True),
-    "prop35-float": lambda: prop35_field(exact=False),
+    "prop35": lambda: reaction_field.prop35_field(exact=True),
+    "prop35-float": lambda: reaction_field.prop35_field(exact=False),
 }
 _BUILTIN_MULTIPLIERS = {
-    "cos-x1": lambda: Multiplier(BoxDomain(dim=3), {(1, 0, 0): 1.0}),
+    "cos-x1": lambda: spatial_averaging.Multiplier(
+        lattice_spectrum.BoxDomain(dim=3), {(1, 0, 0): 1.0}),
 }
 
 
@@ -427,17 +411,19 @@ def _builtin_or_file(name: str, builtins: dict, what: str, from_json):
 
 
 def _planar_field(name: str):
-    return _builtin_or_file(name, _BUILTIN_FIELDS, "field", field_from_json_dict)
+    return _builtin_or_file(name, _BUILTIN_FIELDS, "field",
+                            reaction_field.field_from_json_dict)
 
 
 def _region(p):
     region = p["region"]
-    return DEFAULT_REGION if region is None else (region[:2], region[2:])
+    return reaction_field.DEFAULT_REGION if region is None else (region[:2], region[2:])
 
 
 def _jac_matrix(entries):
-    """The 1x1 or 2x2 Jacobian of 1 or 4 parsed entries, row by row."""
-    return np.array(entries, dtype=float).reshape((math.isqrt(len(entries)),) * 2)
+    """The 1x1 or 2x2 Jacobian of 1 or 4 parsed entries, as a tuple of rows."""
+    n = math.isqrt(len(entries))
+    return tuple(tuple(entries[i:i + n]) for i in range(0, n * n, n))
 
 
 def _linearizations(p, domain) -> list:
@@ -456,24 +442,23 @@ def _linearizations(p, domain) -> list:
                 f"{len(labels)} labels for {len(jacs)} Jacobians"
             )
         lins = [
-            Linearization(domain, nu, _jac_matrix(j), label=lab)
+            stationary_spectrum.Linearization(domain, nu, _jac_matrix(j), label=lab)
             for j, lab in zip(jacs, labels)
         ]
     elif field_name == "cubic-scalar":
         # f(u) = u - u^3: equilibria 0 and +-1 with f'(u) = 1 - 3u^2
         pairs = (("0", 1.0), ("+1", -2.0), ("-1", -2.0))
         lins = [
-            Linearization(domain, nu, np.array([[d]]), label=lab)
+            stationary_spectrum.Linearization(domain, nu, ((d,),), label=lab)
             for lab, d in pairs
         ]
     else:
         lins = []
-        for a in fixed_points(_planar_field(field_name)):
+        for a in reaction_field.fixed_points(_planar_field(field_name)):
             x, y = a.point_float
-            jac = np.array([[float(v) for v in row] for row in a.jacobian])
-            lins.append(
-                Linearization(domain, nu, jac, label=f"({x:.6g},{y:.6g})")
-            )
+            jac = tuple(tuple(map(float, row)) for row in a.jacobian)
+            lins.append(stationary_spectrum.Linearization(
+                domain, nu, jac, label=f"({x:.6g},{y:.6g})"))
     if not lins:
         source = "jacs" if jacs is not None else f"field {field_name!r}"
         raise ConfigError(f"no equilibria to linearize: {source} gives none")
@@ -513,7 +498,7 @@ def _run_spectrum(p):
     if p.get("csv"):
         _atomic_file(p["csv"], _csv("lambda,multiplicity", (
             spec.eigenvalues.tolist(), spec.multiplicities.tolist())))
-    gaps = gap_stats(spec) if len(spec) >= 2 else None
+    gaps = lattice_spectrum.gap_stats(spec) if len(spec) >= 2 else None
     result = {
         "count": spec.total_count,
         "distinct": len(spec),
@@ -536,7 +521,7 @@ def _run_gaps(p):
             f"only {len(spec)} distinct eigenvalues below {p['cutoff']:g}; "
             "no gaps to report"
         )
-    report = gap_stats(spec)
+    report = lattice_spectrum.gap_stats(spec)
     lo, hi = report.witness
     return report, f"max gap {report.max_gap:g} at ({lo:g}, {hi:g})"
 
@@ -549,7 +534,7 @@ def _run_gaps(p):
 def _run_jump(p):
     query = JumpQuery(theta=p["theta"], lip=p["lip"], cconst=p["cconst"],
                       nu=p["nu"])
-    scan = jump_condition_scan(_spectrum(p), query)
+    scan = lattice_spectrum.jump_condition_scan(_spectrum(p), query)
     verdict = (
         f"jump condition {'satisfied' if scan.satisfied else 'not satisfied'} "
         f"(best ratio {scan.best_ratio:g} at n={scan.best_n})"
@@ -559,7 +544,7 @@ def _run_jump(p):
 
 @_command("gauss-audit", Param("limit", "int", default=1_000_000, positive=True))
 def _run_gauss_audit(p):
-    audit = three_square_gap_audit(p["limit"])
+    audit = lattice_spectrum.three_square_gap_audit(p["limit"])
     result = {
         "limit": p["limit"],
         "excluded_count": audit.excluded.size,
@@ -577,7 +562,7 @@ def _run_gauss_audit(p):
 
 @_command("weyl", *_BOX_SPECTRUM)
 def _run_weyl(p):
-    fit = weyl_fit(_spectrum(p), p["dim"])
+    fit = lattice_spectrum.weyl_fit(_spectrum(p), p["dim"])
     verdict = (
         f"growth exponent {fit.exponent:.4f} "
         f"(expected {fit.expected:.4f} in dim {p['dim']})"
@@ -587,7 +572,7 @@ def _run_weyl(p):
 
 @_command("fixed-points", _FIELD, Param("region", "rect"), _CSV)
 def _run_fixed_points(p):
-    analyses = fixed_points(_planar_field(p["field"]), region=_region(p))
+    analyses = reaction_field.fixed_points(_planar_field(p["field"]), region=_region(p))
     points = [_analysis_row(a) for a in analyses]
     if p.get("csv"):
         _atomic_file(p["csv"], _csv(
@@ -605,14 +590,14 @@ def _run_fixed_points(p):
 def _run_delta(p):
     field = _planar_field(p["field"])
     at = p["at"]
-    analysis = delta_of(field, tuple(at))
+    analysis = reaction_field.delta_of(field, tuple(at))
     verdict = f"delta = {analysis.delta_float:.17g} at ({at[0]:g}, {at[1]:g})"
     return _analysis_row(analysis), verdict
 
 
 @_command("lemma33", _FIELD, Param("region", "rect"))
 def _run_lemma33(p):
-    check = lemma33_check(_planar_field(p["field"]), region=_region(p))
+    check = reaction_field.lemma33_check(_planar_field(p["field"]), region=_region(p))
     result = {
         "ladder_found": check.verdict,
         "matches": {t: _analysis_row(a) for t, a in check.matches.items()},
@@ -627,7 +612,7 @@ def _run_lemma33(p):
 
 @_command("prop34")
 def _run_prop34(p):
-    consts = solve_prop34()
+    consts = reaction_field.solve_prop34()
     ok = consts.checklist.all_pass()
     verdict = (
         f"{'PASS' if ok else 'FAIL'}: a* = {consts.a_star:.17g}, "
@@ -638,7 +623,7 @@ def _run_prop34(p):
 
 @_command("prop35-verify", Param("exact", "bool", default=True))
 def _run_prop35_verify(p):
-    report = verify_prop35(exact=p["exact"])
+    report = reaction_field.verify_prop35(exact=p["exact"])
     ok = report.ladder_ok()
     result = {
         "exact": report.exact,
@@ -660,7 +645,8 @@ def _run_prop35_verify(p):
           Param("seed", "int", default=0))
 def _run_dissipativity(p):
     field = _planar_field(p["field"])
-    report = dissipativity_radius(field, samples=p["samples"], seed=p["seed"])
+    report = reaction_field.dissipativity_radius(
+        field, samples=p["samples"], seed=p["seed"])
     # dissipativity_radius raises on a failing sample, so report.verified holds
     return report, f"sign condition verified outside radius {report.r0:.17g}"
 
@@ -668,7 +654,7 @@ def _run_dissipativity(p):
 @_command("region", _FIELD, Param("c", "float", required=True, positive=True))
 def _run_region(p):
     field = _planar_field(p["field"])
-    invariant = invariant_region_check(field, p["c"])
+    invariant = reaction_field.invariant_region_check(field, p["c"])
     result = {"c": p["c"], "invariant": bool(invariant)}
     verdict = (
         f"[0,1]x[0,{p['c']:g}] {'is' if invariant else 'is not'} invariant"
@@ -678,8 +664,9 @@ def _run_region(p):
 
 @_command("index", *_DOMAIN, _NU, Param("jac", "jac", required=True), _CUTOFF)
 def _run_index(p):
-    lin = Linearization(_build_domain(p), p["nu"], _jac_matrix(p["jac"]))
-    index, hyperbolic = unstable_index(lin, p["cutoff"])
+    lin = stationary_spectrum.Linearization(
+        _build_domain(p), p["nu"], _jac_matrix(p["jac"]))
+    index, hyperbolic = stationary_spectrum.unstable_index(lin, p["cutoff"])
     result = {"index": index, "hyperbolic": hyperbolic, "cutoff": p["cutoff"]}
     verdict = (
         f"unstable index {index} "
@@ -691,7 +678,7 @@ def _run_index(p):
 @_command("parity", *_EQUILIBRIA)
 def _run_parity(p):
     lins = _linearizations(p, _build_domain(p))
-    report = parity_report(lins, p["cutoff"])
+    report = stationary_spectrum.parity_report(lins, p["cutoff"])
     result = {
         "entries": report.entries,
         "pairs": [
@@ -713,8 +700,9 @@ def _run_parity(p):
 
 @_command("profile", *_DOMAIN, _NU, Param("jac", "jac", required=True), _CUTOFF)
 def _run_profile(p):
-    lin = Linearization(_build_domain(p), p["nu"], _jac_matrix(p["jac"]))
-    profile = count_profile(lin, p["cutoff"])
+    lin = stationary_spectrum.Linearization(
+        _build_domain(p), p["nu"], _jac_matrix(p["jac"]))
+    profile = stationary_spectrum.count_profile(lin, p["cutoff"])
     gaps = profile.gaps_below_zero()
     verdict = (
         f"{len(profile.breakpoints)} breakpoints; "
@@ -733,12 +721,12 @@ def _run_nhim_dims(p):
     lins = _linearizations(p, _build_domain(p))
     if len(lins) == 1 and p.get("cert"):
         raise ConfigError("cert needs two or more equilibria")
-    cert = nhim_certificate(lins, p["cutoff"])
+    cert = stationary_spectrum.nhim_certificate(lins, p["cutoff"])
     # each equilibrium's feasible dimensions are the n of its gaps, ascending
     per = [{"label": lin.label, "dims": [w.n for w in gaps[:_SHOWN_DIMS]],
             "dim_count": len(gaps), "truncation_bound": profile.valid_above}
            for lin, profile, gaps in zip(lins, cert.profiles, cert.gaps)]
-    result = {"equilibria": per, "gap_min": GAP_MIN}
+    result = {"equilibria": per, "gap_min": stationary_spectrum.GAP_MIN}
     if len(lins) == 1:
         shown = per[0]["dims"]
         verdict = (
@@ -760,7 +748,7 @@ def _run_nhim_dims(p):
 @_command("anhim", *_EQUILIBRIA, _CERT)
 def _run_anhim(p):
     lins = _linearizations(p, _build_domain(p))
-    cert = anhim_common_gamma(lins, p["cutoff"])
+    cert = stationary_spectrum.anhim_common_gamma(lins, p["cutoff"])
     result = _certificate(cert, p.get("cert"))
     if cert.empty:
         verdict = f"ANHIM obstruction: empty up to cutoff {p['cutoff']:g}"
@@ -776,7 +764,8 @@ def _run_anhim(p):
           Param("jac1", "float", required=True),
           Param("gap-bound", "float", required=True, positive=True))
 def _run_lemma41(p):
-    threshold = lemma41_threshold(p["jac0"], p["jac1"], p["gap-bound"])
+    threshold = stationary_spectrum.lemma41_threshold(
+        p["jac0"], p["jac1"], p["gap-bound"])
     result = {
         "threshold": threshold,
         "jac0": p["jac0"],
@@ -793,8 +782,8 @@ def _run_lemma41(p):
           Param("lambda-max", "float", required=True, positive=True), _CSV)
 def _run_sap_scan(p):
     h = _builtin_or_file(p["h"], _BUILTIN_MULTIPLIERS, "multiplier",
-                         multiplier_from_json_dict)
-    reports = sap_scan(h, p["k"], p["rho"], p["lambda-max"])
+                         spatial_averaging.multiplier_from_json_dict)
+    reports = spatial_averaging.sap_scan(h, p["k"], p["rho"], p["lambda-max"])
     rows = [{"lambda" if k == "lam" else k: v for k, v in vars(r).items()}
             for r in reports]
     if p.get("csv"):
@@ -907,7 +896,8 @@ def main(argv=None) -> int:
     try:
         config = _parse_cli(cmd, args[1:])
         # overflow ends in a non-finite report value (exit 3), not warnings
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
             report = run(config)
             text = render_report(report)
         out = report["config"].get("out")

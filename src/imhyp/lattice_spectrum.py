@@ -26,9 +26,7 @@ from .errors import (
     PreconditionError,
     ResourceBudgetError,
 )
-
-BOUNDARY_CONDITIONS = ("dirichlet", "neumann", "periodic")
-PERIODIC_SCALINGS = ("paper", "standard")
+from .lattice_params import BOUNDARY_CONDITIONS, PERIODIC_SCALINGS, JumpQuery
 
 # memory budget: lattice cells one walk may materialize (an exact count table,
 # a float candidate grid, the audit's table or a window-mode grid)
@@ -282,23 +280,6 @@ def gap_stats(spectrum: Spectrum) -> GapReport:
     histogram = list(zip(uniq.tolist(), counts.tolist()))
     trend = _running_max_trend(eigs[1:], diffs, spectrum.cutoff)
     return GapReport(float(diffs[i]), witness, histogram, trend)
-
-
-@dataclass(frozen=True)
-class JumpQuery:
-    """Parameters of the spectral-jump ratio scan over mu_n = 1 + nu*lambda_n."""
-
-    theta: float = 0.5
-    lip: float = 1.0
-    cconst: float = 1.0
-    nu: float = 1.0
-
-    def __post_init__(self):
-        if not (0.0 <= self.theta < 1.0):
-            raise ConfigError(f"theta must lie in [0, 1), got {self.theta}")
-        for name in ("lip", "cconst", "nu"):
-            if not (getattr(self, name) > 0):
-                raise ConfigError(f"{name} must be positive")
 
 
 @dataclass(frozen=True)

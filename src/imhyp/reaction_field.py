@@ -13,7 +13,10 @@ Prop. 3.5 field runs on ``_Surd``, sums q*sqrt(n) over square-free n: these
 roots are linearly independent over Q (Besicovitch, J. London Math. Soc. 15
 (1940)), so a value is 0 only when all its q are.  Field JSON with string
 values (and exact coupled fields, whose sqrt((b+1)/(ab+1)) lies outside
-that type) loads sympy; nothing else does.  Fields are read from JSON
+that type) loads sympy; nothing else does.  Likewise only the Newton search
+of a general polynomial field and the sampled dissipativity check load
+numpy; ``_eig2x2_float``, the closed-form 2x2 eigenvalues that the
+certificate layer also uses, needs none.  Fields are read from JSON
 dicts; rendering reports and file I/O are the driver's.
 The method's tolerances (DEDUPE_TOL, LADDER_TOL, PROP34_TOL on
 PROP34_BRACKET, PROP35_LADDER_TOL) are module constants, not parameters, so
@@ -35,9 +38,6 @@ import math
 import sys
 from dataclasses import astuple, dataclass
 
-import numpy as np
-
-from .dense_eig import _eig2x2_float
 from .errors import ConfigError, HypothesisNotMet, NumericalFailure
 
 Region = tuple[tuple[float, float], tuple[float, float]]
@@ -296,6 +296,22 @@ class GeneralPoly:
 PlanarField = CubicCoupled | CubicUncoupled | GeneralPoly
 
 
+def _eig2x2_float(a, b, c, d):
+    """(xi1, xi2, real-part gap) of [[a, b], [c, d]], by descending (Re, Im).
+
+    The discriminant is taken as (a-d)^2 + 4bc: tr^2 - 4det cancels when the
+    two real eigenvalues are close, and can then turn a real pair complex.
+    """
+    a, b, c, d = float(a), float(b), float(c), float(d)
+    tr = a + d
+    disc = (a - d) * (a - d) + 4.0 * b * c
+    if disc < 0.0:
+        im = math.sqrt(-disc) / 2.0
+        return (complex(tr / 2.0, im), complex(tr / 2.0, -im), 0.0)
+    s = math.sqrt(disc)
+    return ((tr + s) / 2.0, (tr - s) / 2.0, s)
+
+
 def _eig2x2(J):
     """Eigenvalues of a 2x2 matrix by the quadratic formula, discriminant
     (a-d)^2 + 4bc in exact and in float arithmetic alike.
@@ -416,6 +432,7 @@ def _closed_form_candidates(field: CubicCoupled | CubicUncoupled):
 
 
 def _newton_candidates(field: GeneralPoly, region: Region):
+    import numpy as np
     (x0, x1), (y0, y1) = region
     xs = np.linspace(x0, x1, NEWTON_GRID)
     ys = np.linspace(y0, y1, NEWTON_GRID)
@@ -648,6 +665,7 @@ def dissipativity_radius(
     """
     if samples < 1 or seed < 0:
         raise ConfigError("samples must be positive and seed nonnegative")
+    import numpy as np
     rng = np.random.default_rng(seed)
     if isinstance(field, CubicCoupled):
         a, b, k = float(field.a), float(field.b), float(field.k)

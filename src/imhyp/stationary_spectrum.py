@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense_eig import _eig2x2_float
 from .errors import ConfigError, HypothesisNotMet, PreconditionError
 from .lattice_spectrum import BoxDomain, Spectrum, _merge_close, enumerate_spectrum
+from .reaction_field import _eig2x2_float
 
 ZERO_TOL = 1e-9
 GAP_MIN = 1e-6

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from imhyp import dense_eig
-from imhyp.dense_eig import _eig2x2_float, edge_norms, jacobi_eigenvalues
+from imhyp.dense_eig import edge_norms, jacobi_eigenvalues
 from imhyp.errors import ConfigError, NumericalFailure
+from imhyp.reaction_field import _eig2x2_float
 from oracles import sturm_eigenvalues
 
 

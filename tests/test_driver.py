@@ -15,6 +15,7 @@ from imhyp.driver import main, render_report, run, validate
 from imhyp.errors import ConfigError, NumericalFailure
 from imhyp.lattice_spectrum import JumpQuery
 from imhyp.stationary_spectrum import Witness
+import imhyp.reaction_field as reaction_field
 import imhyp.stationary_spectrum as stationary_spectrum
 import imhyp.driver as driver_mod
 
@@ -329,8 +330,8 @@ class TestRun:
             render_report({"x": object()})
 
     def test_lists_render_as_indented_json(self):
-        # floats whose 17-digit text is also their shortest repr, so that
-        # json.dumps gives the same bytes
+        # one value or row per line, indented one space a level; each row of
+        # a table (equal-length lists of scalars) on one line
         report = {
             "table": [[0.5, 1], [-1.25, 2], [3.5, None]],
             "ragged": [[0.5], [1, 2], []],
@@ -343,7 +344,70 @@ class TestRun:
             "empty": [],
         }
         text = render_report(report)
-        assert text == json.dumps(report, indent=1, sort_keys=True) + "\n"
+        assert json.loads(text) == report
+        assert text == """{
+ "empty": [],
+ "empty_rows": [
+  [],
+  []
+ ],
+ "labels": [
+  ["ab", "c"],
+  ["d", "e"]
+ ],
+ "mixed": [
+  true,
+  false,
+  null,
+  "a\\"b",
+  7,
+  -0.75
+ ],
+ "not_rows": [
+  {
+   "ab": 1
+  },
+  [
+   1
+  ]
+ ],
+ "ragged": [
+  [
+   0.5
+  ],
+  [
+   1,
+   2
+  ],
+  []
+ ],
+ "records": [
+  {
+   "a": [
+    0.5,
+    0.25
+   ],
+   "b": 1
+  },
+  {}
+ ],
+ "rows_of_lists": [
+  [
+   [1],
+   [2]
+  ],
+  [
+   [3],
+   [4]
+  ]
+ ],
+ "table": [
+  [0.5, 1],
+  [-1.25, 2],
+  [3.5, null]
+ ]
+}
+"""
 
 
 class TestCertificates:
@@ -435,14 +499,14 @@ class TestCertificates:
         assert dims > 0 and len(built) == dims
 
     def test_prop34_verdict_follows_checklist(self, monkeypatch):
-        solve = driver_mod.solve_prop34
+        solve = reaction_field.solve_prop34
 
         def one_failing_check(**kwargs):
             consts = solve(**kwargs)
             checklist = dataclasses.replace(consts.checklist, ordering=False)
             return dataclasses.replace(consts, checklist=checklist)
 
-        monkeypatch.setattr(driver_mod, "solve_prop34", one_failing_check)
+        monkeypatch.setattr(reaction_field, "solve_prop34", one_failing_check)
         report = run({"command": "prop34"})
         assert report["result"].checklist.ordering is False
         assert report["verdict"].startswith("FAIL")

@@ -1,8 +1,11 @@
 """Import graph: sympy is loaded by field JSON with string values only; the
-float paths and the builtin exact prop35 field never load it.
+float paths and the builtin exact prop35 field never load it.  numpy is
+loaded only by the commands that call an array layer: the driver binds the
+five layers without running them, and --version, --help, config errors and
+the planar-field commands on builtin fields start without numpy.
 
-The test modules import sympy themselves, so each check runs in a fresh
-interpreter.
+The test modules import sympy and numpy themselves, so each check runs in a
+fresh interpreter.
 """
 
 import json
@@ -35,6 +38,28 @@ PROP35_ARGV = [
     ["prop35-verify", "--exact", "true"],
     ["parity", "--field", "prop35", "--nu", "1", "--cutoff", "200"],
 ]
+# commands that never touch an array: each must leave numpy unloaded
+NUMPY_FREE_ARGV = [
+    ["--version"],
+    ["--help"],
+    ["gaps", "--cutof", "100"],  # a misspelt key, refused before any layer
+    ["delta", "--field", "prop35", "--at", "0,0"],
+    ["delta", "--field", "prop34", "--at", "0,0"],
+    ["lemma33", "--field", "prop35"],
+    ["lemma33", "--field", "prop34"],
+    ["fixed-points", "--field", "prop35-float"],
+    ["fixed-points", "--field", "prop34"],
+    ["prop34"],
+    ["prop35-verify", "--exact", "true"],
+    ["prop35-verify", "--exact", "false"],
+    ["region", "--field", "prop34", "--c", "2"],
+]
+# commands that call an array layer, each loading numpy when it runs
+NUMPY_ARGV = [
+    ["gaps", "--cutoff", "100"],
+    ["sap-scan", "--h", "cos-x1", "--k", "3", "--rho", "1", "--lambda-max", "20"],
+    ["dissipativity", "--field", "prop34", "--samples", "100"],
+]
 STRING_FIELD = {"kind": "cubic_uncoupled", "a": "2", "b": "sqrt(3)",
                 "c": "sqrt(6)", "d": "sqrt(2)"}
 
@@ -53,15 +78,20 @@ EXACT_ARGV = {
 LAYERS = ["lattice_spectrum", "reaction_field", "stationary_spectrum",
           "spatial_averaging", "dense_eig"]
 
-FLOAT_SCRIPT = """
+# argv: the commands, the layers and the module to watch, as JSON; prints
+# the layers bound by the import and, after the import and each command,
+# its exit code and whether the watched module is loaded
+WATCH_SCRIPT = """
 import contextlib, io, json, sys
 from imhyp.driver import main
-layers = [m for m in json.loads(sys.argv[2]) if "imhyp." + m in sys.modules]
-seen = [["from imhyp.driver import main", 0, "sympy" in sys.modules]]
-for argv in json.loads(sys.argv[1]):
-    with contextlib.redirect_stdout(io.StringIO()):
+argvs, layers, watched = map(json.loads, sys.argv[1:4])
+layers = [m for m in layers if "imhyp." + m in sys.modules]
+seen = [["from imhyp.driver import main", 0, watched in sys.modules]]
+for argv in argvs:
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
-    seen.append([" ".join(argv), code, "sympy" in sys.modules])
+    seen.append([" ".join(argv), code, watched in sys.modules])
 print(json.dumps({"layers": layers, "seen": seen}))
 """
 
@@ -92,15 +122,42 @@ def fresh_python(*args, **kwargs):
     )
 
 
-def test_float_paths_never_import_sympy():
-    proc = fresh_python("-c", FLOAT_SCRIPT, json.dumps(FLOAT_ARGV),
-                        json.dumps(LAYERS))
+def watch(argvs, module, **kwargs):
+    """The layers bound by importing the driver, and the (step, exit code,
+    module loaded) of the import and then of each command, all run in one
+    fresh interpreter."""
+    proc = fresh_python("-c", WATCH_SCRIPT, json.dumps(argvs),
+                        json.dumps(LAYERS), json.dumps(module), **kwargs)
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
-    assert out["layers"] == LAYERS
-    seen = out["seen"]
+    assert len(out["seen"]) == len(argvs) + 1
+    return out["layers"], out["seen"]
+
+
+def test_float_paths_never_import_sympy():
+    layers, seen = watch(FLOAT_ARGV, "sympy")
+    assert layers == LAYERS
     assert [step for step, code, loaded in seen if code != 0 or loaded] == []
-    assert len(seen) == len(FLOAT_ARGV) + 1
+
+
+def test_driver_binds_every_layer_without_numpy():
+    # the benchmark tracer finds each layer in sys.modules; none has run
+    layers, seen = watch([], "numpy")
+    assert layers == LAYERS
+    assert seen == [["from imhyp.driver import main", 0, False]]
+
+
+def test_commands_without_arrays_never_import_numpy():
+    _, seen = watch(NUMPY_FREE_ARGV, "numpy")
+    assert [step for step, _, loaded in seen if loaded] == []
+    assert {step: code for step, code, _ in seen if code} == {"gaps --cutof 100": 1}
+
+
+@pytest.mark.parametrize("argv", NUMPY_ARGV, ids=[a[0] for a in NUMPY_ARGV])
+def test_array_commands_import_numpy_when_they_run(argv):
+    _, seen = watch([argv], "numpy")
+    assert seen == [["from imhyp.driver import main", 0, False],
+                    [" ".join(argv), 0, True]]
 
 
 @pytest.mark.parametrize("name", sorted(EXACT_ARGV))
@@ -117,10 +174,7 @@ def test_builtin_prop35_never_imports_sympy(tmp_path):
     # a field JSON with string values, run last, is what loads it
     (tmp_path / "field.json").write_text(json.dumps(STRING_FIELD))
     argv = PROP35_ARGV + [["fixed-points", "--field", "field.json"]]
-    proc = fresh_python("-c", FLOAT_SCRIPT, json.dumps(argv), json.dumps(LAYERS),
-                        cwd=tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    seen = json.loads(proc.stdout)["seen"]
+    _, seen = watch(argv, "sympy", cwd=tmp_path)
     assert [code for _, code, _ in seen] == [0] * (len(argv) + 1)
     assert [loaded for _, _, loaded in seen] == [False] * len(argv) + [True]
 
