@@ -10,8 +10,8 @@ Five analysis areas plus a reporting driver:
   mode-count profiles, common-gap obstruction certificates
 - spatial_averaging: band-limited multipliers, windowed compressions as
   entry lists and their norms, gap scans
-- dense_eig: symmetric eigenvalues by batched Jacobi, spectral norms with an
-  exact block split, LAPACK eigvalsh for blocks over 512 modes
+- dense_eig: spectral norms of symmetric entry lists: an exact block split,
+  closed forms to 2x2, Householder reduction and Sturm bisection above
 - driver: validated run configs, CLI, all file I/O and all report and CSV
   text (the other modules return results and read field and multiplier JSON)
 
@@ -36,13 +36,13 @@ _PUBLIC = {
         FixedPointAnalysis GeneralPoly Lemma33Result Prop34Checklist
         Prop34Constants Prop35Report coupled_ladder_params delta_of
         dissipativity_radius field_from_json_dict fixed_points
-        invariant_region_check lemma33_check middle_gap prop35_field
-        solve_prop34 verify_prop35""",
+        invariant_region_check lemma33_check lemma41_threshold middle_gap
+        prop35_field solve_prop34 verify_prop35""",
     "stationary_spectrum": """IndexEntry Linearization ModeCountProfile
         ObstructionCertificate PairEntry ParityReport Witness
-        anhim_common_gamma count_profile lemma41_threshold nhim_certificate
-        operator_spectrum parity_report unstable_index""",
-    "dense_eig": "edge_norms jacobi_eigenvalues",
+        anhim_common_gamma count_profile nhim_certificate operator_spectrum
+        parity_report unstable_index""",
+    "dense_eig": "edge_norms",
     "spatial_averaging": """Multiplier SAPWindowReport h2_norm mean
         multiplier_from_json_dict sap_scan window_entries window_modes
         windowed_norm""",

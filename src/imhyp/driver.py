@@ -764,7 +764,7 @@ def _run_anhim(p):
           Param("jac1", "float", required=True),
           Param("gap-bound", "float", required=True, positive=True))
 def _run_lemma41(p):
-    threshold = stationary_spectrum.lemma41_threshold(
+    threshold = reaction_field.lemma41_threshold(
         p["jac0"], p["jac1"], p["gap-bound"])
     result = {
         "threshold": threshold,

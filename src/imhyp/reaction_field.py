@@ -16,8 +16,9 @@ values (and exact coupled fields, whose sqrt((b+1)/(ab+1)) lies outside
 that type) loads sympy; nothing else does.  Likewise only the Newton search
 of a general polynomial field and the sampled dissipativity check load
 numpy; ``_eig2x2_float``, the closed-form 2x2 eigenvalues that the
-certificate layer also uses, needs none.  Fields are read from JSON
-dicts; rendering reports and file I/O are the driver's.
+certificate layer also uses, needs none, nor does ``lemma41_threshold``,
+the diffusion threshold between two scalar equilibria.  Fields are read
+from JSON dicts; rendering reports and file I/O are the driver's.
 The method's tolerances (DEDUPE_TOL, LADDER_TOL, PROP34_TOL on
 PROP34_BRACKET, PROP35_LADDER_TOL) are module constants, not parameters, so
 no caller can widen a ladder match or move the Prop. 3.4 bracket.
@@ -407,6 +408,32 @@ def delta_of(field: PlanarField, p) -> FixedPointAnalysis:
             f"|f(p)| = {float(residual):.3e} exceeds {DELTA_RESIDUAL_CAP:.0e}"
         )
     return _analysis(field, p, residual)
+
+
+def _slope(jac) -> float:
+    """The entry of a scalar equation's Jacobian: x, [x], [[x]] or an array."""
+    x = jac.tolist() if hasattr(jac, "tolist") else jac
+    while isinstance(x, (list, tuple)):
+        if len(x) != 1:
+            raise ConfigError("threshold applies to scalar equations only")
+        x = x[0]
+    x = float(x)
+    if not math.isfinite(x):
+        raise ConfigError("jac entries must be finite")
+    return x
+
+
+def lemma41_threshold(jac0, jac1, gap_bound: float) -> float:
+    """Diffusion threshold nu* = a / K from the slope drop a between two
+    scalar equilibria; the obstruction mechanism applies for nu < nu*."""
+    a = _slope(jac0) - _slope(jac1)
+    if gap_bound <= 0:
+        raise ConfigError("gap bound K must be positive")
+    if a <= 0:
+        raise HypothesisNotMet(
+            f"needs a positive slope drop between the equilibria, got a = {a}"
+        )
+    return a / gap_bound
 
 
 def _closed_form_candidates(field: CubicCoupled | CubicUncoupled):

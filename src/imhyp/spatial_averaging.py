@@ -8,10 +8,12 @@ averaging inequality for that window.  The scan walks every wide-enough
 spectral gap and reports the best window found.  A window matrix has one
 form, its nonzero entries (n, rows, cols, values) as ``window_entries``
 builds them; ``dense_eig.edge_norms`` splits every window into the blocks
-of its pattern and solves equal-size blocks of many windows as one stack.
-The scan enumerates the modes and builds their entries once; each window is
-a slice of the sorted modes with the entries inside it.  No window becomes
-a dense n x n array.
+of its pattern, reduces equal-size blocks of many windows as one stack and
+bisects them all together, with no LAPACK and no tolerance.  A window's
+norm has the same bits whatever windows share the call, so a scan row and
+``windowed_norm`` agree exactly.  The scan enumerates the modes and builds
+their entries once; each window is a slice of the sorted modes with the
+entries inside it.  No window becomes a dense n x n array.
 
 Matrix entries are computed in closed form from the coefficient table via
 the per-axis product rule for cosines, so the only floating-point error is

@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, HypothesisNotMet, PreconditionError
+from .errors import ConfigError, PreconditionError
 from .lattice_spectrum import BoxDomain, Spectrum, _merge_close, enumerate_spectrum
-from .reaction_field import _eig2x2_float
+from .reaction_field import _eig2x2_float, lemma41_threshold  # re-exported
 
 ZERO_TOL = 1e-9
 GAP_MIN = 1e-6
@@ -372,20 +372,3 @@ def nhim_certificate(lins, cutoff: float) -> ObstructionCertificate:
         profiles=profiles,
         gaps=gaps,
     )
-
-
-def lemma41_threshold(jac0, jac1, gap_bound: float) -> float:
-    """Diffusion threshold nu* = a / K from the slope drop a between two
-    scalar equilibria; the obstruction mechanism applies for nu < nu*."""
-    j0 = _coerce_jac(jac0)
-    j1 = _coerce_jac(jac1)
-    if len(j0) != 1 or len(j1) != 1:
-        raise ConfigError("threshold applies to scalar equations only")
-    if gap_bound <= 0:
-        raise ConfigError("gap bound K must be positive")
-    a = j0[0][0] - j1[0][0]
-    if a <= 0:
-        raise HypothesisNotMet(
-            f"needs a positive slope drop between the equilibria, got a = {a}"
-        )
-    return a / gap_bound

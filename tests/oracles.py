@@ -173,6 +173,13 @@ def dense(n, rows, cols, values):
     return E
 
 
+def entries(A):
+    """(n, rows, cols, values) of a dense square array: the inverse of dense,
+    and the form imhyp.dense_eig.edge_norms takes."""
+    rows, cols = np.nonzero(A)
+    return len(A), rows, cols, A[rows, cols]
+
+
 def quadrature_windowed_matrix(h, lam, k):
     """Windowed multiplier compression by trapezoid/torus quadrature.
 

@@ -13,7 +13,7 @@ import numpy as np
 import sympy
 import pytest
 
-from imhyp.dense_eig import edge_norms, jacobi_eigenvalues
+from imhyp.dense_eig import edge_norms
 from imhyp.lattice_spectrum import (
     BoxDomain,
     enumerate_spectrum,
@@ -42,7 +42,7 @@ from imhyp.stationary_spectrum import (
     operator_spectrum,
     unstable_index,
 )
-from oracles import dense, quadrature_windowed_matrix, sturm_eigenvalues
+from oracles import dense, entries, quadrature_windowed_matrix, sturm_eigenvalues
 
 CUBE = BoxDomain(dim=3)
 
@@ -167,12 +167,12 @@ def test_c5_spatial_averaging_soundness():
             windows.append((h, scaled, bound, lam, k))
             done += 1
 
-    entries = [window_entries(h, lam, k) for h, _, _, lam, k in windows]
-    norms = edge_norms(entries)
+    matrices = [window_entries(h, lam, k) for h, _, _, lam, k in windows]
+    norms = edge_norms(matrices)
     scaled_norms = edge_norms(
         window_entries(scaled, lam, k) for _, scaled, _, lam, k in windows)
     for (h, scaled, bound, lam, k), E, norm, norm_scaled in zip(
-            windows, entries, norms.tolist(), scaled_norms.tolist()):
+            windows, matrices, norms.tolist(), scaled_norms.tolist()):
         assert norm <= bound
         Q = quadrature_windowed_matrix(h, lam, k)
         assert np.abs(dense(*E) - Q).max() < 1e-10
@@ -182,17 +182,19 @@ def test_c5_spatial_averaging_soundness():
 
 
 def test_c6_jacobi_against_sturm_bisection():
+    # edge_norms on 1000 random symmetric matrices against two test-side
+    # oracles: Sturm bisection and LAPACK's eigvalsh
     rng = np.random.default_rng(6)
     by_size = {}
     for _ in range(1000):
         n = int(rng.integers(1, 13))
         A = rng.normal(size=(n, n)) * float(rng.uniform(0.2, 10.0))
         by_size.setdefault(n, []).append((A + A.T) / 2.0)
-    # one stack per size for both solvers: the same 1000 matrices
     for stack in map(np.array, by_size.values()):
-        got = jacobi_eigenvalues(stack)
-        want = sturm_eigenvalues(stack)
-        assert np.abs(got - want).max() < 1e-10
+        got = edge_norms(map(entries, stack))
+        for want in (sturm_eigenvalues(stack), np.linalg.eigvalsh(stack)):
+            want = np.abs(want).max(axis=1)
+            assert np.abs(got - want).max() <= 1e-13 * want.max()
 
 
 def test_c7_growth_exponents():

@@ -1,14 +1,16 @@
-"""Jacobi and the large-block eigvalsh path against Sturm bisection, numpy and
-closed forms."""
+"""edge_norms (Householder reduction plus Sturm bisection, closed forms for
+1x1 and 2x2 blocks) against Sturm bisection, numpy and closed forms."""
+
+import warnings
 
 import numpy as np
 import pytest
 
 from imhyp import dense_eig
-from imhyp.dense_eig import edge_norms, jacobi_eigenvalues
-from imhyp.errors import ConfigError, NumericalFailure
+from imhyp.dense_eig import edge_norms
+from imhyp.errors import ConfigError
 from imhyp.reaction_field import _eig2x2_float
-from oracles import sturm_eigenvalues
+from oracles import entries, sturm_eigenvalues
 
 
 def random_symmetric(rng, n, scale=1.0):
@@ -16,10 +18,14 @@ def random_symmetric(rng, n, scale=1.0):
     return (A + A.T) / 2.0
 
 
-def entries(A):
-    """(n, rows, cols, values) of a dense array: the form edge_norms takes."""
-    rows, cols = np.nonzero(A)
-    return len(A), rows, cols, A[rows, cols]
+def block_diagonal(*blocks):
+    n = sum(len(b) for b in blocks)
+    A = np.zeros((n, n))
+    at = 0
+    for b in blocks:
+        A[at : at + len(b), at : at + len(b)] = b
+        at += len(b)
+    return A
 
 
 def norm(A):
@@ -27,104 +33,66 @@ def norm(A):
     return float(edge_norms([entries(A)])[0])
 
 
-class TestJacobi:
-    def test_matches_numpy(self):
-        rng = np.random.default_rng(41)
-        for _ in range(60):
-            n = int(rng.integers(1, 13))
-            A = random_symmetric(rng, n, scale=float(rng.uniform(0.1, 50)))
-            got = jacobi_eigenvalues(A)
-            want = np.linalg.eigvalsh(A)
-            assert np.abs(got - want).max() < 1e-12 * max(1.0, np.abs(want).max())
-
-    def test_matches_sturm_bisection(self):
-        rng = np.random.default_rng(42)
-        for _ in range(30):
-            n = int(rng.integers(2, 13))
-            A = random_symmetric(rng, n)
-            got = jacobi_eigenvalues(A)
-            want = sturm_eigenvalues(A)
-            assert np.abs(got - want).max() < 1e-10
-
-    def test_ascending_order(self):
-        rng = np.random.default_rng(43)
-        vals = jacobi_eigenvalues(random_symmetric(rng, 9))
-        assert np.all(np.diff(vals) >= 0.0)
-
-    def test_diagonal_matrix_exact(self):
-        D = np.diag([3.0, -1.0, 2.0])
-        assert np.array_equal(jacobi_eigenvalues(D), np.array([-1.0, 2.0, 3.0]))
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ConfigError):
-            jacobi_eigenvalues(np.ones((2, 3)))
-        with pytest.raises(ConfigError):
-            jacobi_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        with pytest.raises(ConfigError):
-            jacobi_eigenvalues(np.ones((2, 2, 2, 2)))
-        stack = np.zeros((3, 2, 2))
-        stack[1, 0, 1] = 1.0  # one asymmetric matrix in the stack
-        with pytest.raises(ConfigError):
-            jacobi_eigenvalues(stack)
-
-    def test_stack_matches_single_matrices_bitwise(self):
-        rng = np.random.default_rng(46)
-        for n in (1, 2, 3, 5, 8, 17, 30):
-            stack = np.array([random_symmetric(rng, n) for _ in range(40)])
-            got = jacobi_eigenvalues(stack)
-            assert got.shape == (40, n)
-            for A, eigs in zip(stack, got):
-                assert np.array_equal(jacobi_eigenvalues(A), eigs)
-
-    def test_eigenvalues_independent_of_stack_company(self):
-        rng = np.random.default_rng(47)
-        for n in (1, 2, 3, 5, 8, 17, 30):
-            A = random_symmetric(rng, n, scale=3.0)
-            solo = jacobi_eigenvalues(A)
-            stack = np.array([random_symmetric(rng, n) for _ in range(40)])
-            stack[int(rng.integers(40))] = A
-            at = int(np.flatnonzero((stack == A).all(axis=(1, 2)))[0])
-            assert np.array_equal(jacobi_eigenvalues(stack)[at], solo)
-            # company that converges at once: diagonal matrices
-            calm = np.array([np.diag(rng.normal(size=n)) for _ in range(39)] + [A])
-            assert np.array_equal(jacobi_eigenvalues(calm)[-1], solo)
-
-    def test_converged_matrix_stops_rotating(self):
-        # converged on entry (off-norm below 1e-12) but nearly degenerate, so
-        # one more rotation would move its eigenvalues by ~1e-13
-        rng = np.random.default_rng(52)
-        for n in (2, 3, 5, 8):
-            A = np.eye(n) + 1e-13 * random_symmetric(rng, n) * (1 - np.eye(n))
-            assert np.array_equal(jacobi_eigenvalues(A), np.ones(n))
-            stack = np.array([random_symmetric(rng, n) for _ in range(5)] + [A])
-            assert np.array_equal(jacobi_eigenvalues(stack)[-1], np.ones(n))
-
-    def test_non_convergence_raises_with_residual(self, monkeypatch):
-        rng = np.random.default_rng(48)
-        A = random_symmetric(rng, 30)
-        monkeypatch.setattr(dense_eig, "JACOBI_MAX_SWEEPS", 1)
-        with pytest.raises(NumericalFailure, match=r"in 1 sweeps \(residual "):
-            jacobi_eigenvalues(A)
-        with pytest.raises(NumericalFailure):
-            jacobi_eigenvalues(np.array([A, np.eye(30)]))
-
-    def test_empty_stack(self):
-        assert jacobi_eigenvalues(np.zeros((0, 4, 4))).shape == (0, 4)
-
-
 class TestSpectralNorm:
     def test_empty_matrix(self):
         assert norm(np.zeros((0, 0))) == 0.0
 
-    def test_small_matrix_uses_jacobi(self):
+    def test_small_matrix_matches_numpy(self):
         rng = np.random.default_rng(44)
         A = random_symmetric(rng, 8)
         want = float(np.abs(np.linalg.eigvalsh(A)).max())
         assert norm(A) == pytest.approx(want, rel=1e-12)
 
+    def test_matches_numpy(self):
+        rng = np.random.default_rng(41)
+        for _ in range(60):
+            n = int(rng.integers(1, 13))
+            A = random_symmetric(rng, n, scale=float(rng.uniform(0.1, 50)))
+            want = float(np.abs(np.linalg.eigvalsh(A)).max())
+            assert abs(norm(A) - want) <= 1e-13 * want
+
+    def test_matches_sturm_bisection(self):
+        rng = np.random.default_rng(42)
+        for _ in range(30):
+            n = int(rng.integers(3, 40))
+            A = random_symmetric(rng, n)
+            want = float(np.abs(sturm_eigenvalues(A, tol=1e-15)).max())
+            assert abs(norm(A) - want) <= 1e-13 * want
+
+    def test_norm_independent_of_stack_company(self):
+        # a block's norm is bitwise the same alone, in a stack of 40 blocks of
+        # its size and among blocks of other sizes, in its own matrix or not
+        rng = np.random.default_rng(47)
+        for n in (3, 17, 130):
+            A = random_symmetric(rng, n, scale=3.0)
+            solo = norm(A)
+            stack = [random_symmetric(rng, n) for _ in range(40)]
+            at = int(rng.integers(40))
+            stack[at] = A
+            assert edge_norms(map(entries, stack))[at] == solo
+            others = [random_symmetric(rng, m) for m in (2, 3, 5, 17, 31)]
+            got = edge_norms(map(entries, others[:2] + [A] + others[2:]))
+            assert got[2] == solo
+            # the other blocks of its matrix are far smaller, so the norm is A's
+            assert norm(block_diagonal(*(1e-3 * b for b in others), A)) == solo
+
+    def test_power_of_two_scaling_is_exact(self):
+        # every block is solved scaled to largest |entry| in [1/2, 1), so a
+        # power-of-two multiple of a matrix far from 1 loses nothing and
+        # overflows nothing; blocks of sizes 1, 2, 3 and 17
+        rng = np.random.default_rng(54)
+        blocks = [random_symmetric(rng, n) for n in (1, 2, 3, 17)]
+        mats = [block_diagonal(*blocks)] + blocks
+        base = edge_norms(map(entries, mats))
+        for k in (-600, 600):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = edge_norms(entries(np.ldexp(A, k)) for A in mats)
+            assert np.array_equal(got, np.ldexp(base, k))
+
     def test_large_block_path_laplacian(self):
         # tridiag(-1, 2, -1) has eigenvalues 2 - 2cos(j pi/(n+1)), j = 1..n;
-        # 600 modes is one block over JACOBI_MAX_N
+        # 600 modes in one block, already tridiagonal
         n = 600
         A = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
         want = 2.0 + 2.0 * np.cos(np.pi / (n + 1))
@@ -164,7 +132,7 @@ class TestSpectralNorm:
                          np.append(values, 1.0))])
 
     @pytest.mark.parametrize("A", [
-        [[1.0, 2.0, 0.0], [0.0, 1.0, 3.0], [0.0, 3.0, 1.0]],  # Jacobi block
+        [[1.0, 2.0, 0.0], [0.0, 1.0, 3.0], [0.0, 3.0, 1.0]],  # Householder block
         [[1.0, 2.0], [0.5, 1.0]],  # closed-form block, once read from one side
         [[1.0, 2.0], [2.0 + 1e-9, 1.0]],
         [[0.0, 1.0], [0.0, 0.0]],
@@ -191,19 +159,14 @@ class TestSpectralNorm:
         rng = np.random.default_rng(49)
         for _ in range(20):
             blocks = [random_symmetric(rng, n) for n in (1, 4, 2, 4, 7)]
-            n = sum(len(b) for b in blocks)
-            A = np.zeros((n, n))
-            at = 0
-            for b in blocks:
-                A[at : at + len(b), at : at + len(b)] = b
-                at += len(b)
-            perm = rng.permutation(n)
+            A = block_diagonal(*blocks)
+            perm = rng.permutation(len(A))
             A = A[np.ix_(perm, perm)]
             want = max(float(np.abs(np.linalg.eigvalsh(b)).max()) for b in blocks)
             assert norm(A) == pytest.approx(want, rel=1e-13)
             # each block is solved, with its indices in ascending order, as
-            # jacobi_eigenvalues solves it alone, and a 2x2 block bitwise by
-            # the closed form of _eig2x2_float
+            # edge_norms solves it alone, and a 2x2 block bitwise by the
+            # closed form of _eig2x2_float
             where = np.argsort(perm)
             at, parts = 0, []
             for b in blocks:
@@ -211,10 +174,9 @@ class TestSpectralNorm:
                 block = A[np.ix_(idx, idx)]
                 if len(b) == 2:
                     (a, c), (_, d) = block
-                    eigs = _eig2x2_float(a, c, c, d)[:2]
+                    parts.append(max(map(abs, _eig2x2_float(a, c, c, d)[:2])))
                 else:
-                    eigs = jacobi_eigenvalues(block)
-                parts.append(float(np.abs(eigs).max()))
+                    parts.append(norm(block))
                 at += len(b)
             assert norm(A) == max(parts)
 
@@ -241,12 +203,12 @@ class TestSpectralNorm:
             p = rng.permutation(rows.size)
             got = edge_norms([(n, rows[p], cols[p], A[rows, cols][p])])
             assert float(got[0]) == norm(A)
-        # 1x1 blocks skip Jacobi and give what it gives, |entry|
+        # 1x1 blocks give |entry|
         d = rng.normal(size=7)
         d[2] = 0.0
         idx = np.flatnonzero(d)
         got = edge_norms([(7, idx, idx, d[idx])] + [(1, idx[:0], idx[:0], d[:0])])
-        assert float(got[0]) == float(np.abs(jacobi_eigenvalues(np.diag(d))).max())
+        assert float(got[0]) == float(np.abs(d).max())
         assert got[1] == 0.0
 
     def test_stacking_cap_does_not_change_norms(self, monkeypatch):

@@ -7,9 +7,8 @@ enumeration paths, both certificates, an anhim witness, the spectrum,
 fixed-points and sap-scan CSVs, every exact fixed point of the Prop. 3.5
 field and of an exact coupled field (four of its points off the axes),
 field files and a multiplier file read from disk, and the weyl growth fit
-(closed-form least squares in numpy reductions).  Configs whose numbers come
-from BLAS/LAPACK (sap-scan windows with a block over 512 modes) are left out
-so the bytes do not depend on the platform.
+(closed-form least squares in numpy reductions).  No config's numbers come
+from BLAS or LAPACK, so the bytes do not depend on the platform.
 
 A change that alters golden bytes on purpose regenerates the files with
 ``python tests/test_golden_reports.py`` and names each changed byte: the

@@ -2,7 +2,8 @@
 float paths and the builtin exact prop35 field never load it.  numpy is
 loaded only by the commands that call an array layer: the driver binds the
 five layers without running them, and --version, --help, config errors and
-the planar-field commands on builtin fields start without numpy.
+the planar-field commands on builtin fields and lemma41 start without
+numpy.
 
 The test modules import sympy and numpy themselves, so each check runs in a
 fresh interpreter.
@@ -53,6 +54,7 @@ NUMPY_FREE_ARGV = [
     ["prop35-verify", "--exact", "true"],
     ["prop35-verify", "--exact", "false"],
     ["region", "--field", "prop34", "--c", "2"],
+    ["lemma41", "--jac0", "1", "--jac1", "-2", "--gap-bound", "3"],
 ]
 # commands that call an array layer, each loading numpy when it runs
 NUMPY_ARGV = [

@@ -4,6 +4,7 @@ import json
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -42,6 +43,10 @@ PERIODIC_BOXES = (
 )
 
 COS_X1 = Multiplier(CUBE, {(1, 0, 0): 1.0})
+# the multiplier of the sap-scan-file-csv golden config
+FILE_CSV = Multiplier(TORUS2, {(1, 0): 0.5, (1, 1): -0.25, (0, 2): 0.75})
+# (multiplier, k, rho, lambda_max) of the two sap-scan golden configs
+GOLDEN_SCANS = ((COS_X1, 3.0, 1.0, 20.0), (FILE_CSV, 3.0, 1.0, 30.0))
 
 
 def random_multiplier(rng, domain, max_freq=4, terms=4):
@@ -413,8 +418,7 @@ class TestSapScan:
 
     def test_cos_x1_headline_norm_is_exact(self):
         # the headline window (lambda 992.5) splits into blocks
-        # [[0, 1/2], [1/2, 0]], whose norm is exactly 1/2; Jacobi's was an
-        # ulp lower
+        # [[0, 1/2], [1/2, 0]], whose norm is exactly 1/2 in closed form
         headline = sap_scan(COS_X1, 5.0, 1.0, 1000.0)[0]
         assert headline.op_norm == 0.5
 
@@ -538,6 +542,38 @@ class TestSapScanWindows:
         full = sap_scan(h, k, rho, lambda_max)
         monkeypatch.setattr(dense_eig, "STACK_ENTRIES", 64)
         assert sap_scan(h, k, rho, lambda_max) == full
+
+    @pytest.mark.parametrize("k", [-44, 40])
+    def test_power_of_two_coefficient_scale_keeps_eps_eff(self, k):
+        # entries, norms and the H2 norm all scale exactly, so eps_eff keeps
+        # its bits, however small the entries get
+        rows = sap_scan(FILE_CSV, 3.0, 1.0, 30.0)
+        scaled = Multiplier(TORUS2, {f: math.ldexp(c, k)
+                                     for f, c in FILE_CSV.coeffs.items()})
+        got = sap_scan(scaled, 3.0, 1.0, 30.0)
+        assert [r.lam for r in got] == [r.lam for r in rows]
+        assert [r.eps_eff for r in got] == [r.eps_eff for r in rows]
+        assert [r.op_norm for r in got] == [math.ldexp(r.op_norm, k) for r in rows]
+
+    @pytest.mark.parametrize("scan", range(len(GOLDEN_SCANS)))
+    def test_golden_window_norms_within_4_ulps(self, scan):
+        # each window's norm against its 40-digit value (mpmath's eigsy on
+        # the dense window); no cos-x1 row rounds below the nearest float
+        h, k, rho, lambda_max = GOLDEN_SCANS[scan]
+        checked = 0
+        with mpmath.workdps(40):
+            for r in sap_scan(h, k, rho, lambda_max):
+                if not r.window_modes:
+                    continue
+                E = dense(*window_entries(h, r.lam, k))
+                exact = max(abs(x) for x in mpmath.eigsy(
+                    mpmath.matrix(E.tolist()), eigvals_only=True))
+                nearest = float(exact)
+                assert abs(mpmath.mpf(r.op_norm) - exact) <= 4 * np.spacing(nearest)
+                if h is COS_X1:
+                    assert r.op_norm >= nearest
+                checked += 1
+        assert checked >= 15
 
 
 class TestSerialization:
