@@ -33,9 +33,10 @@ def norm(A):
     return float(edge_norms([entries(A)])[0])
 
 
-class TestSpectralNorm:
-    def test_empty_matrix(self):
-        assert norm(np.zeros((0, 0))) == 0.0
+class TestJacobi:
+    """Checks first written for the Jacobi solver that once took blocks of 3
+    to 512 modes; edge_norms now answers those blocks by Householder
+    reduction and Sturm bisection, and must still pass them."""
 
     def test_matches_numpy(self):
         rng = np.random.default_rng(41)
@@ -53,7 +54,31 @@ class TestSpectralNorm:
             want = float(np.abs(sturm_eigenvalues(A, tol=1e-15)).max())
             assert abs(norm(A) - want) <= 1e-13 * want
 
-    def test_norm_independent_of_stack_company(self):
+    def test_diagonal_matrix_exact(self):
+        D = np.diag([3.0, -1.0, 2.0])
+        assert norm(D) == 3.0
+        assert edge_norms([entries(D), entries(-2.0 * D)]).tolist() == [3.0, 6.0]
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ConfigError, match="symmetric"):
+            edge_norms([entries(np.array([[0.0, 1.0], [0.0, 0.0]]))])
+        # one asymmetric matrix among symmetric ones fails the call
+        rng = np.random.default_rng(48)
+        for n in (2, 3, 8):
+            stack = [random_symmetric(rng, n) for _ in range(3)]
+            stack[1][0, 1] += 1.0
+            with pytest.raises(ConfigError, match="symmetric"):
+                edge_norms(map(entries, stack))
+
+    def test_stack_matches_single_matrices_bitwise(self):
+        rng = np.random.default_rng(46)
+        for n in (1, 2, 3, 5, 8, 17, 30):
+            stack = [random_symmetric(rng, n) for _ in range(40)]
+            got = edge_norms(map(entries, stack))
+            assert got.shape == (40,)
+            assert [float(x) for x in got] == [norm(A) for A in stack]
+
+    def test_eigenvalues_independent_of_stack_company(self):
         # a block's norm is bitwise the same alone, in a stack of 40 blocks of
         # its size and among blocks of other sizes, in its own matrix or not
         rng = np.random.default_rng(47)
@@ -69,6 +94,27 @@ class TestSpectralNorm:
             assert got[2] == solo
             # the other blocks of its matrix are far smaller, so the norm is A's
             assert norm(block_diagonal(*(1e-3 * b for b in others), A)) == solo
+            # company of diagonal matrices, whose blocks are all 1x1
+            calm = [np.diag(rng.normal(size=n)) for _ in range(39)] + [A]
+            assert edge_norms(map(entries, calm))[-1] == solo
+
+    def test_empty_stack(self):
+        assert edge_norms([]).shape == (0,)
+        got = edge_norms([entries(np.zeros((4, 4)))] * 3)
+        assert got.tolist() == [0.0, 0.0, 0.0]
+
+
+class TestSpectralNorm:
+    def test_empty_matrix(self):
+        assert norm(np.zeros((0, 0))) == 0.0
+
+    def test_small_matrix_uses_jacobi(self):
+        # 8 modes, a size the Jacobi solver once took: now one Householder
+        # block, as every block of 3 or more modes
+        rng = np.random.default_rng(44)
+        A = random_symmetric(rng, 8)
+        want = float(np.abs(np.linalg.eigvalsh(A)).max())
+        assert norm(A) == pytest.approx(want, rel=1e-12)
 
     def test_power_of_two_scaling_is_exact(self):
         # every block is solved scaled to largest |entry| in [1/2, 1), so a
