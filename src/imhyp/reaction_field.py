@@ -7,37 +7,36 @@ fixed point p; a field carrying four fixed points with delta ladder 0,1,2,3
 obstructs normal hyperbolicity of any inertial manifold of the associated
 reaction-diffusion system.
 
-Parameters of the named families may be floats or exact values, and exact
-ones keep every fixed point, Jacobian and delta exact.  The builtin exact
-Prop. 3.5 field runs on ``_Surd``, sums q*sqrt(n) over square-free n: these
-roots are linearly independent over Q (Besicovitch, J. London Math. Soc. 15
-(1940)), so a value is 0 only when all its q are.  Field JSON with string
-values (and exact coupled fields, whose sqrt((b+1)/(ab+1)) lies outside
-that type) loads sympy; nothing else does.  Likewise only the Newton search
-of a general polynomial field and the sampled dissipativity check load
-numpy; ``_eig2x2_float``, the closed-form 2x2 eigenvalues that the
-certificate layer also uses, needs none, nor does ``lemma41_threshold``,
-the diffusion threshold between two scalar equilibria.  Fields are read
-from JSON dicts; rendering reports and file I/O are the driver's.
-The method's tolerances (DEDUPE_TOL, LADDER_TOL, PROP34_TOL on
-PROP34_BRACKET, PROP35_LADDER_TOL) are module constants, not parameters, so
-no caller can widen a ladder match or move the Prop. 3.4 bracket.
+The parameters of a named family are all floats or all exact.  Exact ones
+keep every fixed point, Jacobian and delta exact (a complex pair of
+eigenvalues comes back as correctly rounded complex floats, with an exact
+gap 0), and the ladder is matched by ``==``; the tolerances below serve
+float fields.  Exact values are ``_Real``, a DAG over rational leaves with
++ - * / and sqrt: signs come from refining rational enclosures, and an
+enclosure of 0 inside the separation bound of C. Burnikel, R. Fleischer,
+K. Mehlhorn and S. Schirra (Algorithmica 27 (2000) 87-99) proves a 0.
+Field strings are read by a closed grammar (``_parse``); nothing in them
+runs.  Only the Newton search of a general polynomial field and the sampled
+dissipativity check load numpy; ``_eig2x2_float``, the closed-form 2x2
+eigenvalues that the certificate layer also uses, needs none, nor does
+``lemma41_threshold``, the diffusion threshold between two scalar
+equilibria.  Fields are read from JSON dicts; rendering reports and file
+I/O are the driver's.  The method's tolerances (DEDUPE_TOL, LADDER_TOL,
+PROP34_TOL on PROP34_BRACKET, PROP35_LADDER_TOL) are module constants, not
+parameters, so no caller can widen a ladder match or move the bracket.
 
-Sympy values stay canonical by ``expand`` and ``sqrtdenest``, not
-``simplify``; signs come from sympy, or from a float where it cannot tell.
 The residual |f(p)| follows one rule for every number kind: an exact 0 when
-both components are exactly 0 (``==`` on ``_Surd``, one ``simplify`` per
-sympy component), else the float hypot of the two components.  A symbolic
-sqrt(f1^2 + f2^2) would keep the round-off of a float point on a sympy
-field, and can come out complex there.
+both components are exactly 0, else the float hypot of the two components.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import sys
+import operator
+import weakref
 from dataclasses import astuple, dataclass
+from functools import cached_property
 
 from .errors import ConfigError, HypothesisNotMet, NumericalFailure
 
@@ -53,140 +52,297 @@ NEWTON_MAX_ITER = 50
 NEWTON_STEP_TOL = 1e-13
 # fixed points closer than this are one point
 DEDUPE_TOL = 1e-8
-# lemma33_check matches a gap to its target i when |delta - i| <= LADDER_TOL
+# lemma33_check matches a float gap to its target i when |delta - i| <= LADDER_TOL
 LADDER_TOL = 1e-6
 # solve_prop34 bisects middle_gap - 2 on this bracket, whose ends have
 # opposite signs, until |middle_gap - 2| <= PROP34_TOL
 PROP34_BRACKET = (7.0, 20.0)
 PROP34_TOL = 1e-10
-# Prop35Report.ladder_ok holds when every |delta_i - i| <= PROP35_LADDER_TOL
+# on float deltas, Prop35Report.ladder_ok holds when every |delta_i - i| <= this
 PROP35_LADDER_TOL = 1e-12
 
+_FOLD = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
-def _exact(x):
-    """x as a _Surd, a non-finite float as itself, else NotImplemented."""
+
+def _coerce(x):
+    """An int, Fraction or finite float as an exact _Real; a non-finite float
+    stays a float, and any other type gives NotImplemented."""
     from fractions import Fraction  # only exact work loads it
     if isinstance(x, (int, Fraction)) or isinstance(x, float) and math.isfinite(x):
-        return _Surd([(1, Fraction(x))])
-    return x if isinstance(x, (_Surd, float)) else NotImplemented
+        return _Real("q", (Fraction(x),))
+    return x if isinstance(x, (_Real, float)) else NotImplemented
 
 
-def _round(x) -> float:
-    """The rational x rounded to a float, +-inf past the float range."""
+def _ratio(n: int, d: int) -> float:
+    """n/d (d > 0) correctly rounded, +-inf past the float range."""
     try:
-        return float(x)
+        return n / d
     except OverflowError:
-        return math.inf if x > 0 else -math.inf
+        return math.inf if n > 0 else -math.inf
 
 
-class _Surd:
-    """The exact sum of (n, q) pairs q*sqrt(n), kept as {n: nonzero rational
-    q} over square-free n >= 1, so == compares coefficients."""
+def _arith(op, reflected=False):
+    """A binary operator method; with a non-finite float it does float arithmetic."""
+    def method(self, other):
+        o = _coerce(other)
+        x, y = (o, self) if reflected else (self, o)
+        if o is NotImplemented or isinstance(o, float):
+            return o if o is NotImplemented else _FOLD[op](float(x), float(y))
+        return x._binary(op, y)
+    return method
 
-    __slots__ = ("terms",)
 
-    def __init__(self, pairs=()):
-        terms = {}
-        for n, q in pairs:
-            terms[n] = terms.get(n, 0) + q
-        self.terms = {n: q for n, q in terms.items() if q}
+class _Real:
+    """An exact real: a rational leaf ("q", (Fraction,)); x + y, x - y, x * y
+    or x / y as (op, (x, y)); -x as ("neg", (x,)); the root of an x > 0 as
+    ("sqrt", (x,)).  Rational operands fold into a leaf, and a product takes
+    signs out and turns sqrt(x)**2 into x.  Nodes are shared: one (op, args)
+    is one node while it lives, so a radical read twice is one radical."""
 
-    def __add__(self, other):
-        o = _exact(other)
-        if not isinstance(o, _Surd):
-            return o if o is NotImplemented else float(self) + o
-        return _Surd([*self.terms.items(), *o.terms.items()])
+    _nodes = weakref.WeakValueDictionary()
 
-    def __mul__(self, other):
-        o = _exact(other)
-        if not isinstance(o, _Surd):
-            return o if o is NotImplemented else float(self) * o
-        # sqrt(n1) sqrt(n2) = g sqrt(n1 n2 / g^2) with g = gcd(n1, n2)
-        return _Surd((n1 * n2 // math.gcd(n1, n2) ** 2, q1 * q2 * math.gcd(n1, n2))
-                     for n1, q1 in self.terms.items() for n2, q2 in o.terms.items())
+    def __new__(cls, op, args):
+        key = (op, *(x if op == "q" else id(x) for x in args))
+        if (node := cls._nodes.get(key)) is None:
+            node = cls._nodes[key] = super().__new__(cls)
+            node.op, node.args, node._memo = op, args, None
+        return node
 
-    __radd__, __rmul__ = __add__, __mul__
+    __add__, __radd__ = _arith("+"), _arith("+", True)
+    __sub__, __rsub__ = _arith("-"), _arith("-", True)
+    __mul__, __rmul__ = _arith("*"), _arith("*", True)
+    __truediv__, __rtruediv__ = _arith("/"), _arith("/", True)
+
+    def _binary(self, op, y):
+        x = self
+        if x.op == y.op == "q":
+            return _Real("q", (_FOLD[op](x.args[0], y.args[0]),))  # x/0 raises
+        if op == "*":
+            x, y = (y, x) if y.op == "q" else (x, y)  # a leaf goes first
+            if x.op == "q" and abs(x.args[0]) in (0, 1):
+                return x if x.args[0] == 0 else y if x.args[0] == 1 else -y
+            if "neg" in (x.op, y.op):
+                return -((-x) * y) if x.op == "neg" else -(x * -y)
+            if x is y and x.op == "sqrt":
+                return x.args[0]
+        if op == "/" and y == 0:
+            raise ZeroDivisionError("division by an exact 0")
+        return _Real(op, (x, y))
 
     def __neg__(self):
-        return _Surd((n, -q) for n, q in self.terms.items())
+        if self.op == "q":
+            return _Real("q", (-self.args[0],))
+        return self.args[0] if self.op == "neg" else _Real("neg", (self,))
 
-    def __sub__(self, other):
-        return self + -other
-
-    def __rsub__(self, other):
-        return -self + other
-
-    def __pow__(self, k: int):  # k >= 0
-        return math.prod([self] * k, start=_Surd([(1, 1)]))
+    def __pow__(self, k):
+        if not isinstance(k, int):
+            return NotImplemented
+        power = math.prod([self] * abs(k), start=_coerce(1))
+        return power if k >= 0 else 1 / power
 
     def __eq__(self, other):  # never equal to a non-finite float
-        o = _exact(other)
-        return self.terms == o.terms if isinstance(o, _Surd) else NotImplemented
+        o = _coerce(other)
+        return self is o or (self - o)._sign == 0 if isinstance(o, _Real) else NotImplemented
 
-    def __hash__(self):  # a rational hashes as its int or Fraction
-        return hash(self.terms.get(1, 0) if set(self.terms) <= {1}
-                    else frozenset(self.terms.items()))
+    def __hash__(self):  # equal values round alike
+        return hash(float(self))
 
-    def _bounds(self):
-        """Rationals lo <= self <= hi at 64, 128, 256, ... bits, each sqrt(n)
-        taken by isqrt: for an irrational value they part, in time, from 0
-        and from every rounding boundary."""
-        from fractions import Fraction
-        for bits in (64 << k for k in itertools.count()):
-            lo = hi = self.terms.get(1, Fraction(0))
-            for n, q in self.terms.items():
-                if n > 1:
-                    r = math.isqrt(n << 2 * bits)  # r <= sqrt(n) 2**bits < r + 1
-                    a, b = q * Fraction(r, 1 << bits), q * Fraction(r + 1, 1 << bits)
-                    lo, hi = lo + min(a, b), hi + max(a, b)
-            yield lo, hi
+    def _enclose(self, p: int):
+        """Integers lo <= self * 2**p <= hi, or None while a divisor's
+        enclosure holds 0; kept for the last p, so a node shared in the DAG
+        is evaluated once per precision."""
+        if self._memo is None or self._memo[0] != p:
+            self._memo = (p, self._interval(p))
+        return self._memo[1]
+
+    def _interval(self, p: int):
+        if self.op == "q":
+            n, d = self.args[0].numerator << p, self.args[0].denominator
+            return n // d, -(-n // d)
+        ends = [x._enclose(p) for x in self.args]
+        if None in ends:
+            return None
+        (a, b), (c, d) = ends[0], ends[-1]
+        if self.op == "neg":
+            return -b, -a
+        if self.op == "sqrt":  # the radicand is positive, and so is b
+            return math.isqrt(max(a, 0) << p), math.isqrt(b << p) + 1
+        if self.op == "+":
+            return a + c, b + d
+        if self.op == "-":
+            return a - d, b - c
+        if self.op == "*":
+            ends = (a * c, a * d, b * c, b * d)
+            return min(ends) >> p, -(-max(ends) >> p)
+        if c > 0 or d < 0:
+            ends = [(e << p, f) for e in (a, b) for f in (c, d)]
+            return min(e // f for e, f in ends), max(-(-e // f) for e, f in ends)
+        return None
+
+    @cached_property
+    def _bfms(self):
+        """(u, l, roots).  Self is N/M with N and M division-free in integers
+        and square roots, sqrt(N1/M1) taken as sqrt(N1*M1)/|M1|; u and l are
+        integers at or above the modulus of every conjugate of N and of M
+        (BFMS's u and l), and roots holds the ids of the distinct sqrt nodes."""
+        if self.op == "q":
+            return abs(self.args[0].numerator), self.args[0].denominator, frozenset()
+        (u1, l1, r1), (u2, l2, r2) = self.args[0]._bfms, self.args[-1]._bfms
+        if self.op == "neg":
+            return u1, l1, r1
+        if self.op == "sqrt":
+            return math.isqrt(u1 * l1) + 1, l1, r1 | {id(self)}
+        if self.op == "*":
+            return u1 * u2, l1 * l2, r1 | r2
+        if self.op == "/":
+            return u1 * l2, l1 * u2, r1 | r2
+        return u1 * l2 + l1 * u2, l1 * l2, r1 | r2
+
+    @cached_property
+    def _sign(self) -> int:
+        """-1, 0 or 1: a product's from its factors', a sum's from enclosures
+        at 64, 128, ... bits until one leaves 0 or lies within BFMS's bound:
+        a nonzero sum has |self| >= 1/(u**(D-1)*l), D the product of the root
+        indices, here 2**len(roots)."""
+        if self.op == "q":
+            return (self.args[0] > 0) - (self.args[0] < 0)
+        if self.op == "sqrt":  # its radicand is positive
+            return 1
+        if self.op in ("neg", "*", "/"):
+            return math.prod(x._sign for x in self.args) * (-1 if self.op == "neg" else 1)
+        u, l, roots = self._bfms
+        zero_bits = (2 ** len(roots) - 1) * u.bit_length() + l.bit_length()
+        for p in (64 << k for k in range(11)):
+            if (r := self._enclose(p)) is not None:
+                if r[0] > 0 or r[1] < 0:
+                    return 1 if r[0] > 0 else -1
+                if max(-r[0], r[1]).bit_length() <= p - zero_bits:
+                    return 0
+        raise NumericalFailure(f"an exact sign needs more than {p} bits")
 
     @property
     def is_negative(self) -> bool:
-        return bool(self.terms) and next(hi < 0 for lo, hi in self._bounds()
-                                         if hi < 0 or lo > 0)
+        return self._sign < 0
 
     def __float__(self) -> float:  # complex() takes it too
-        # correctly rounded: once both bounds round alike, so does the value
-        rounded = (tuple(map(_round, bounds)) for bounds in self._bounds())
-        return next(lo for lo, hi in rounded if lo == hi)
+        return self._float
 
-    def __repr__(self) -> str:
-        text = ""
-        for n, q in sorted(self.terms.items(), reverse=True):  # rational last
-            body = str(abs(q)) if n == 1 else f"{abs(q)}*sqrt({n})".removeprefix("1*")
-            text = f"{text} {'-+'[q > 0]} {body}" if text else "-" * (q < 0) + body
-        return text or "0"
+    @cached_property
+    def _float(self) -> float:
+        """Correctly rounded: once both ends of an enclosure round alike, so
+        does the value; with one rounding boundary between them, the sign of
+        self minus the boundary decides."""
+        from fractions import Fraction
+        if self._sign == 0:
+            return 0.0
+        if self.op == "q":
+            return _ratio(self.args[0].numerator, self.args[0].denominator)
+        for p in (64 << k for k in itertools.count()):
+            if (r := self._enclose(p)) is None or r[0] <= 0 <= r[1]:
+                continue
+            a, b = _ratio(r[0], 1 << p), _ratio(r[1], 1 << p)
+            if a == b:
+                return a
+            if math.nextafter(a, math.inf) == b:
+                mid = (Fraction(a) + Fraction(math.ulp(a)) / 2 if a > 0
+                       else Fraction(b) - Fraction(math.ulp(b)) / 2)
+                side = (self - mid)._sign
+                return a if side < 0 else b if side > 0 else _ratio(mid.numerator, mid.denominator)
 
-    def _sympy_(self):
-        import sympy as sym
-        return sym.Add(*(sym.Rational(q.numerator, q.denominator) * sym.sqrt(n)
-                         for n, q in self.terms.items()))
+    def __repr__(self) -> str:  # in the grammar of field strings
+        op, args = self.op, self.args
+        if op == "q":
+            return str(args[0])
+        if op == "sqrt":
+            return f"sqrt({args[0]!r})"
+        if op == "neg":
+            return f"-{args[0]._operand()}"
+        return f"{args[0]._operand()} {op} {args[1]._operand()}"
+
+    def _operand(self) -> str:
+        text = repr(self)
+        return text if self.op == "sqrt" or text.isdigit() else f"({text})"
 
 
-def _symbolic(*vals) -> bool:
-    sym = sys.modules.get("sympy")  # no sympy value exists before its import
-    return any(isinstance(v, _Surd) or sym is not None and isinstance(v, sym.Basic)
-               for v in vals)
+def _parse(text: str, name: str = "value") -> _Real:
+    """The exact value of a field string in a closed grammar: integer and
+    decimal literals (a decimal read as written, not as its double), + - * /,
+    integer powers, unary minus and sqrt( ).  Anything else is a ConfigError;
+    nothing in the text runs."""
+    import ast
+    from decimal import Decimal
+    from fractions import Fraction
+    ops = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "**"}
+
+    def value(node):
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            literal = Decimal(ast.get_source_segment(text, node))
+            if abs(literal.adjusted()) > 400:
+                raise ValueError(text)
+            return _coerce(Fraction(literal))
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            return -value(node.operand)
+        if isinstance(node, ast.BinOp) and type(node.op) in ops:
+            x, y, op = value(node.left), value(node.right), ops[type(node.op)]
+            if op != "**":
+                return _FOLD[op](x, y)
+            # an integer exponent, and a power of bounded size
+            k = y.args[0] if y.op == "q" and y.args[0].denominator == 1 else math.inf
+            if abs(k) * (x._bfms[0] * x._bfms[1]).bit_length() > 1 << 16:
+                raise ValueError(text)
+            return x ** int(k)
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "sqrt" and len(node.args) == 1 and not node.keywords):
+            return _sqrt(value(node.args[0]))
+        raise ValueError(text)
+
+    try:
+        text = text.strip()
+        return value(ast.parse(text, mode="eval").body)
+    except (SyntaxError, ValueError, ArithmeticError, RecursionError):
+        raise ConfigError(f"{name} is not an exact number: {text!r}") from None
+
 
 def _zero(*vals):
     """0 of the values' kind: 0 times the first exact one, else 0.0."""
-    return next((0 * v for v in vals if _symbolic(v)), 0.0)
+    return next((0 * v for v in vals if isinstance(v, _Real)), 0.0)
 
 def _negative(x) -> bool:
-    """Whether the real x is below 0: an exact x decides, float(x) the rest."""
-    negative = getattr(x, "is_negative", None)
-    return float(x) < 0 if negative is None else bool(negative)
+    return x.is_negative if isinstance(x, _Real) else x < 0
 
 def _sqrt(x):
-    if not _symbolic(x):
+    """The root of x >= 0, a leaf for a rational square; ValueError below 0."""
+    if not isinstance(x, _Real):
         return math.sqrt(x)
-    import sympy as sym
-    return sym.sqrt(x)
+    if x.is_negative:
+        raise ValueError(f"sqrt of the negative {x!r}")
+    if x.op == "q":
+        q = x.args[0]
+        n, d = math.isqrt(q.numerator), math.isqrt(q.denominator)
+        if n * n == q.numerator and d * d == q.denominator:
+            return _Real("q", (type(q)(n, d),))
+    return x * 0 if x._sign == 0 else _Real("sqrt", (x,))
 
-def _check_positive(name, value):
-    if not 0 < float(value) < math.inf:  # NaN fails both comparisons
-        raise ConfigError(f"{name} must be positive and finite, got {value}")
+def _hits(delta, target: int, tol: float) -> bool:
+    """Whether a gap is the target: exactly for a _Real, within tol for a float."""
+    return delta == target if isinstance(delta, _Real) else abs(float(delta) - target) <= tol
+
+def _set_parameters(field, names):
+    """Make the named parameters one kind, each positive and finite: floats
+    when any is a float (a string then read exactly and rounded), else _Real.
+    int, Fraction, float, str and _Real are taken."""
+    raw = [getattr(field, name) for name in names]
+    floats = any(isinstance(x, float) for x in raw)
+    for name, given in zip(names, raw):
+        x = given if isinstance(given, float) else (
+            _parse(given, name) if isinstance(given, str) else _coerce(given))
+        if x is NotImplemented:
+            raise ConfigError(f"{name} must be an int, Fraction, float, string or "
+                              f"exact real, got {type(given).__name__}")
+        x = float(x) if floats else x
+        if not (x._sign > 0 if isinstance(x, _Real) else 0 < x < math.inf):  # NaN fails
+            raise ConfigError(f"{name} must be positive and finite, got {x}")
+        object.__setattr__(field, name, x)
 
 
 @dataclass(frozen=True)
@@ -198,8 +354,7 @@ class CubicCoupled:
     b: object
 
     def __post_init__(self):
-        for name in ("k", "a", "b"):
-            _check_positive(name, getattr(self, name))
+        _set_parameters(self, ("k", "a", "b"))
 
     def f(self, v):
         v1, v2 = v
@@ -227,8 +382,7 @@ class CubicUncoupled:
     d: object
 
     def __post_init__(self):
-        for name in ("a", "b", "c", "d"):
-            _check_positive(name, getattr(self, name))
+        _set_parameters(self, ("a", "b", "c", "d"))
 
     def f(self, v):
         v1, v2 = v
@@ -318,26 +472,23 @@ def _eig2x2(J):
     (a-d)^2 + 4bc in exact and in float arithmetic alike.
 
     Returns (xi1, xi2, delta) ordered by descending (Re, Im); delta is the
-    real-part gap, identically 0 for a complex-conjugate pair.  An exact
-    triangular matrix returns its diagonal entries, with no root.
+    real-part gap, identically 0 for a complex-conjugate pair, which an exact
+    matrix gives as correctly rounded complex floats.  An exact triangular
+    matrix returns its diagonal entries, with no root.
     """
     (a, b), (c, d) = J
-    if not _symbolic(a, b, c, d):
+    if not any(isinstance(v, _Real) for v in (a, b, c, d)):
         return _eig2x2_float(a, b, c, d)
     if b * c == 0:
         gap = a - d
-        if not isinstance(gap, _Surd):
-            import sympy as sym
-            gap = sym.expand(gap)
         return (d, a, -gap) if _negative(gap) else (a, d, gap)
-    import sympy as sym
     tr = a + d
-    disc = sym.expand((a - d) ** 2 + 4 * b * c)
+    disc = (a - d) ** 2 + 4 * b * c
     if _negative(disc):
-        im = sym.sqrt(-disc) / 2
-        return (tr / 2 + sym.I * im, tr / 2 - sym.I * im, sym.Integer(0))
-    root = sym.sqrtdenest(sym.sqrt(disc))
-    return (sym.expand((tr + root) / 2), sym.expand((tr - root) / 2), root)
+        re, im = float(tr / 2), float(_sqrt(-disc) / 2)
+        return (complex(re, im), complex(re, -im), _zero(disc))
+    root = _sqrt(disc)
+    return ((tr + root) / 2, (tr - root) / 2, root)
 
 
 @dataclass(frozen=True)
@@ -370,16 +521,9 @@ def _residual(field: PlanarField, p):
         f1, f2 = field.f(p)
     except OverflowError:  # Python-float ** raises instead of returning inf
         return math.inf
-    if _symbolic(f1, f2) and all(map(_exactly_zero, (f1, f2))):
+    if f1 == 0 and f2 == 0:
         return _zero(f1, f2)
     return math.hypot(float(f1), float(f2))
-
-
-def _exactly_zero(x) -> bool:
-    if not _symbolic(x) or isinstance(x, _Surd):
-        return x == 0
-    import sympy as sym
-    return sym.simplify(x) == 0
 
 
 def _analysis(field: PlanarField, p, residual) -> FixedPointAnalysis:
@@ -548,12 +692,13 @@ def lemma33_check(
     """Look for four distinct fixed points whose real-part gaps hit 0,1,2,3.
 
     Existence of such a ladder rules out a normally hyperbolic inertial
-    manifold for the associated reaction-diffusion system.  Matching is by
-    |delta(p) - i| <= LADDER_TOL; fixed_points keeps its points DEDUPE_TOL
-    apart, and no point hits two targets, so the first hits are distinct.
+    manifold for the associated reaction-diffusion system.  Matching is
+    delta(p) == i on an exact field and |delta(p) - i| <= LADDER_TOL on a
+    float one; fixed_points keeps its points DEDUPE_TOL apart, and no point
+    hits two targets, so the first hits are distinct.
     """
     analyses = fixed_points(field, region)
-    slots = [[an for an in analyses if abs(an.delta_float - i) <= LADDER_TOL]
+    slots = [[an for an in analyses if _hits(an.delta, i, LADDER_TOL)]
              for i in range(4)]
     matches = {i: hits[0] for i, hits in enumerate(slots) if hits}
     return Lemma33Result(len(matches) == 4, matches)
@@ -647,7 +792,7 @@ def solve_prop34() -> Prop34Constants:
 def prop35_field(exact: bool = True) -> CubicUncoupled:
     """The componentwise cubic with the exact 0,1,2,3 gap ladder."""
     if exact:
-        return CubicUncoupled(_Surd([(1, 2)]), *(_Surd([(n, 1)]) for n in (3, 6, 2)))
+        return CubicUncoupled(2, *(_sqrt(_coerce(n)) for n in (3, 6, 2)))
     return CubicUncoupled(2.0, math.sqrt(3.0), math.sqrt(6.0), math.sqrt(2.0))
 
 
@@ -659,7 +804,7 @@ class Prop35Report:
     delta_errors: tuple
 
     def ladder_ok(self) -> bool:
-        return all(err <= PROP35_LADDER_TOL for err in self.delta_errors)
+        return all(_hits(d, i, PROP35_LADDER_TOL) for i, d in enumerate(self.deltas))
 
 
 def verify_prop35(exact: bool = True) -> Prop35Report:
@@ -747,14 +892,13 @@ def invariant_region_check(field: CubicCoupled, c) -> bool:
 def field_from_json_dict(data: dict) -> PlanarField:
     """A field from its JSON dict.  Cubic parameters given as strings are
     exact, but one JSON number among them makes the whole field a float
-    field, its strings evaluated to floats."""
+    field, its strings read exactly and rounded.  A string outside the
+    grammar of ``_parse`` is a ConfigError."""
     def vals(*names):
         raw = [data[name] for name in names]
-        strings = [isinstance(x, str) for x in raw]
-        if any(strings):
-            import sympy as sym
-            raw = [sym.sympify(x) if s else x for x, s in zip(raw, strings)]
-        return raw if all(strings) else [float(x) for x in raw]
+        if all(isinstance(x, str) for x in raw):
+            return raw
+        return [x if isinstance(x, str) else float(x) for x in raw]
 
     try:
         kind = data["kind"]

@@ -31,7 +31,7 @@ def plain(report):
     return json.loads(render_report(report))
 
 
-# the Prop. 3.5 field with its parameters as sympy strings
+# the Prop. 3.5 field with its parameters as exact strings
 PROP35_STRINGS = {"kind": "cubic_uncoupled", "a": "2", "b": "sqrt(3)",
                   "c": "sqrt(6)", "d": "sqrt(2)"}
 
@@ -616,7 +616,7 @@ class TestMainExitCodes:
         assert abs(result["delta"] - 1.0) <= 1e-14
 
     def test_string_field_at_the_float_of_a_fixed_point(self, capsys, tmp_path):
-        # a float point leaves round-off in the sympy components of f(p); the
+        # a float point leaves round-off in the exact components of f(p); the
         # residual must still be a real float and delta the builtin field's
         deltas = []
         for field in ("prop35", field_arg(PROP35_STRINGS, tmp_path)):
@@ -625,6 +625,25 @@ class TestMainExitCodes:
             assert (code, err) == (0, "")
             deltas.append(json.loads(out)["result"]["delta"])
         assert abs(deltas[0] - deltas[1]) <= 1e-14
+
+    def test_field_strings_never_run(self, capsys, tmp_path):
+        # a call is outside the grammar of field strings: refused, not run
+        marker = tmp_path / "PWNED"
+        field = {"kind": "cubic_coupled", "a": "3", "b": "1",
+                 "k": f'__import__("os").system("touch {marker}") or 1'}
+        code, out, err = cli(capsys, "delta", "--field", field_arg(field, tmp_path),
+                             "--at", "0,0")
+        assert (code, out) == (1, "") and err.count("\n") == 1
+        assert err.startswith("imhyp: config error: k is not an exact number: ")
+        assert not marker.exists()
+
+    def test_exact_ladder_needs_exact_gaps(self, capsys, tmp_path):
+        # a = 2 + 1e-8 moves each gap by about 1e-8, inside LADDER_TOL; on an
+        # exact field only delta == i matches
+        field = dict(PROP35_STRINGS, a="2 + 1/100000000")
+        code, out, err = cli(capsys, "lemma33", "--field", field_arg(field, tmp_path))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["result"]["ladder_found"] is False
 
     def test_lemma41_nonpositive_difference(self, capsys):
         code, _, err = cli(

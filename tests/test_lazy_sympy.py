@@ -1,9 +1,9 @@
-"""Import graph: sympy is loaded by field JSON with string values only; the
-float paths and the builtin exact prop35 field never load it.  numpy is
-loaded only by the commands that call an array layer: the driver binds the
-five layers without running them, and --version, --help, config errors and
-the planar-field commands on builtin fields and lemma41 start without
-numpy.
+"""Import graph: no command loads sympy, whatever its field: float paths,
+the builtin exact prop35 field, field JSON with string values and every
+golden config.  numpy is loaded only by the commands that call an array
+layer: the driver binds the five layers without running them, and
+--version, --help, config errors and the planar-field commands on builtin
+fields and lemma41 start without numpy.
 
 The test modules import sympy and numpy themselves, so each check runs in a
 fresh interpreter.
@@ -65,8 +65,8 @@ NUMPY_ARGV = [
 STRING_FIELD = {"kind": "cubic_uncoupled", "a": "2", "b": "sqrt(3)",
                 "c": "sqrt(6)", "d": "sqrt(2)"}
 
-# exact golden configs, each run cold so that sympy's cache cannot decide the
-# bytes: (golden name: argv)
+# exact golden configs, each run cold so that no cache of an earlier run can
+# decide the bytes: (golden name: argv)
 EXACT_ARGV = {
     "delta-prop35-exact": ["delta", "--field", "prop35", "--at", "0,0"],
     "lemma33-prop35": ["lemma33", "--field", "prop35"],
@@ -99,17 +99,28 @@ print(json.dumps({"layers": layers, "seen": seen}))
 
 EXACT_SCRIPT = """
 import json, sys
-from imhyp.reaction_field import field_from_json_dict, verify_prop35
+from imhyp.reaction_field import field_from_json_dict, lemma33_check, verify_prop35
 report = verify_prop35(exact=True)
-cold = "sympy" not in sys.modules
 field = field_from_json_dict(json.loads(sys.argv[1]))
-import sympy
 print(json.dumps({
-    "cold": cold,
-    "field": [isinstance(getattr(field, k), sympy.Basic) for k in "abcd"],
-    "deltas": [repr(d) for d in report.deltas],
+    "deltas": [float(d) for d in report.deltas],
     "ladder": [d == i for i, d in enumerate(report.deltas)],
+    "string field ladder": lemma33_check(field).verdict,
+    "cold": "sympy" not in sys.modules,
 }))
+"""
+
+# runs every golden config in one interpreter: {name: sympy loaded after it}
+GOLDEN_SCRIPT = """
+import json, pathlib, sys, tempfile
+sys.path.insert(0, sys.argv[1])
+from test_golden_reports import CONFIGS, _run_in
+seen = {}
+for name in sorted(CONFIGS):
+    with tempfile.TemporaryDirectory() as tmp:
+        _run_in(pathlib.Path(tmp), name)
+    seen[name] = "sympy" in sys.modules
+print(json.dumps(seen))
 """
 
 
@@ -173,20 +184,28 @@ def test_exact_report_bytes_in_a_fresh_interpreter(name, tmp_path):
 
 
 def test_builtin_prop35_never_imports_sympy(tmp_path):
-    # a field JSON with string values, run last, is what loads it
+    # nor does a field JSON with string values, run last
     (tmp_path / "field.json").write_text(json.dumps(STRING_FIELD))
     argv = PROP35_ARGV + [["fixed-points", "--field", "field.json"]]
     _, seen = watch(argv, "sympy", cwd=tmp_path)
     assert [code for _, code, _ in seen] == [0] * (len(argv) + 1)
-    assert [loaded for _, _, loaded in seen] == [False] * len(argv) + [True]
+    assert [loaded for _, _, loaded in seen] == [False] * (len(argv) + 1)
 
 
 def test_exact_values_stay_symbolic_in_a_fresh_interpreter():
-    # the exact prop35 ladder is exactly 0, 1, 2, 3 without sympy; string
-    # values still give sympy values
+    # the exact prop35 ladder is exactly 0, 1, 2, 3, and the same field
+    # from strings realizes it, all without sympy
     proc = fresh_python("-c", EXACT_SCRIPT, json.dumps(STRING_FIELD))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {
-        "cold": True, "field": [True] * 4, "deltas": ["0", "1", "2", "3"],
-        "ladder": [True] * 4,
+        "deltas": [0.0, 1.0, 2.0, 3.0], "ladder": [True] * 4,
+        "string field ladder": True, "cold": True,
     }
+
+
+def test_no_golden_config_imports_sympy():
+    proc = fresh_python("-c", GOLDEN_SCRIPT, str(pathlib.Path(__file__).parent))
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert "fixed-points-coupled-exact-file" in seen and len(seen) == 28
+    assert [name for name, loaded in seen.items() if loaded] == []

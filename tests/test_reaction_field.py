@@ -24,6 +24,7 @@ from imhyp.reaction_field import (
     invariant_region_check,
     lemma33_check,
     middle_gap,
+    Prop35Report,
     prop35_field,
     solve_prop34,
     verify_prop35,
@@ -54,6 +55,19 @@ class TestFieldConstruction:
             CubicCoupled(k=1.0, a=-2.0, b=1.0)
         with pytest.raises(ConfigError):
             CubicUncoupled(a=1.0, b=1.0, c=0.0, d=1.0)
+
+    def test_parameter_types(self):
+        # int, Fraction, str and exact values make an exact field, one float a
+        # float field; any other type, sympy's included, is refused
+        exact = CubicCoupled(k=1, a=Fraction(7, 2), b="sqrt(2)")
+        assert exact == CubicCoupled(k="1", a="7/2", b=exact_real("sqrt(2)"))
+        assert not any(isinstance(x, float) for x in (exact.k, exact.a, exact.b))
+        floats = CubicCoupled(k=1, a=Fraction(7, 2), b=np.float64(0.5))
+        assert (floats.k, floats.a, floats.b) == (1.0, 3.5, 0.5)
+        assert all(type(x) is float for x in (floats.k, floats.a, floats.b))
+        for bad in (sym.Integer(2), sym.sqrt(2), None, 1j, [2]):
+            with pytest.raises(ConfigError, match="^b must be an int, Fraction, float"):
+                CubicCoupled(k=1, a=2, b=bad)
 
     def test_poly_degree_cap(self):
         with pytest.raises(ConfigError):
@@ -98,8 +112,7 @@ class TestFixedPoints:
     def test_exact_a_just_below_one_has_no_interior_branch(self):
         # float(a) rounds to 1.0; the exact sign of a - 1 keeps the interior
         # roots, sqrt of a negative, out
-        f = CubicCoupled(k=sym.Integer(1), a=1 - sym.Rational(1, 10**20),
-                         b=sym.Integer(1))
+        f = CubicCoupled(k=1, a=1 - Fraction(1, 10**20), b=1)
         assert len(fixed_points(f)) == 5
 
     def test_uncoupled_grid_of_roots(self):
@@ -187,13 +200,14 @@ class TestDelta:
         assert xi1 == complex(0.0, 1.0) and xi2 == complex(0.0, -1.0)
 
     def test_exact_complex_pair_gives_zero(self):
-        # Jacobian ((-7, 2), (-2, -6)) at (1, 1): discriminant 1 - 16 < 0
-        one = sym.Integer(1)
+        # Jacobian ((-7, 2), (-2, -6)) at (1, 1): discriminant 1 - 16 < 0;
+        # the pair is correctly rounded, the gap an exact 0
+        one = Fraction(1)
         an = analyze_point(CubicCoupled(one, 3 * one, 2 * one), (one, one))
         xi1, xi2 = an.eigenvalues
-        assert xi1 == sym.Rational(-13, 2) + sym.sqrt(15) * sym.I / 2
-        assert xi2 == sym.Rational(-13, 2) - sym.sqrt(15) * sym.I / 2
-        assert an.delta == 0 and isinstance(an.delta, sym.Integer)
+        assert xi1 == complex(-6.5, math.sqrt(15) / 2)
+        assert xi2 == complex(-6.5, -math.sqrt(15) / 2)
+        assert an.delta == 0 and an.delta_float == 0.0
         # the float branch gives the same pair
         fl = analyze_point(CubicCoupled(1.0, 3.0, 2.0), (1.0, 1.0))
         assert fl.delta == 0.0
@@ -310,8 +324,8 @@ class TestProp35:
         s3, s2, s6 = sym.sqrt(3), sym.sqrt(2), sym.sqrt(6)
         expected = ((0, 0), (s3, s2), (2, s6), (s3, s6))
         for an, want in zip(rep.analyses, expected):
-            assert sym.simplify(an.point[0] - want[0]) == 0
-            assert sym.simplify(an.point[1] - want[1]) == 0
+            assert sym.simplify(oracle(an.point[0]) - want[0]) == 0
+            assert sym.simplify(oracle(an.point[1]) - want[1]) == 0
 
     def test_exact_jacobians(self):
         rep = verify_prop35(exact=True)
@@ -323,33 +337,37 @@ class TestProp35:
             (2 * s3 - 3, 2 * s3 - 6),
         )
         for an, (e00, e11) in zip(rep.analyses, expected):
-            (j00, j01), (j10, j11) = an.jacobian
+            (j00, j01), (j10, j11) = [[oracle(v) for v in row] for row in an.jacobian]
             assert sym.simplify(j00 - e00) == 0
             assert sym.simplify(j11 - e11) == 0
             assert sym.simplify(j01) == 0 and sym.simplify(j10) == 0
 
-    def test_exact_fixed_points_simplify_at_most_once_per_point(self, monkeypatch):
-        calls = []
-        simplify = sym.simplify
-        monkeypatch.setattr(sym, "simplify",
-                            lambda *args, **kw: calls.append(1) or simplify(*args, **kw))
-        assert len(fixed_points(prop35_field(exact=True))) == 9
-        assert len(calls) <= 9
-
     def test_exact_coupled_eigenvalues_solve_the_characteristic_polynomial(self):
         # four of the nine points have a non-triangular Jacobian
-        field = CubicCoupled(k=sym.Rational(1, 2), a=sym.Integer(3),
-                             b=sym.sqrt(2) / 2)
+        field = CubicCoupled(k=Fraction(1, 2), a=3, b="sqrt(2)/2")
         floats = fixed_points(CubicCoupled(k=0.5, a=3.0, b=math.sqrt(2) / 2))
         analyses = fixed_points(field)
         assert sum(an.jacobian[0][1] != 0 for an in analyses) == 4
         for an, fl in zip(analyses, floats):
-            (a, b), (c, d) = an.jacobian
-            assert isinstance(an.delta, sym.Basic)
+            (a, b), (c, d) = [[oracle(v) for v in row] for row in an.jacobian]
             assert abs(an.delta_float - fl.delta_float) < 1e-12
-            for xi in an.eigenvalues:
+            for xi in map(oracle, an.eigenvalues):
                 char = xi**2 - (a + d) * xi + (a * d - b * c)
                 assert abs(sym.N(char, 30)) < 1e-25
+
+    def test_exact_ladder_is_matched_exactly(self):
+        # a = 2 + 1e-8 moves the gaps by about 1e-8: inside LADDER_TOL, so
+        # only the float field matches the ladder
+        strings = ("2 + 1/100000000", "sqrt(3)", "sqrt(6)", "sqrt(2)")
+        exact = CubicUncoupled(*strings)
+        assert lemma33_check(CubicUncoupled(float(exact.a), *strings[1:])).verdict
+        assert not lemma33_check(exact).verdict
+        # 3 + 1e-20 rounds to 3.0: the float errors are 0, the exact gap is not 3
+        deltas = tuple(map(exact_real, ("0", "1", "2", "3 + 1/10**20")))
+        errors = tuple(abs(float(d) - i) for i, d in enumerate(deltas))
+        assert errors == (0.0,) * 4
+        assert not Prop35Report(True, (), deltas, errors).ladder_ok()
+        assert Prop35Report(False, (), tuple(map(float, deltas)), errors).ladder_ok()
 
     def test_float_ladder_within_1e_12(self):
         rep = verify_prop35(exact=False)
@@ -369,26 +387,37 @@ class TestProp35:
         assert not lemma33_check(CubicCoupled(k=1.0, a=4.0, b=1.0)).verdict
 
 
+def exact_real(text):
+    """An exact value, read by the grammar of field strings."""
+    return reaction_field._parse(text)
+
+
+def oracle(x):
+    """sympy's reading of a value through its repr, which is in the grammar."""
+    return sym.sympify(repr(x))
+
+
 def rounded(x):
     """The double nearest the exact value x, from 40 significant digits."""
-    return float(sym.N(sym.sympify(x), 40))
+    return float(sym.N(oracle(x), 40))
 
 
 class TestSurd:
-    """The exact number type of the builtin prop35 field."""
+    """The exact real type of exact fields (the test names keep those of
+    the sum-of-surds type it replaced)."""
 
     @staticmethod
     def root(n):
-        """sqrt(n) for a square-free n."""
-        return reaction_field._Surd([(n, 1)])
+        return exact_real(f"sqrt({n})")
 
     def test_floats_at_the_nine_fixed_points_are_correctly_rounded(self):
-        analyses = fixed_points(prop35_field(exact=True))
-        assert len(analyses) == 9
+        analyses = [an for field in (prop35_field(exact=True),
+                                     CubicCoupled(k="1/2", a="3", b="sqrt(2)/2"))
+                    for an in fixed_points(field)]
+        assert len(analyses) == 18
         for an in analyses:
             (j00, j01), (j10, j11) = an.jacobian
             values = (*an.point, j00, j01, j10, j11, *an.eigenvalues, an.delta)
-            assert all(isinstance(v, reaction_field._Surd) for v in values)
             assert [float(v) for v in values] == [rounded(v) for v in values]
             assert an.residual == 0 and an.residual_float == 0.0
 
@@ -402,19 +431,20 @@ class TestSurd:
         tiny = (1 - s2) ** 61
         assert tiny.is_negative and not (tiny * tiny).is_negative
         assert float(tiny) == rounded(tiny) < 0
-        assert not reaction_field._Surd().is_negative
+        assert not exact_real("0").is_negative
 
     def test_zero_is_canonical(self):
+        # zeros that no enclosure can show: the separation bound decides them
         s2, s3, s6 = self.root(2), self.root(3), self.root(6)
         assert (s2 + s3) ** 2 - 5 - 2 * s6 == 0
-        assert (s6 - s2 * s3).terms == {}
+        assert s6 - s2 * s3 == 0 and float(s6 - s2 * s3) == 0.0
         assert s2 * s2 == 2 and s2 * s6 == 2 * s3 and s6 * s6 * s3 == 6 * s3
         assert hash(s2 * s2) == hash(2) and hash(s2 * s6) == hash(2 * s3)
         assert s2 + s3 != self.root(5) and s2 != 1.4142135623730951
         # a float operand is taken exactly: the double nearest sqrt 2 is above it
         gap = s2 - 1.4142135623730951
         assert gap.is_negative and float(gap) == rounded(gap) != 0.0
-        assert s2 * 0.0 == 0 and type(s2 * 0.0) is reaction_field._Surd
+        assert s2 * 0.0 == 0 and type(s2 * 0.0) is reaction_field._Real
 
     def test_non_finite_floats_and_overflow(self):
         s2 = self.root(2)
@@ -423,17 +453,21 @@ class TestSurd:
         huge = s2 * 1e300 * 1e300
         assert float(huge) == math.inf and float(-huge) == -math.inf
         assert not huge.is_negative
+        # a rounding tie is decided exactly: 1 + 2**-53 is halfway to the next double
+        tie = (s2 + 2.0**-53) - s2 + 1
+        assert float(tie) == 1.0 and float(tie + 2.0**-60) == 1.0 + 2.0**-52
 
     def test_repr_and_sympy(self):
         s3 = self.root(3)
-        assert repr(2 * s3 - 3) == "2*sqrt(3) - 3"
-        assert repr(-s3 * self.root(2) + 1) == "-sqrt(6) + 1"
-        assert repr(s3 * Fraction(3, 4) - Fraction(1, 2)) == "3/4*sqrt(3) - 1/2"
-        assert repr(-s3 - self.root(2)) == "-sqrt(3) - sqrt(2)"
-        assert repr(reaction_field._Surd()) == "0"
-        assert sym.sympify(2 * s3 - 3) == 2 * sym.sqrt(3) - 3
-        assert sym.simplify(s3 - sym.sqrt(3)) == 0
-        assert complex(2 * s3 - 3) == complex(rounded(2 * sym.sqrt(3) - 3))
+        values = [2 * s3 - 3, -s3 * self.root(2) + 1, s3 * Fraction(3, 4) - Fraction(1, 2),
+                  -s3 - self.root(2), exact_real("0"), (1 - s3) ** 3 / (s3 + 7),
+                  exact_real("sqrt(sqrt(2) + 1/3)") - 1.25]
+        for x in values:
+            assert exact_real(repr(x)) == x
+            assert float(x) == rounded(x)
+        assert repr(exact_real("1/2")) == "1/2"
+        assert sym.simplify(oracle(2 * s3 - 3) - (2 * sym.sqrt(3) - 3)) == 0
+        assert complex(2 * s3 - 3) == complex(rounded(2 * s3 - 3))
 
 
 class TestDissipativityAndRegion:
@@ -468,10 +502,10 @@ class TestDissipativityAndRegion:
     def test_exact_region_check_at_tight_bounds(self):
         # a=3, b=1/2, c=sqrt(2): c^2 = 1/b = a - 1, so both bounds are tight;
         # exactly the box is invariant, in floats c*c overshoots a - 1
-        exact = CubicCoupled(k=1, a=sym.Integer(3), b=sym.Rational(1, 2))
-        assert invariant_region_check(exact, sym.sqrt(2))
-        assert not invariant_region_check(exact, sym.sqrt(3))
-        assert not invariant_region_check(exact, sym.Rational(7, 5))
+        exact = CubicCoupled(k=1, a=3, b=Fraction(1, 2))
+        assert invariant_region_check(exact, exact_real("sqrt(2)"))
+        assert not invariant_region_check(exact, exact_real("sqrt(3)"))
+        assert not invariant_region_check(exact, Fraction(7, 5))
         assert not invariant_region_check(exact, math.nan)
         assert not invariant_region_check(CubicCoupled(k=1.0, a=3.0, b=0.5),
                                           math.sqrt(2.0))
@@ -505,8 +539,8 @@ class TestSerialization:
         f = field_from_json_dict({"kind": "cubic_uncoupled", "a": "2",
                                   "b": "sqrt(3)", "c": "sqrt(6)",
                                   "d": "sqrt(2)"})
-        assert isinstance(f.b, sym.Basic)
-        assert sym.simplify(f.b - sym.sqrt(3)) == 0
+        assert sym.simplify(oracle(f.b) - sym.sqrt(3)) == 0
+        assert f.b == exact_real("sqrt(3)") != 1.7320508075688772
 
     def test_one_number_makes_a_float_field(self):
         f = field_from_json_dict({"kind": "cubic_uncoupled", "a": "2", "b": "sqrt(3)",
@@ -517,11 +551,30 @@ class TestSerialization:
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, "nan", "oo", "-1"])
     def test_non_finite_or_non_positive_parameter(self, value):
-        # an all-string field is exact: "nan" and "oo" reach the check as sympy values
+        # an all-string field is exact: "nan" and "oo" are outside its grammar
         other = "1" if isinstance(value, str) else 1.0
-        with pytest.raises(ConfigError, match="b must be positive and finite"):
+        refusal = ("b is not an exact number" if value in ("nan", "oo")
+                   else "b must be positive and finite")
+        with pytest.raises(ConfigError, match=refusal):
             field_from_json_dict(
                 {"kind": "cubic_coupled", "k": other, "a": other, "b": value})
+
+    @pytest.mark.parametrize("text, value", [
+        ("3", 3), ("-0.25", sym.Rational(-1, 4)), ("1/2", sym.Rational(1, 2)),
+        ("sqrt(2)/2", sym.sqrt(2) / 2), ("(1+sqrt(5))/2", (1 + sym.sqrt(5)) / 2),
+        ("2**3", 8), ("nan", None), ("oo", None), ("x", None), ("sin(1)", None),
+        ("2**0.5", None), ("sqrt(-1)", None), ("1/0", None),
+        ("__import__('os')", None),
+    ])
+    def test_field_string_grammar(self, text, value):
+        if value is None:
+            with pytest.raises(ConfigError, match="^k is not an exact number: "):
+                field_from_json_dict({"kind": "cubic_coupled", "k": text,
+                                      "a": "1", "b": "1"})
+            return
+        x = exact_real(text)
+        assert sym.simplify(oracle(x) - value) == 0
+        assert exact_real(repr(x)) == x
 
     def test_bad_kind(self):
         with pytest.raises(ConfigError, match="kind"):
