@@ -15,12 +15,15 @@ Five analysis areas plus a reporting driver:
 - driver: validated run configs, CLI, all file I/O and all report and CSV
   text (the other modules return results and read field and multiplier JSON)
 
-Importing the package loads none of them: each public name below, and each
-submodule, is imported on first access (PEP 562), so a caller pays for numpy
-only once it touches an array layer.
+Importing the package runs none of them: it binds each submodule but the
+driver lazily (importlib's LazyLoader), to run on the first read of one of
+its attributes, and each public name below is resolved on first access (PEP
+562), so a caller pays for numpy only once it touches an array layer.  The
+driver is imported as usual: ``python -m imhyp.driver`` warns if it is bound.
 """
 
-import importlib
+import importlib.util
+import sys
 
 __version__ = "0.1.0"
 
@@ -53,14 +56,22 @@ _HOME = {name: module for module, names in _PUBLIC.items()
 __all__ = ["__version__", *_HOME]
 
 
+def _bind(name: str):
+    """imhyp.<name>, in sys.modules at once, run on the first read of an attribute."""
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+globals().update({name: _bind(name) for name in _PUBLIC})
+
+
 def __getattr__(name):
-    if name in _HOME:
-        value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
-    elif name in _PUBLIC or name == "driver":
-        value = importlib.import_module(f".{name}", __name__)
-    else:
+    if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    globals()[name] = value
+    value = globals()[name] = getattr(globals()[_HOME[name]], name)
     return value
 
 

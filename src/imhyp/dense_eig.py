@@ -4,14 +4,14 @@ A symmetric matrix is block diagonal over the connected components of its
 nonzero pattern, and its spectral norm is the largest block norm (the split
 is a permutation similarity, so it is exact).  ``edge_norms`` takes each
 matrix as its nonzero entries, splits it and answers 1x1 blocks by their
-|entry| and 2x2 blocks in closed form.  Every larger block, of any size,
-takes one path: the blocks of each size, from many matrices, are reduced
-together to tridiagonal form by Householder reflections, then one bisection
-on Sturm counts (Barth, Martin & Wilkinson, Numer. Math. 9 (1967)) brackets
-the norms of all the tridiagonals down to adjacent floats.  Every sum runs
-in index order and no BLAS or LAPACK routine is called, so a norm has the
-same bits on every platform and whatever blocks share its stack; there is
-no tolerance to set.
+|entry| and 2x2 blocks by the closed form of ``reaction_field._eig2x2``.
+Every larger block, of any size, takes one path: the blocks of each size,
+from many matrices, are reduced together to tridiagonal form by Householder
+reflections, then one bisection on Sturm counts (Barth, Martin & Wilkinson,
+Numer. Math. 9 (1967)) brackets the norms of all the tridiagonals down to
+adjacent floats.  Every sum runs in index order and no BLAS or LAPACK
+routine is called, so a norm has the same bits on every platform and
+whatever blocks share its stack; there is no tolerance to set.
 """
 
 from __future__ import annotations
@@ -148,7 +148,7 @@ def edge_norms(matrices) -> np.ndarray:
     Each matrix is checked for symmetry (ConfigError if it is not) and split
     into its blocks, each scaled by _scaled.  A 2x2 block [[a, b],
     [b, d]] gets (|a+d| + sqrt((a-d)(a-d) + 4b*b)) / 2, bitwise max |xi| of
-    reaction_field._eig2x2_float(a, b, b, d) wherever that neither overflows
+    reaction_field._eig2x2(((a, b), (b, d))) wherever that neither overflows
     nor underflows.  Larger blocks wait in stacks by size, solved whenever
     the stacks reach STACK_ENTRIES entries and at the end, so an iterable
     that builds its matrices lazily keeps memory bounded.

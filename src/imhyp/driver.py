@@ -8,16 +8,17 @@ at 17 significant digits); reports are JSON with sorted keys, so identical
 config and version produce identical bytes; a table's rows take one line
 each.  This module does all of the package's file I/O: it reads config,
 field and multiplier JSON and writes every report, certificate and CSV, each
-through a temp-file-plus-rename.  It binds the five layer modules lazily and
-imports no numpy itself, so --version, config errors and the planar-field
-commands start without numpy; a command loads the layers it calls.
+through a temp-file-plus-rename.  It imports the layers it calls from the
+package, which binds each one lazily, and imports no numpy itself, so
+--version, config errors and the planar-field commands start without numpy;
+a command runs the layers it calls.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import difflib
-import importlib.util
+import functools
 import json
 import math
 import os
@@ -25,29 +26,13 @@ import sys
 import tempfile
 import time
 import warnings
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
-from . import __version__
+from . import (__version__, lattice_spectrum, reaction_field, spatial_averaging,
+               stationary_spectrum)
 from .errors import ConfigError, HypothesisNotMet, NumericalFailure
 from .lattice_params import BOUNDARY_CONDITIONS, PERIODIC_SCALINGS, JumpQuery
 
-
-def _lazy(name: str):
-    """The module imhyp.<name>: in sys.modules at once, run on the first
-    read of one of its attributes."""
-    fullname = f"{__package__}.{name}"
-    if fullname not in sys.modules:
-        spec = importlib.util.find_spec(fullname)
-        spec.loader = importlib.util.LazyLoader(spec.loader)
-        sys.modules[fullname] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(sys.modules[fullname])
-    return sys.modules[fullname]
-
-
-# the five layers; a command loads only those it calls, and numpy with them
-lattice_spectrum, reaction_field, stationary_spectrum, spatial_averaging, dense_eig = (
-    map(_lazy, ("lattice_spectrum", "reaction_field", "stationary_spectrum",
-                "spatial_averaging", "dense_eig")))
 
 # ---------------------------------------------------------------------------
 # parameter schema
@@ -56,14 +41,14 @@ class Param(NamedTuple):
     """One config key: how to parse it and what values are legal."""
 
     key: str
-    kind: str
+    parse: Callable  # raw value -> parsed value; ValueError or TypeError refuses it
     default: object = None
     required: bool = False
     positive: bool = False
     choices: tuple | None = None
 
 
-def _parse_bool(raw):
+def _bool(raw) -> bool:
     if isinstance(raw, bool):
         return raw
     text = str(raw).strip().lower()
@@ -74,25 +59,53 @@ def _parse_bool(raw):
     raise ValueError(f"expected true or false, got {raw!r}")
 
 
-def _parse_float(raw) -> float:
+def _int(raw) -> int:
+    # floats and text such as "1e7" count when integral and at most 2**53
+    val = raw
+    if isinstance(raw, str):
+        try:
+            val = int(raw) if raw.strip().lstrip("+-").isdigit() else float(raw)
+        except ValueError:  # refused below as not an integer
+            pass
+    if isinstance(val, float) and abs(val) <= 2**53 and val.is_integer():
+        val = int(val)
+    if isinstance(val, bool) or not isinstance(val, int):
+        raise ValueError(f"expected an integer, got {raw!r}")
+    return val
+
+
+def _number(raw) -> float:
     # float() reads the JSON booleans true and false as 1.0 and 0.0
     if isinstance(raw, bool):
         raise ValueError(f"expected a number, got {raw!r}")
     return float(raw)
 
 
-def _parse_str(raw) -> str:
+def _float(raw) -> float:
+    val = _number(raw)
+    if not math.isfinite(val):
+        raise ValueError("expected a finite number")
+    return val
+
+
+def _str(raw) -> str:
     # str() would turn a JSON true or 7 into the name "True" or "7"
     if not isinstance(raw, str):
         raise ValueError(f"expected a string, got {raw!r}")
     return raw
 
 
-def _parse_floats(raw, lengths=(), refusal=""):
+def _strs(raw) -> tuple:
+    if isinstance(raw, (list, tuple)):
+        return tuple(_str(x) for x in raw)
+    return tuple(p.strip() for p in _str(raw).split(",") if p.strip())
+
+
+def _floats(raw, lengths=(), refusal=""):
     """Floats from a list or comma-separated text, refused unless their count
     is in lengths (when given); refusal's {} is the count."""
     if isinstance(raw, (list, tuple)):
-        vals = tuple(_parse_float(x) for x in raw)
+        vals = tuple(_number(x) for x in raw)
     else:
         vals = tuple(float(p) for p in str(raw).split(",") if p.strip())
     if lengths and len(vals) not in lengths:
@@ -100,50 +113,17 @@ def _parse_floats(raw, lengths=(), refusal=""):
     return vals
 
 
-# the float-list kinds: kind -> (entry counts allowed, refusal); () allows any
-_FLOAT_LISTS = {
-    "floats": ((), ""),
-    "point": ((2,), "needs exactly 2 coordinates"),
-    "rect": ((4,), "needs 4 numbers: x_lo,x_hi,y_lo,y_hi"),
-    "jac": ((1, 4), "a Jacobian needs 1 or 4 comma-separated entries, got {}"),
-}
+_point = functools.partial(_floats, lengths=(2,), refusal="needs exactly 2 coordinates")
+_rect = functools.partial(_floats, lengths=(4,),
+                          refusal="needs 4 numbers: x_lo,x_hi,y_lo,y_hi")
+_jac = functools.partial(_floats, lengths=(1, 4), refusal=(
+    "a Jacobian needs 1 or 4 comma-separated entries, got {}"))
 
 
-def _parse_value(param: Param, raw):
-    kind = param.kind
-    if kind == "int":
-        # floats and text such as "1e7" count when integral and at most 2**53
-        val = raw
-        if isinstance(raw, str):
-            try:
-                val = int(raw) if raw.strip().lstrip("+-").isdigit() else float(raw)
-            except ValueError:  # refused below as not an integer
-                pass
-        if isinstance(val, float) and abs(val) <= 2**53 and val.is_integer():
-            val = int(val)
-        if isinstance(val, bool) or not isinstance(val, int):
-            raise ValueError(f"expected an integer, got {raw!r}")
-        return val
-    if kind == "float":
-        val = _parse_float(raw)
-        if not math.isfinite(val):
-            raise ValueError("expected a finite number")
-        return val
-    if kind == "bool":
-        return _parse_bool(raw)
-    if kind in ("str", "path"):
-        return _parse_str(raw)
-    if kind in _FLOAT_LISTS:
-        return _parse_floats(raw, *_FLOAT_LISTS[kind])
-    if kind == "strs":
-        if isinstance(raw, (list, tuple)):
-            return tuple(_parse_str(x) for x in raw)
-        return tuple(p.strip() for p in _parse_str(raw).split(",") if p.strip())
-    if kind == "jacs":
-        if not isinstance(raw, (list, tuple)):
-            raw = [block for block in str(raw).split(";") if block.strip()]
-        return tuple(_parse_floats(block, *_FLOAT_LISTS["jac"]) for block in raw)
-    raise ValueError(f"unhandled parameter kind {kind!r}")
+def _jacs(raw) -> tuple:
+    if not isinstance(raw, (list, tuple)):
+        raw = [block for block in str(raw).split(";") if block.strip()]
+    return tuple(_jac(block) for block in raw)
 
 
 # command name -> {config key: Param}, and command name -> runner; both are
@@ -155,7 +135,7 @@ RUNNERS = {}
 def _command(name: str, *params: Param):
     """Register the decorated runner as subcommand name, taking out and
     timing, which every command takes, then params."""
-    common = (Param("out", "path"), Param("timing", "bool", default=False))
+    common = (Param("out", _str), Param("timing", _bool, default=False))
 
     def register(runner):
         SCHEMAS[name] = {p.key: p for p in (*common, *params)}
@@ -164,29 +144,29 @@ def _command(name: str, *params: Param):
     return register
 
 
-_CSV = Param("csv", "path")
-_CERT = Param("cert", "path")
-_FIELD = Param("field", "str", required=True)
-_NU = Param("nu", "float", required=True, positive=True)
-_CUTOFF = Param("cutoff", "float", required=True, positive=True)
+_CSV = Param("csv", _str)
+_CERT = Param("cert", _str)
+_FIELD = Param("field", _str, required=True)
+_NU = Param("nu", _float, required=True, positive=True)
+_CUTOFF = Param("cutoff", _float, required=True, positive=True)
 _DOMAIN = (
-    Param("dim", "int", default=3, positive=True),
-    Param("bc", "str", default="neumann", choices=BOUNDARY_CONDITIONS),
-    Param("sides", "floats"),
+    Param("dim", _int, default=3, positive=True),
+    Param("bc", _str, default="neumann", choices=BOUNDARY_CONDITIONS),
+    Param("sides", _floats),
 )
 # the box-spectrum commands, the only ones whose enumeration takes a scaling
 _BOX_SPECTRUM = (
     *_DOMAIN,
-    Param("periodic-scaling", "str", default="paper", choices=PERIODIC_SCALINGS),
+    Param("periodic-scaling", _str, default="paper", choices=PERIODIC_SCALINGS),
     _CUTOFF,
 )
 # the keys of the commands that linearize equilibria (see _linearizations)
 _EQUILIBRIA = (
     *_DOMAIN,
     _NU,
-    Param("jacs", "jacs"),
-    Param("field", "str"),
-    Param("labels", "strs"),
+    Param("jacs", _jacs),
+    Param("field", _str),
+    Param("labels", _strs),
     _CUTOFF,
 )
 
@@ -226,7 +206,7 @@ def _parse_config(config) -> tuple[list, dict]:
                 diags.append(f"missing required key '{key}'")
             continue
         try:
-            val = _parse_value(param, config[key])
+            val = param.parse(config[key])
         except (ValueError, TypeError) as exc:
             diags.append(f"{key}: {exc}")
             continue
@@ -426,43 +406,37 @@ def _jac_matrix(entries):
     return tuple(tuple(entries[i:i + n]) for i in range(0, n * n, n))
 
 
-def _linearizations(p, domain) -> list:
-    """Equilibrium linearizations from either --jacs or --field."""
-    field_name = p.get("field")
-    jacs = p.get("jacs")
+def _linearization(p):
+    """The one equilibrium of --jac."""
+    return stationary_spectrum.Linearization(
+        _build_domain(p), p["nu"], _jac_matrix(p["jac"]))
+
+
+def _linearizations(p) -> list:
+    """Equilibrium linearizations from either --jacs or --field: each source
+    gives (Jacobian, label) pairs."""
+    domain = _build_domain(p)
+    field_name, jacs, labels = p.get("field"), p.get("jacs"), p.get("labels")
     if (field_name is None) == (jacs is None):
         raise ConfigError("pass exactly one of 'field' or 'jacs'")
-    if jacs is None and p.get("labels") is not None:
+    if jacs is None and labels is not None:
         raise ConfigError("labels name the jacs: pass them with 'jacs'")
-    nu = p["nu"]
     if jacs is not None:
-        labels = p.get("labels") or tuple(f"eq{i}" for i in range(len(jacs)))
+        labels = labels or tuple(f"eq{i}" for i in range(len(jacs)))
         if len(labels) != len(jacs):
-            raise ConfigError(
-                f"{len(labels)} labels for {len(jacs)} Jacobians"
-            )
-        lins = [
-            stationary_spectrum.Linearization(domain, nu, _jac_matrix(j), label=lab)
-            for j, lab in zip(jacs, labels)
-        ]
+            raise ConfigError(f"{len(labels)} labels for {len(jacs)} Jacobians")
+        pairs = [(_jac_matrix(j), lab) for j, lab in zip(jacs, labels)]
     elif field_name == "cubic-scalar":
         # f(u) = u - u^3: equilibria 0 and +-1 with f'(u) = 1 - 3u^2
-        pairs = (("0", 1.0), ("+1", -2.0), ("-1", -2.0))
-        lins = [
-            stationary_spectrum.Linearization(domain, nu, ((d,),), label=lab)
-            for lab, d in pairs
-        ]
+        pairs = [(((d,),), lab) for d, lab in ((1.0, "0"), (-2.0, "+1"), (-2.0, "-1"))]
     else:
-        lins = []
-        for a in reaction_field.fixed_points(_planar_field(field_name)):
-            x, y = a.point_float
-            jac = tuple(tuple(map(float, row)) for row in a.jacobian)
-            lins.append(stationary_spectrum.Linearization(
-                domain, nu, jac, label=f"({x:.6g},{y:.6g})"))
-    if not lins:
+        pairs = [(a.jacobian, "({:.6g},{:.6g})".format(*a.point_float))
+                 for a in reaction_field.fixed_points(_planar_field(field_name))]
+    if not pairs:
         source = "jacs" if jacs is not None else f"field {field_name!r}"
         raise ConfigError(f"no equilibria to linearize: {source} gives none")
-    return lins
+    return [stationary_spectrum.Linearization(domain, p["nu"], jac, label=lab)
+            for jac, lab in pairs]
 
 
 def _analysis_row(a) -> dict:
@@ -527,10 +501,10 @@ def _run_gaps(p):
 
 
 @_command("jump", *_BOX_SPECTRUM,
-          Param("theta", "float", default=JumpQuery.theta),
-          Param("lip", "float", default=JumpQuery.lip, positive=True),
-          Param("cconst", "float", default=JumpQuery.cconst, positive=True),
-          Param("nu", "float", default=JumpQuery.nu, positive=True))
+          Param("theta", _float, default=JumpQuery.theta),
+          Param("lip", _float, default=JumpQuery.lip, positive=True),
+          Param("cconst", _float, default=JumpQuery.cconst, positive=True),
+          Param("nu", _float, default=JumpQuery.nu, positive=True))
 def _run_jump(p):
     query = JumpQuery(theta=p["theta"], lip=p["lip"], cconst=p["cconst"],
                       nu=p["nu"])
@@ -542,7 +516,7 @@ def _run_jump(p):
     return scan, verdict
 
 
-@_command("gauss-audit", Param("limit", "int", default=1_000_000, positive=True))
+@_command("gauss-audit", Param("limit", _int, default=1_000_000, positive=True))
 def _run_gauss_audit(p):
     audit = lattice_spectrum.three_square_gap_audit(p["limit"])
     result = {
@@ -570,7 +544,7 @@ def _run_weyl(p):
     return fit, verdict
 
 
-@_command("fixed-points", _FIELD, Param("region", "rect"), _CSV)
+@_command("fixed-points", _FIELD, Param("region", _rect), _CSV)
 def _run_fixed_points(p):
     analyses = reaction_field.fixed_points(_planar_field(p["field"]), region=_region(p))
     points = [_analysis_row(a) for a in analyses]
@@ -586,7 +560,7 @@ def _run_fixed_points(p):
     return result, verdict
 
 
-@_command("delta", _FIELD, Param("at", "point", required=True))
+@_command("delta", _FIELD, Param("at", _point, required=True))
 def _run_delta(p):
     field = _planar_field(p["field"])
     at = p["at"]
@@ -595,7 +569,7 @@ def _run_delta(p):
     return _analysis_row(analysis), verdict
 
 
-@_command("lemma33", _FIELD, Param("region", "rect"))
+@_command("lemma33", _FIELD, Param("region", _rect))
 def _run_lemma33(p):
     check = reaction_field.lemma33_check(_planar_field(p["field"]), region=_region(p))
     result = {
@@ -621,7 +595,7 @@ def _run_prop34(p):
     return consts, verdict
 
 
-@_command("prop35-verify", Param("exact", "bool", default=True))
+@_command("prop35-verify", Param("exact", _bool, default=True))
 def _run_prop35_verify(p):
     report = reaction_field.verify_prop35(exact=p["exact"])
     ok = report.ladder_ok()
@@ -641,8 +615,8 @@ def _run_prop35_verify(p):
 
 
 @_command("dissipativity", _FIELD,
-          Param("samples", "int", default=10_000, positive=True),
-          Param("seed", "int", default=0))
+          Param("samples", _int, default=10_000, positive=True),
+          Param("seed", _int, default=0))
 def _run_dissipativity(p):
     field = _planar_field(p["field"])
     report = reaction_field.dissipativity_radius(
@@ -651,7 +625,7 @@ def _run_dissipativity(p):
     return report, f"sign condition verified outside radius {report.r0:.17g}"
 
 
-@_command("region", _FIELD, Param("c", "float", required=True, positive=True))
+@_command("region", _FIELD, Param("c", _float, required=True, positive=True))
 def _run_region(p):
     field = _planar_field(p["field"])
     invariant = reaction_field.invariant_region_check(field, p["c"])
@@ -662,10 +636,9 @@ def _run_region(p):
     return result, verdict
 
 
-@_command("index", *_DOMAIN, _NU, Param("jac", "jac", required=True), _CUTOFF)
+@_command("index", *_DOMAIN, _NU, Param("jac", _jac, required=True), _CUTOFF)
 def _run_index(p):
-    lin = stationary_spectrum.Linearization(
-        _build_domain(p), p["nu"], _jac_matrix(p["jac"]))
+    lin = _linearization(p)
     index, hyperbolic = stationary_spectrum.unstable_index(lin, p["cutoff"])
     result = {"index": index, "hyperbolic": hyperbolic, "cutoff": p["cutoff"]}
     verdict = (
@@ -677,7 +650,7 @@ def _run_index(p):
 
 @_command("parity", *_EQUILIBRIA)
 def _run_parity(p):
-    lins = _linearizations(p, _build_domain(p))
+    lins = _linearizations(p)
     report = stationary_spectrum.parity_report(lins, p["cutoff"])
     result = {
         "entries": report.entries,
@@ -698,11 +671,9 @@ def _run_parity(p):
     return result, verdict
 
 
-@_command("profile", *_DOMAIN, _NU, Param("jac", "jac", required=True), _CUTOFF)
+@_command("profile", *_DOMAIN, _NU, Param("jac", _jac, required=True), _CUTOFF)
 def _run_profile(p):
-    lin = stationary_spectrum.Linearization(
-        _build_domain(p), p["nu"], _jac_matrix(p["jac"]))
-    profile = stationary_spectrum.count_profile(lin, p["cutoff"])
+    profile = stationary_spectrum.count_profile(_linearization(p), p["cutoff"])
     gaps = profile.gaps_below_zero()
     verdict = (
         f"{len(profile.breakpoints)} breakpoints; "
@@ -718,7 +689,7 @@ _SHOWN_DIMS = 25
 
 @_command("nhim-dims", *_EQUILIBRIA, _CERT)
 def _run_nhim_dims(p):
-    lins = _linearizations(p, _build_domain(p))
+    lins = _linearizations(p)
     if len(lins) == 1 and p.get("cert"):
         raise ConfigError("cert needs two or more equilibria")
     cert = stationary_spectrum.nhim_certificate(lins, p["cutoff"])
@@ -747,7 +718,7 @@ def _run_nhim_dims(p):
 
 @_command("anhim", *_EQUILIBRIA, _CERT)
 def _run_anhim(p):
-    lins = _linearizations(p, _build_domain(p))
+    lins = _linearizations(p)
     cert = stationary_spectrum.anhim_common_gamma(lins, p["cutoff"])
     result = _certificate(cert, p.get("cert"))
     if cert.empty:
@@ -760,9 +731,9 @@ def _run_anhim(p):
     return result, verdict
 
 
-@_command("lemma41", Param("jac0", "float", required=True),
-          Param("jac1", "float", required=True),
-          Param("gap-bound", "float", required=True, positive=True))
+@_command("lemma41", Param("jac0", _float, required=True),
+          Param("jac1", _float, required=True),
+          Param("gap-bound", _float, required=True, positive=True))
 def _run_lemma41(p):
     threshold = reaction_field.lemma41_threshold(
         p["jac0"], p["jac1"], p["gap-bound"])
@@ -776,10 +747,10 @@ def _run_lemma41(p):
     return result, verdict
 
 
-@_command("sap-scan", Param("h", "str", required=True),
-          Param("k", "float", required=True, positive=True),
-          Param("rho", "float", required=True, positive=True),
-          Param("lambda-max", "float", required=True, positive=True), _CSV)
+@_command("sap-scan", Param("h", _str, required=True),
+          Param("k", _float, required=True, positive=True),
+          Param("rho", _float, required=True, positive=True),
+          Param("lambda-max", _float, required=True, positive=True), _CSV)
 def _run_sap_scan(p):
     h = _builtin_or_file(p["h"], _BUILTIN_MULTIPLIERS, "multiplier",
                          spatial_averaging.multiplier_from_json_dict)

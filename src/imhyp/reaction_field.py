@@ -17,11 +17,11 @@ enclosure of 0 inside the separation bound of C. Burnikel, R. Fleischer,
 K. Mehlhorn and S. Schirra (Algorithmica 27 (2000) 87-99) proves a 0.
 Field strings are read by a closed grammar (``_parse``); nothing in them
 runs.  Only the Newton search of a general polynomial field and the sampled
-dissipativity check load numpy; ``_eig2x2_float``, the closed-form 2x2
-eigenvalues that the certificate layer also uses, needs none, nor does
-``lemma41_threshold``, the diffusion threshold between two scalar
-equilibria.  Fields are read from JSON dicts; rendering reports and file
-I/O are the driver's.  The method's tolerances (DEDUPE_TOL, LADDER_TOL,
+dissipativity check load numpy; ``_eig2x2``, the closed-form 2x2 eigenvalues
+of float and exact matrices, which the certificate layer also uses, needs
+none, nor does ``lemma41_threshold``, the diffusion threshold between two
+scalar equilibria.  Fields are read from JSON dicts; rendering reports and
+file I/O are the driver's.  The method's tolerances (DEDUPE_TOL, LADDER_TOL,
 PROP34_TOL on PROP34_BRACKET, PROP35_LADDER_TOL) are module constants, not
 parameters, so no caller can widen a ladder match or move the bracket.
 
@@ -451,25 +451,11 @@ class GeneralPoly:
 PlanarField = CubicCoupled | CubicUncoupled | GeneralPoly
 
 
-def _eig2x2_float(a, b, c, d):
-    """(xi1, xi2, real-part gap) of [[a, b], [c, d]], by descending (Re, Im).
-
-    The discriminant is taken as (a-d)^2 + 4bc: tr^2 - 4det cancels when the
-    two real eigenvalues are close, and can then turn a real pair complex.
-    """
-    a, b, c, d = float(a), float(b), float(c), float(d)
-    tr = a + d
-    disc = (a - d) * (a - d) + 4.0 * b * c
-    if disc < 0.0:
-        im = math.sqrt(-disc) / 2.0
-        return (complex(tr / 2.0, im), complex(tr / 2.0, -im), 0.0)
-    s = math.sqrt(disc)
-    return ((tr + s) / 2.0, (tr - s) / 2.0, s)
-
-
 def _eig2x2(J):
-    """Eigenvalues of a 2x2 matrix by the quadratic formula, discriminant
-    (a-d)^2 + 4bc in exact and in float arithmetic alike.
+    """Eigenvalues of a 2x2 matrix [[a, b], [c, d]] by the quadratic formula,
+    in floats unless an entry is exact.  The discriminant is (a-d)^2 + 4bc:
+    tr^2 - 4det cancels when the two real eigenvalues are close, and can then
+    turn a real pair complex.
 
     Returns (xi1, xi2, delta) ordered by descending (Re, Im); delta is the
     real-part gap, identically 0 for a complex-conjugate pair, which an exact
@@ -478,12 +464,12 @@ def _eig2x2(J):
     """
     (a, b), (c, d) = J
     if not any(isinstance(v, _Real) for v in (a, b, c, d)):
-        return _eig2x2_float(a, b, c, d)
-    if b * c == 0:
+        a, b, c, d = float(a), float(b), float(c), float(d)
+    elif b * c == 0:
         gap = a - d
         return (d, a, -gap) if _negative(gap) else (a, d, gap)
     tr = a + d
-    disc = (a - d) ** 2 + 4 * b * c
+    disc = (a - d) * (a - d) + 4 * b * c
     if _negative(disc):
         re, im = float(tr / 2), float(_sqrt(-disc) / 2)
         return (complex(re, im), complex(re, -im), _zero(disc))
@@ -895,9 +881,7 @@ def field_from_json_dict(data: dict) -> PlanarField:
     field, its strings read exactly and rounded.  A string outside the
     grammar of ``_parse`` is a ConfigError."""
     def vals(*names):
-        raw = [data[name] for name in names]
-        if all(isinstance(x, str) for x in raw):
-            return raw
+        raw = [data[name] for name in names]  # a missing key before a bad value
         return [x if isinstance(x, str) else float(x) for x in raw]
 
     try:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, PreconditionError
 from .lattice_spectrum import BoxDomain, Spectrum, _merge_close, enumerate_spectrum
-from .reaction_field import _eig2x2_float, lemma41_threshold  # re-exported
+from .reaction_field import _eig2x2
 
 ZERO_TOL = 1e-9
 GAP_MIN = 1e-6
@@ -56,9 +56,9 @@ class Linearization:
         """Eigenvalue real parts of the reaction Jacobian with multiplicities."""
         if len(self.jac) == 1:
             return ((self.jac[0][0], 1),)
-        (a, b), (c, d) = self.jac
-        xi1, xi2, s = _eig2x2_float(a, b, c, d)
+        xi1, xi2, s = _eig2x2(self.jac)
         if s == 0.0:  # a double eigenvalue or a complex-conjugate pair
+            (a, _), (_, d) = self.jac
             return (((a + d) / 2.0, 2),)
         return ((xi1, 1), (xi2, 1))
 
@@ -155,17 +155,6 @@ def _shared_domain(lins) -> None:
     for lin in lins[1:]:
         if lin.domain != d0 or lin.nu != nu0:
             raise ConfigError("linearizations must share domain and nu")
-
-
-def _require_certified_range(lins, cutoff: float) -> None:
-    """Refuse a cutoff that certifies no part of (-inf, 0): an Empty scan
-    over such a range would claim an obstruction it never checked."""
-    xi_max = max(lin.xi_max for lin in lins)
-    if xi_max - lins[0].nu * cutoff >= 0.0:
-        raise PreconditionError(
-            f"cutoff {cutoff} too small to certify any gap below zero: "
-            f"need cutoff > {xi_max / lins[0].nu:.17g}"
-        )
 
 
 def _labels(lins) -> list[str]:
@@ -273,6 +262,21 @@ def count_profile(lin: Linearization, cutoff: float) -> ModeCountProfile:
     return _profile(lin, enumerate_spectrum(lin.domain, cutoff))
 
 
+def _family(lins, cutoff: float):
+    """(labels, count profiles) of equilibria sharing domain and nu, over one
+    box spectrum; a cutoff that certifies no part of (-inf, 0) is refused, as
+    an Empty scan over it would claim an obstruction it never checked."""
+    _shared_domain(lins)
+    xi_max = max(lin.xi_max for lin in lins)
+    if xi_max - lins[0].nu * cutoff >= 0.0:
+        raise PreconditionError(
+            f"cutoff {cutoff} too small to certify any gap below zero: "
+            f"need cutoff > {xi_max / lins[0].nu:.17g}"
+        )
+    spec = enumerate_spectrum(lins[0].domain, cutoff)
+    return tuple(_labels(lins)), tuple(_profile(lin, spec) for lin in lins)
+
+
 @dataclass(frozen=True)
 class ObstructionCertificate:
     """Outcome of a gap scan: a witness cut or Empty, always cutoff-scoped."""
@@ -306,13 +310,9 @@ def anhim_common_gamma(lins, cutoff: float) -> ObstructionCertificate:
     up to this cutoff, and a cutoff that certifies nothing below zero raises
     PreconditionError.
     """
-    _shared_domain(lins)
-    if len(lins) < 2:
+    if len(lins) == 1:  # one equilibrium passes the domain check; none fails it
         raise ConfigError("common-gamma scan needs at least two equilibria")
-    _require_certified_range(lins, cutoff)
-    labels = tuple(_labels(lins))
-    spec = enumerate_spectrum(lins[0].domain, cutoff)
-    profiles = [_profile(lin, spec) for lin in lins]
+    labels, profiles = _family(lins, cutoff)
     floor = max(p.valid_above for p in profiles)
 
     merged = np.unique(np.concatenate([p.breakpoints for p in profiles]))  # ascending
@@ -328,14 +328,11 @@ def anhim_common_gamma(lins, cutoff: float) -> ObstructionCertificate:
         if ok
     ]
     witnesses.sort(key=lambda w: -w.gamma_hi)
-    headline = None
-    if witnesses:
-        headline = max(witnesses, key=lambda w: (w.width, w.gamma_hi))
     return ObstructionCertificate(
         mode="ANHIM",
         cutoff=float(cutoff),
         equilibria=labels,
-        result=headline,
+        result=max(witnesses, key=lambda w: (w.width, w.gamma_hi), default=None),
         witnesses=tuple(witnesses),
     )
 
@@ -351,11 +348,7 @@ def nhim_certificate(lins, cutoff: float) -> ObstructionCertificate:
     the intersection of the equilibria's gaps when they overlap, else the
     first equilibrium's gap (the cuts need not share a gamma).
     """
-    _shared_domain(lins)
-    _require_certified_range(lins, cutoff)
-    labels = tuple(_labels(lins))
-    spec = enumerate_spectrum(lins[0].domain, cutoff)
-    profiles = tuple(_profile(lin, spec) for lin in lins)
+    labels, profiles = _family(lins, cutoff)
     gaps = tuple(tuple(p.gaps_below_zero()) for p in profiles)
     by_n = [{w.n: w for w in g} for g in gaps]
     witnesses = []

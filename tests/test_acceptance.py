@@ -22,6 +22,7 @@ from imhyp.lattice_spectrum import (
 )
 from imhyp.reaction_field import (
     PROP34_BRACKET,
+    lemma41_threshold,
     middle_gap,
     solve_prop34,
     verify_prop35,
@@ -38,7 +39,6 @@ from imhyp.stationary_spectrum import (
     Linearization,
     anhim_common_gamma,
     count_profile,
-    lemma41_threshold,
     operator_spectrum,
     unstable_index,
 )

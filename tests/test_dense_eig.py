@@ -9,7 +9,7 @@ import pytest
 from imhyp import dense_eig
 from imhyp.dense_eig import edge_norms
 from imhyp.errors import ConfigError
-from imhyp.reaction_field import _eig2x2_float
+from imhyp.reaction_field import _eig2x2
 from oracles import entries, sturm_eigenvalues
 
 
@@ -206,7 +206,7 @@ class TestSpectralNorm:
             assert norm(A) == pytest.approx(want, rel=1e-13)
             # each block is solved, with its indices in ascending order, as
             # edge_norms solves it alone, and a 2x2 block bitwise by the
-            # closed form of _eig2x2_float
+            # closed form of _eig2x2
             where = np.argsort(perm)
             at, parts = 0, []
             for b in blocks:
@@ -214,7 +214,7 @@ class TestSpectralNorm:
                 block = A[np.ix_(idx, idx)]
                 if len(b) == 2:
                     (a, c), (_, d) = block
-                    parts.append(max(map(abs, _eig2x2_float(a, c, c, d)[:2])))
+                    parts.append(max(map(abs, _eig2x2(((a, c), (c, d)))[:2])))
                 else:
                     parts.append(norm(block))
                 at += len(b)

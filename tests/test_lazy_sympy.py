@@ -1,9 +1,9 @@
 """Import graph: no command loads sympy, whatever its field: float paths,
 the builtin exact prop35 field, field JSON with string values and every
 golden config.  numpy is loaded only by the commands that call an array
-layer: the driver binds the five layers without running them, and
---version, --help, config errors and the planar-field commands on builtin
-fields and lemma41 start without numpy.
+layer: the package binds its layers without running them, and --version,
+--help, config errors and the planar-field commands on builtin fields and
+lemma41 start without numpy.
 
 The test modules import sympy and numpy themselves, so each check runs in a
 fresh interpreter.
@@ -97,6 +97,19 @@ for argv in argvs:
 print(json.dumps({"layers": layers, "seen": seen}))
 """
 
+# importing a layer or reading it from the package binds it; reading one of
+# its names runs it; prints whether numpy is loaded after each step
+BINDING_SCRIPT = """
+import json, sys
+import imhyp.dense_eig
+seen = [["import imhyp.dense_eig", "numpy" in sys.modules]]
+imhyp.lattice_spectrum
+seen.append(["imhyp.lattice_spectrum", "numpy" in sys.modules])
+imhyp.lattice_spectrum.BoxDomain
+seen.append(["imhyp.lattice_spectrum.BoxDomain", "numpy" in sys.modules])
+print(json.dumps(seen))
+"""
+
 EXACT_SCRIPT = """
 import json, sys
 from imhyp.reaction_field import field_from_json_dict, lemma33_check, verify_prop35
@@ -158,6 +171,14 @@ def test_driver_binds_every_layer_without_numpy():
     layers, seen = watch([], "numpy")
     assert layers == LAYERS
     assert seen == [["from imhyp.driver import main", 0, False]]
+
+
+def test_package_binds_each_layer_without_running_it():
+    proc = fresh_python("-c", BINDING_SCRIPT)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [["import imhyp.dense_eig", False],
+                                       ["imhyp.lattice_spectrum", False],
+                                       ["imhyp.lattice_spectrum.BoxDomain", True]]
 
 
 def test_commands_without_arrays_never_import_numpy():

@@ -1,5 +1,6 @@
 import json
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 import sympy as sym
 
 from imhyp.driver import run
-from imhyp.errors import ConfigError, HypothesisNotMet
+from imhyp.errors import ConfigError, HypothesisNotMet, NumericalFailure
 from imhyp.lattice_spectrum import BoxDomain
 from imhyp.stationary_spectrum import Linearization
 import imhyp.reaction_field as reaction_field
@@ -456,6 +457,37 @@ class TestSurd:
         # a rounding tie is decided exactly: 1 + 2**-53 is halfway to the next double
         tie = (s2 + 2.0**-53) - s2 + 1
         assert float(tie) == 1.0 and float(tie + 2.0**-60) == 1.0 + 2.0**-52
+
+    def test_tie_on_a_negative_value_rounds_half_to_even(self):
+        s2 = self.root(2)
+        tie = (s2 + (1 + Fraction(1, 2**53))) - s2  # 1 + 2**-53, not a leaf
+        assert float(-tie) == -1.0 and float(tie) == 1.0
+
+    def test_divisor_whose_first_enclosure_holds_zero(self):
+        # sqrt(2) - q is about 1e-31, so its 64-bit enclosure holds 0 and the
+        # quotient, and a sum over it, wait for a finer one
+        q = Fraction(math.isqrt(2 * 10**62), 10**31)
+        x = 1 / (self.root(2) - q)
+        with localcontext() as ctx:
+            ctx.prec = 80  # an 80-digit oracle
+            want = float(1 / (Decimal(2).sqrt() - Decimal(q.numerator) / q.denominator))
+        assert want == 1.0195907254209846e+31
+        assert float(x) == want and float(x + 1) == want
+
+    def test_sign_past_the_precision_cap(self):
+        # sqrt(2) - q is about 1e-20000: no enclosure up to 65536 bits decides it
+        q = Fraction(math.isqrt(2 * 10**40000), 10**20000)
+        with pytest.raises(NumericalFailure,
+                           match="^an exact sign needs more than 65536 bits$"):
+            (self.root(2) - q).is_negative
+
+    def test_division_by_an_exact_zero(self):
+        s2 = self.root(2)
+        with pytest.raises(ZeroDivisionError, match="division by an exact 0"):
+            s2 / (s2 - s2)
+        with pytest.raises(ConfigError, match="^k is not an exact number: "):
+            field_from_json_dict({"kind": "cubic_coupled", "a": "3", "b": "1",
+                                  "k": "sqrt(2)/(sqrt(2)-sqrt(2))"})
 
     def test_repr_and_sympy(self):
         s3 = self.root(3)

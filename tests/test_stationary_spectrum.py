@@ -8,6 +8,7 @@ from imhyp.driver import render_report, run
 from imhyp.errors import ConfigError, HypothesisNotMet, PreconditionError
 from imhyp import stationary_spectrum
 from imhyp.lattice_spectrum import BoxDomain, enumerate_spectrum
+from imhyp.reaction_field import lemma41_threshold
 from imhyp.stationary_spectrum import (
     GAP_MIN,
     ZERO_TOL,
@@ -17,7 +18,6 @@ from imhyp.stationary_spectrum import (
     Witness,
     anhim_common_gamma,
     count_profile,
-    lemma41_threshold,
     nhim_certificate,
     operator_spectrum,
     parity_report,
