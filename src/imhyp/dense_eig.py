@@ -4,14 +4,15 @@ A symmetric matrix is block diagonal over the connected components of its
 nonzero pattern, and its spectral norm is the largest block norm (the split
 is a permutation similarity, so it is exact).  ``edge_norms`` takes each
 matrix as its nonzero entries, splits it and answers 1x1 blocks by their
-|entry| and 2x2 blocks by the closed form of ``reaction_field._eig2x2``.
-Every larger block, of any size, takes one path: the blocks of each size,
-from many matrices, are reduced together to tridiagonal form by Householder
-reflections, then one bisection on Sturm counts (Barth, Martin & Wilkinson,
-Numer. Math. 9 (1967)) brackets the norms of all the tridiagonals down to
-adjacent floats.  Every sum runs in index order and no BLAS or LAPACK
-routine is called, so a norm has the same bits on every platform and
-whatever blocks share its stack; there is no tolerance to set.
+|entry| and 2x2 blocks by the closed form of ``reaction_field._eig2x2``,
+written out here so that no window runs that module.  Every larger block,
+of any size, takes one path: the blocks of each size, from many matrices,
+are reduced together to tridiagonal form by Householder reflections, then
+one bisection on Sturm counts (Barth, Martin & Wilkinson, Numer. Math. 9
+(1967)) brackets the norms of all the tridiagonals down to adjacent floats.
+Every sum runs in index order and no BLAS or LAPACK routine is called, so a
+norm has the same bits on every platform and whatever blocks share its
+stack; there is no tolerance to set.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ def _blocks(n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray):
     order = np.argsort(label, kind="stable")
     starts = np.flatnonzero(np.diff(label[order], prepend=-1))
     sizes = np.diff(starts, append=n)
-    for s in np.unique(sizes):
+    for s in np.flatnonzero(np.bincount(sizes)):  # np.unique would import numpy.ma
         idx = order[starts[sizes == s][:, None] + np.arange(s)]
         where = np.full(n, -1)  # b * s + slot of each index in these blocks
         where[idx.ravel()] = np.arange(idx.size)

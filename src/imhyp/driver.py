@@ -17,7 +17,6 @@ a command runs the layers it calls.
 from __future__ import annotations
 
 import dataclasses
-import difflib
 import functools
 import json
 import math
@@ -149,6 +148,13 @@ _EQUILIBRIA = (
 )
 
 
+def _did_you_mean(word: str, names) -> str:
+    """A hint naming the closest of names to a misspelt word, or ''."""
+    import difflib  # only a misspelt name pays for it
+    close = difflib.get_close_matches(word, names, n=1)
+    return f" (did you mean '{close[0]}'?)" if close else ""
+
+
 def validate(config) -> list:
     """Diagnostics for a config mapping; empty list means the config runs."""
     return _parse_config(config)[0]
@@ -162,20 +168,14 @@ def _parse_config(config) -> tuple[list, dict]:
         return ["config must be a JSON object"], {}
     cmd = config.get("command")
     if not isinstance(cmd, str) or cmd not in SCHEMAS:
-        hint = ""
-        if isinstance(cmd, str):
-            close = difflib.get_close_matches(cmd, SCHEMAS, n=1)
-            if close:
-                hint = f" (did you mean '{close[0]}'?)"
+        hint = _did_you_mean(cmd, SCHEMAS) if isinstance(cmd, str) else ""
         diags.append(f"unknown command {cmd!r}{hint}")
         return diags, {}
     schema = SCHEMAS[cmd]
     for key in sorted(config):
         if key == "command" or key in schema:
             continue
-        close = difflib.get_close_matches(key, schema, n=1)
-        hint = f" (did you mean '{close[0]}'?)" if close else ""
-        diags.append(f"unknown key '{key}'{hint}")
+        diags.append(f"unknown key '{key}'{_did_you_mean(key, schema)}")
     params = {}
     for key, param in schema.items():
         params[key] = param.default
@@ -281,9 +281,12 @@ def _csv(header: str, columns) -> str:
 def _atomic_file(path, text: str) -> None:
     """Write text to a temp file beside path, then rename it onto path.
 
-    A path that cannot be written is a ConfigError.
+    A path that cannot be written is a ConfigError, and so is an existing
+    path that is not a regular file, which the rename would replace.
     """
     path = os.fspath(path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise ConfigError(f"cannot write {path}: not a regular file")
     directory = os.path.dirname(os.path.abspath(path))
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".imhyp.")

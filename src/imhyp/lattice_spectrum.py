@@ -154,13 +154,22 @@ def _axis_terms(domain: BoxDomain, axis: int, cutoff: float, step: float,
     return vals[keep], weights[keep]
 
 
+def _count_dtype(cells: int):
+    """int32 while _fold's bound keeps every count below 2**31, else int64."""
+    return np.int32 if cells <= 16384**2 else np.int64
+
+
 def _fold(axes, cells: int, dtype) -> np.ndarray:
     """Table t[n], n < cells: the total weight of the lattice points whose
-    axis values sum to n (for bool: whether any point does).
+    axis values sum to n (for bool: whether any point does).  An exact count
+    t[n] is at most 2(2r+1)^2, r = isqrt(n) (2r+1 signed l_1 and l_2, two
+    l_3), which is below 2**31 for n < 16384**2, about 2.68e8.
 
     `axes` holds integer (values, weights) per axis, values ascending and
     below `cells`.  The second axis is added to the first row by row of their
-    outer sum (never built whole), each further axis by shifted slices.
+    outer sum (never built whole), each further axis by shifted slices, one
+    256 KiB output block at a time: the block stays in cache while every
+    shift that lands in it is added (Lam, Rothberg & Wolf, ASPLOS 1991).
     """
     (v0, w0), *rest = [(v, w.astype(dtype)) for v, w in axes]
     table = np.zeros(cells, dtype)
@@ -172,11 +181,16 @@ def _fold(axes, cells: int, dtype) -> np.ndarray:
         for v, w, k in zip(v0.tolist(), w0.tolist(), ends):
             # one row holds distinct sums, so += adds each weight once
             table[v + v1[:k]] += w * w1[:k]
+    block = (1 << 18) // table.itemsize
     for values, weights in rest:
         folded = np.zeros_like(table)
-        for v, w in zip(values.tolist(), weights.tolist()):
-            # folded[n] += w * table[n - v] for all n >= v
-            folded[v:] += table[: cells - v] if w == 1 else w * table[: cells - v]
+        for start in range(0, cells, block):
+            stop = min(start + block, cells)
+            k = int(np.searchsorted(values, stop))  # the shifts v < stop
+            for v, w in zip(values[:k].tolist(), weights[:k].tolist()):
+                # folded[n] += w * table[n - v] for n in [max(v, start), stop)
+                part = table[max(v, start) - v : stop - v]
+                folded[max(v, start) : stop] += part if w == 1 else w * part
         table = folded
     return table
 
@@ -219,7 +233,7 @@ def enumerate_spectrum(domain: BoxDomain, cutoff: float, *,
                     domain, ax, float(limit), periodic_scaling))
                 for ax in range(domain.dim)]
         counts = _fold([(np.rint(v).astype(np.int64), w) for v, w in axes],
-                       cells, np.int64)
+                       cells, _count_dtype(cells))
         eigs = np.flatnonzero(counts)
         return Spectrum(eigs.astype(float), counts[eigs], cutoff=float(cutoff))
 

@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import reaction_field  # bound lazily: only a 2x2 xi_parts runs it
 from .errors import ConfigError, PreconditionError
 from .lattice_spectrum import BoxDomain, Spectrum, _merge_close, enumerate_spectrum
-from .reaction_field import _eig2x2
 
 ZERO_TOL = 1e-9
 GAP_MIN = 1e-6
@@ -34,7 +34,7 @@ def _coerce_jac(jac) -> tuple:
         raise ConfigError(f"jac must be 1x1 or 2x2, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ConfigError("jac entries must be finite")
-    return tuple(tuple(float(x) for x in row) for row in arr)
+    return tuple(tuple(float(x) + 0.0 for x in row) for row in arr)  # -0.0 -> +0.0
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,7 @@ class Linearization:
         """Eigenvalue real parts of the reaction Jacobian with multiplicities."""
         if len(self.jac) == 1:
             return ((self.jac[0][0], 1),)
-        xi1, xi2, s = _eig2x2(self.jac)
+        xi1, xi2, s = reaction_field._eig2x2(self.jac)
         if s == 0.0:  # a double eigenvalue or a complex-conjugate pair
             return ((xi1.real, 2),)
         return ((xi1, 1), (xi2, 1))
@@ -314,7 +314,9 @@ def anhim_common_gamma(lins, cutoff: float) -> ObstructionCertificate:
     labels, profiles = _family(lins, cutoff)
     floor = max(p.valid_above for p in profiles)
 
-    merged = np.unique(np.concatenate([p.breakpoints for p in profiles]))  # ascending
+    # sorted, first of each run of equals kept: np.unique would import numpy.ma
+    merged = np.sort(np.concatenate([p.breakpoints for p in profiles]))
+    merged = np.concatenate((merged[:1], merged[1:][merged[1:] != merged[:-1]]))
     edges = np.concatenate(([floor], merged[(merged > floor) & (merged < 0.0)], [0.0]))
     mids = 0.5 * (edges[:-1] + edges[1:])
     counts = np.array([p._dims_at(mids) for p in profiles])

@@ -3,8 +3,10 @@
 import dataclasses
 import json
 import math
+import os
 import pathlib
 import re
+import stat
 import subprocess
 import sys
 
@@ -809,6 +811,32 @@ class TestMainExitCodes:
             f"imhyp: config error: cannot write {target}: "
             "No such file or directory\n"
         )
+
+    @pytest.mark.parametrize("argv", [
+        "spectrum --cutoff 30 --out",
+        "spectrum --cutoff 30 --csv",
+        "anhim --field cubic-scalar --nu 2 --cutoff 200 --cert",
+    ], ids=["out", "csv", "cert"])
+    def test_output_path_that_is_not_a_regular_file(self, capsys, tmp_path, argv):
+        # the rename would replace the FIFO with a file; nothing opens it
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        code, out, err = cli(capsys, *argv.split(), str(fifo))
+        assert code == 1 and out == ""
+        assert err == (f"imhyp: config error: cannot write {fifo}: "
+                       "not a regular file\n")
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert list(tmp_path.iterdir()) == [fifo]
+
+    @pytest.mark.parametrize("jac", ["-0", "-0,0,0,-0"])
+    def test_zero_jacobian_renders_no_negative_zero(self, capsys, jac):
+        code, out, _ = cli(capsys, "profile", f"--jac={jac}", "--nu", "1",
+                           "--cutoff", "3", "--dim", "1")
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["breakpoints"][0] == 0 and result["gaps_below_zero"][0]["n"] > 0
+        # the config echoes --jac as typed; no result value reads -0
+        assert re.findall(r"-0\b(?!\.)", out.split('"result"')[1]) == []
 
 
 NO_FIXED_POINTS = {"kind": "poly", "f1": [[0, 0, 1.0]], "f2": [[0, 0, 1.0]]}

@@ -1,6 +1,7 @@
 """Tests for box Laplacian enumeration, gaps, jump scans, and the
 three-squares audit."""
 
+import itertools
 import math
 
 import numpy as np
@@ -156,6 +157,43 @@ class TestEnumerateSpectrum:
                     for lam, m in (row.split(",") for row in rows)]
             assert back == enumerate_spectrum(domain, cutoff).entries()
             assert rows[-1].startswith("102,") == domain.is_pi_box
+
+
+# axis values whose sums straddle the fold's output blocks of 256 KiB:
+# 32768 int64, 65536 int32 and 262144 bool cells
+BLOCK_EDGE_VALUES = [0, 1, 32767, 32768, 65535, 65536, 65537, 131071,
+                     262143, 262144, 262145, 399999]
+
+
+class TestFold:
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64, bool])
+    def test_block_edges_against_a_brute_product(self, dtype):
+        cells = 400_000
+        values = np.array(BLOCK_EDGE_VALUES, dtype=np.int64)
+        axes = [(values, (np.arange(values.size) + shift) % 3 + 1) for shift in range(3)]
+        want = np.zeros(cells, np.int64)
+        for terms in itertools.product(*(zip(v.tolist(), w.tolist()) for v, w in axes)):
+            n = sum(v for v, _ in terms)
+            if n < cells:
+                want[n] += math.prod(w for _, w in terms)
+        table = lattice_spectrum._fold(axes, cells, dtype)
+        assert table.dtype == dtype
+        assert np.array_equal(table, want.astype(dtype))
+
+    def test_count_dtype_at_the_int32_bound(self):
+        # entry n counts at most 2(2r+1)^2 signed points, r = isqrt(n): int32
+        # holds every entry of a table of up to 16384**2 cells, and no more
+        def bound(cells):
+            return 2 * (2 * math.isqrt(cells - 1) + 1) ** 2
+
+        edge = 16384**2
+        assert bound(edge) < 2**31 <= bound(edge + 1)
+        assert lattice_spectrum._count_dtype(edge) is np.int32
+        assert lattice_spectrum._count_dtype(edge + 1) is np.int64
+        # the bound holds where it is tightest, on the periodic cube
+        spec = enumerate_spectrum(BoxDomain(3, bc="periodic"), 2000)
+        r = np.array([math.isqrt(int(n)) for n in spec.eigenvalues])
+        assert (spec.multiplicities <= 2 * (2 * r + 1) ** 2).all()
 
 
 class TestSpectrum:

@@ -3,7 +3,8 @@ the builtin exact prop35 field, field JSON with string values and every
 golden config.  numpy is loaded only by the commands that call an array
 layer: the package binds its layers without running them, and --version,
 --help, config errors and the planar-field commands on builtin fields and
-lemma41 start without numpy.
+lemma41 start without numpy.  No certificate or window command loads
+numpy.ma, and a certificate over 1x1 Jacobians never runs reaction_field.
 
 The test modules import sympy and numpy themselves, so each check runs in a
 fresh interpreter.
@@ -62,6 +63,11 @@ NUMPY_ARGV = [
     ["sap-scan", "--h", "cos-x1", "--k", "3", "--rho", "1", "--lambda-max", "20"],
     ["dissipativity", "--field", "prop34", "--samples", "100"],
 ]
+# 1x1 certificates: the scalar field's equilibria and one --jac
+SCALAR_ARGV = [
+    ["anhim", "--field", "cubic-scalar", "--nu", "2", "--cutoff", "200"],
+    ["index", "--nu", "1", "--jac", "1", "--cutoff", "5"],
+]
 STRING_FIELD = {"kind": "cubic_uncoupled", "a": "2", "b": "sqrt(3)",
                 "c": "sqrt(6)", "d": "sqrt(2)"}
 
@@ -82,18 +88,20 @@ LAYERS = ["lattice_spectrum", "reaction_field", "stationary_spectrum",
 
 # argv: the commands, the layers and the module to watch, as JSON; prints
 # the layers bound by the import and, after the import and each command,
-# its exit code and whether the watched module is loaded
+# its exit code and whether the watched module has run: a lazily bound
+# module is in sys.modules, as a subclass of ModuleType, before it runs
 WATCH_SCRIPT = """
-import contextlib, io, json, sys
+import contextlib, io, json, sys, types
 from imhyp.driver import main
 argvs, layers, watched = map(json.loads, sys.argv[1:4])
 layers = [m for m in layers if "imhyp." + m in sys.modules]
-seen = [["from imhyp.driver import main", 0, watched in sys.modules]]
+ran = lambda: type(sys.modules.get(watched)) is types.ModuleType
+seen = [["from imhyp.driver import main", 0, ran()]]
 for argv in argvs:
     with contextlib.redirect_stdout(io.StringIO()), \\
             contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
-    seen.append([" ".join(argv), code, watched in sys.modules])
+    seen.append([" ".join(argv), code, ran()])
 print(json.dumps({"layers": layers, "seen": seen}))
 """
 
@@ -192,6 +200,21 @@ def test_array_commands_import_numpy_when_they_run(argv):
     _, seen = watch([argv], "numpy")
     assert seen == [["from imhyp.driver import main", 0, False],
                     [" ".join(argv), 0, True]]
+
+
+def test_certificates_and_windows_never_import_numpy_ma():
+    # np.unique without a return_* flag imports numpy.ma
+    argv = SCALAR_ARGV + [NUMPY_ARGV[1]]
+    _, seen = watch(argv, "numpy.ma")
+    assert [code for _, code, _ in seen] == [0] * (len(argv) + 1)
+    assert [step for step, _, loaded in seen if loaded] == []
+
+
+def test_one_by_one_certificates_never_run_reaction_field():
+    # only a 2x2 Jacobian's eigenvalues read reaction_field
+    _, seen = watch(SCALAR_ARGV, "imhyp.reaction_field")
+    assert [code for _, code, _ in seen] == [0] * (len(SCALAR_ARGV) + 1)
+    assert [step for step, _, loaded in seen if loaded] == []
 
 
 @pytest.mark.parametrize("name", sorted(EXACT_ARGV))
