@@ -595,14 +595,12 @@ def _run_prop35_verify(p):
     return result, verdict
 
 
+# samples is parsed and ignored: the benchmark's cli job passes it until a
+# declared benchmark change drops it
 @_command("dissipativity", _FIELD,
-          Param("samples", _int, default=10_000, positive=True),
-          Param("seed", _int, default=0))
+          Param("samples", _int, default=10_000, positive=True))
 def _run_dissipativity(p):
-    field = _planar_field(p["field"])
-    report = reaction_field.dissipativity_radius(
-        field, samples=p["samples"], seed=p["seed"])
-    # dissipativity_radius raises on a failing sample, so report.verified holds
+    report = reaction_field.dissipativity_radius(_planar_field(p["field"]))
     return report, f"sign condition verified outside radius {report.r0:.17g}"
 
 

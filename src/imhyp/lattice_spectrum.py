@@ -29,7 +29,8 @@ from .errors import (
 from .lattice_params import BOUNDARY_CONDITIONS, PERIODIC_SCALINGS, JumpQuery
 
 # memory budget: lattice cells one walk may materialize (an exact count table,
-# a float candidate grid, the audit's table or a window-mode grid)
+# a float candidate grid, the audit's table, a window-mode grid or the growth
+# fit's eigenvalues repeated by multiplicity)
 DEFAULT_BUDGET = 100_000_000
 
 # two floating values merge when they differ by < MERGE_TOL*(1+|value|)
@@ -394,6 +395,7 @@ def weyl_fit(spectrum: Spectrum, dim: int) -> WeylFit:
     The ordered eigenvalue sequence (with multiplicity) of a dim-dimensional
     box grows like n^(2/dim); the fitted exponent should approach that.
     """
+    _within_budget(spectrum.total_count, "growth fit expands {} lattice points")
     lam = np.repeat(spectrum.eigenvalues, spectrum.multiplicities)
     total = lam.size
     if total < 100:

@@ -17,10 +17,10 @@ rational enclosures, and an enclosure of 0 inside the separation bound of
 C. Burnikel, R. Fleischer, K. Mehlhorn and S. Schirra (Algorithmica 27
 (2000) 87-99) proves a 0.
 Field strings are read by a closed grammar (``_parse``); nothing in them
-runs.  Only the Newton search of a general polynomial field and the sampled
-dissipativity check load numpy; ``_eig2x2``, the closed-form 2x2 eigenvalues
-of float and exact matrices, which the certificate layer also uses, needs
-none, nor does ``lemma41_threshold``, the diffusion threshold between two
+runs.  Only the Newton search of a general polynomial field loads numpy;
+``_eig2x2``, the closed-form 2x2 eigenvalues of float and exact matrices,
+which the certificate layer also uses, needs none, nor do the dissipativity
+radius and ``lemma41_threshold``, the diffusion threshold between two
 scalar equilibria.  Fields are read from JSON dicts; rendering reports and
 file I/O are the driver's.  The method's tolerances (DEDUPE_TOL, LADDER_TOL,
 PROP34_TOL on PROP34_BRACKET, PROP35_LADDER_TOL) are module constants, not
@@ -745,12 +745,11 @@ def solve_prop34() -> Prop34Constants:
     points = (p0, p1, p2, p3)
     deltas = tuple(float(delta_of(field, p).delta) for p in points)
     c = math.sqrt(6.0)
-    r0sq = 2.0 / min(a_star, b)
     checklist = Prop34Checklist(
         delta1_is_1=abs(deltas[1] - 1.0) <= 1e-9,
         delta3_is_3=abs(deltas[3] - 3.0) <= 1e-9,
         ordering=a_star >= 1.0 + 1.0 / b >= b,
-        r0sq_lt_12=r0sq < 12.0,
+        r0sq_lt_12=dissipativity_radius(field).r0 ** 2 < 12.0,
         points_in_Dc=all(0.0 <= x <= 1.0 and 0.0 <= y <= c for x, y in points),
         points_norm_le_sqrt7=all(math.hypot(x, y) <= math.sqrt(7.0) for x, y in points),
     )
@@ -801,54 +800,23 @@ class DissipativityReport:
     component_radii: tuple | None = None
 
 
-def dissipativity_radius(
-    field: PlanarField, samples: int = 10_000, seed: int = 0
-) -> DissipativityReport:
-    """Radius beyond which the field points inward, verified by sampling.
+def dissipativity_radius(field: PlanarField) -> DissipativityReport:
+    """Radius beyond which the field points inward, by its family's inequality.
 
-    Coupled family: v.f(v) <= 0 outside the disk of squared radius
-    2/min(a,b); componentwise family: sign condition per component outside
-    max(a,b) and max(c,d).  Sampling runs on the annulus [r0, 2*r0]; any
-    violation raises NumericalFailure carrying the witness point.
+    Coupled family: the v1^2 v2^2 terms cancel, so v.f(v) = k(|v|^2 - a v1^4
+    - b v2^4); with v1^4 + v2^4 >= |v|^4/2 this is at most
+    k|v|^2 (1 - min(a,b)|v|^2/2), which is <= 0 for |v|^2 >= 2/min(a,b), sharp
+    on the diagonal when a = b.  Componentwise family: t*f(t) =
+    t^2 (p - t)(t - q) <= 0 for |t| >= max(p, q), on each component, with
+    (p, q) = (a, b) and (c, d).  The radii are floats, on exact fields too.
     """
-    if samples < 1 or seed < 0:
-        raise ConfigError("samples must be positive and seed nonnegative")
-    import numpy as np
-    rng = np.random.default_rng(seed)
     if isinstance(field, CubicCoupled):
-        a, b, k = float(field.a), float(field.b), float(field.k)
-        r0 = math.sqrt(2.0 / min(a, b))
-        radii = r0 * (1.0 + rng.random(samples))
-        angles = 2.0 * math.pi * rng.random(samples)
-        v1 = radii * np.cos(angles)
-        v2 = radii * np.sin(angles)
-        dot = k * (v1**2 + v2**2 - a * v1**4 - b * v2**4)
-        tol = 1e-10 * max(k, 1.0) * float(np.max(1.0 + radii**4))
-        bad = np.flatnonzero(dot > tol)
-        if bad.size:
-            i = int(bad[0])
-            raise NumericalFailure(
-                f"inward-pointing check failed at {(float(v1[i]), float(v2[i]))}",
-                witness=(float(v1[i]), float(v2[i])),
-            )
+        r0 = math.sqrt(2.0 / min(float(field.a), float(field.b)))
         return DissipativityReport(r0=r0, verified=True)
     if isinstance(field, CubicUncoupled):
-        a, b, c, d = (float(field.a), float(field.b), float(field.c), float(field.d))
-        r1, r2 = max(a, b), max(c, d)
-        for axis, (r, p, q) in enumerate(((r1, a, b), (r2, c, d))):
-            # component sign: t*f_component(t) <= 0 for |t| >= r
-            t = r * (1.0 + rng.random(samples)) * rng.choice((-1.0, 1.0), size=samples)
-            g = t * (t * (p - t) * (t - q))
-            bad = np.flatnonzero(g > 1e-10 * float(np.max(1.0 + np.abs(t) ** 4)))
-            if bad.size:
-                w = float(t[bad[0]])
-                raise NumericalFailure(
-                    f"componentwise sign check failed at v{axis + 1}={w}",
-                    witness=(w, 0.0) if axis == 0 else (0.0, w),
-                )
-        return DissipativityReport(
-            r0=max(r1, r2), verified=True, component_radii=(r1, r2)
-        )
+        r1 = max(float(field.a), float(field.b))
+        r2 = max(float(field.c), float(field.d))
+        return DissipativityReport(r0=max(r1, r2), verified=True, component_radii=(r1, r2))
     raise ConfigError("dissipativity radius is defined for the named cubic families")
 
 

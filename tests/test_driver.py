@@ -1,11 +1,13 @@
 """CLI driver: validation diagnostics, dispatch, exit codes, reproducible reports."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
 import pathlib
 import re
+import resource
 import stat
 import subprocess
 import sys
@@ -20,6 +22,8 @@ from imhyp.stationary_spectrum import Witness
 import imhyp.reaction_field as reaction_field
 import imhyp.stationary_spectrum as stationary_spectrum
 import imhyp.driver as driver_mod
+from test_golden_reports import CONFIGS, GOLDEN, INPUTS
+from test_lazy_sympy import fresh_python
 
 
 def cli(capsys, *args):
@@ -129,8 +133,8 @@ class TestIntegerKeys:
 
     def test_exact_integers_beyond_2_53_still_accepted(self):
         report = run({"command": "dissipativity", "field": "prop34",
-                      "samples": 10, "seed": 2**60 + 1})
-        assert report["config"]["seed"] == 2**60 + 1
+                      "samples": 2**60 + 1})
+        assert report["config"]["samples"] == 2**60 + 1
 
 
 class TestFloatKeys:
@@ -185,16 +189,18 @@ class TestStringKeys:
 
 
 class TestCommandKeys:
-    """A key a command accepts is a key its runner uses."""
+    """A key a command accepts is a key its runner uses.  One exception:
+    dissipativity parses samples and ignores it, since its radius comes from
+    an inequality, not from sampling; the benchmark's cli job still passes
+    --samples, so the key stays until a declared benchmark change drops it."""
 
     def test_keys_belong_to_the_commands_that_use_them(self):
         schemas = driver_mod.SCHEMAS
         owners = {key: sorted(c for c, s in schemas.items() if key in s)
-                  for key in ("csv", "cert", "seed", "periodic-scaling")}
+                  for key in ("csv", "cert", "periodic-scaling")}
         assert owners == {
             "csv": ["fixed-points", "sap-scan", "spectrum"],
             "cert": ["anhim", "nhim-dims"],
-            "seed": ["dissipativity"],
             "periodic-scaling": ["gaps", "jump", "spectrum", "weyl"],
         }
         assert all({"out", "timing"} <= set(s) for s in schemas.values())
@@ -208,6 +214,7 @@ class TestCommandKeys:
         ("delta --field prop35-float --at 0,0 --csv d.csv", "csv"),
         ("gauss-audit --limit 100 --cert c.json", "cert"),
         ("gaps --cutoff 30 --seed 3", "seed"),
+        ("dissipativity --field prop34 --seed 3", "seed"),
     ])
     def test_unused_key_refused(self, capsys, tmp_path, monkeypatch, argv, key):
         monkeypatch.chdir(tmp_path)
@@ -215,6 +222,13 @@ class TestCommandKeys:
         assert code == 1 and out == ""
         assert err.startswith(f"imhyp: config error: unknown key '{key}'")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("field", ["prop34", "prop35-float", "prop35"])
+    def test_samples_changes_nothing(self, field):
+        reports = [plain(run({"command": "dissipativity", "field": field,
+                              "samples": n})) for n in (1, 2000)]
+        assert reports[0]["result"] == reports[1]["result"]
+        assert reports[0]["verdict"] == reports[1]["verdict"]
 
     @pytest.mark.parametrize("argv, key", [
         ("lemma33 --field f.json --tol 1", "tol"),
@@ -885,6 +899,94 @@ def test_edge_configs_end_in_a_documented_exit(
         assert err == ""
     else:
         assert err.startswith("imhyp: ") and err.count("\n") == 1
+
+
+# each golden config's keys, one at a time, set to each of these values
+EDGE_VALUES = [0, -1, math.nan, math.inf, -math.inf, 1e308, 1e-308, 5e-324,
+               1e20, "abc", "", 1e9, 2**53]
+UNSWEPT_KEYS = {"command", "out", "csv", "cert"}
+
+# stdin: a JSON list of [working directory, argv]; runs each argv through
+# main() in its directory and prints, per run, [exit code, stderr, and on
+# exit 0 the sha256 of the report's result and verdict]
+SWEEP_SCRIPT = """
+import contextlib, hashlib, io, json, os, sys
+from imhyp.driver import main
+seen = []
+for cwd, argv in json.load(sys.stdin):
+    os.chdir(cwd)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    answer = None
+    if code == 0:
+        report = json.loads(out.getvalue())
+        answer = json.dumps([report["result"], report["verdict"]], sort_keys=True)
+        answer = hashlib.sha256(answer.encode()).hexdigest()
+    seen.append([code, err.getvalue(), answer])
+print(json.dumps(seen))
+"""
+
+
+def _one_gib_address_space():
+    # runs in the child between fork and exec, so only the child is limited
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, hard))
+
+
+def _limited_python(*args, **kwargs):
+    """A fresh interpreter, with fresh_python's timeout, whose address space
+    is capped at 1 GiB: an unbounded allocation shows as an exit, not as the
+    machine's OOM kill."""
+    return fresh_python(*args, preexec_fn=_one_gib_address_space, **kwargs)
+
+
+def _with_edge(text: str, value) -> str:
+    # a comma- or semicolon-separated value takes the edge as its first entry
+    return re.sub(r"^[^,;]*", lambda _: str(value), text)
+
+
+def test_edge_sweep_of_every_golden_config(tmp_path):
+    runs = []
+    for name, config in sorted(CONFIGS.items()):
+        cwd = tmp_path / name
+        cwd.mkdir()
+        for file, text in INPUTS.get(name, {}).items():
+            (cwd / file).write_text(text)
+        flags = {key: str(value) for key, value in config.items()
+                 if key != "command"}
+        for key in sorted(set(flags) - UNSWEPT_KEYS):
+            for value in EDGE_VALUES:
+                edged = {**flags, key: _with_edge(flags[key], value)}
+                argv = [config["command"]] + [f"--{k}={v}" for k, v in edged.items()]
+                runs.append([str(cwd), argv])
+    proc = _limited_python("-c", SWEEP_SCRIPT, input=json.dumps(runs))
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert len(seen) == len(runs) == 754
+    bad = [(" ".join(argv), code, err) for (_, argv), (code, err, _) in zip(runs, seen)
+           if code not in (0, 1, 2, 3) or "Traceback" in err
+           or code and not (err.startswith("imhyp: ") and err.count("\n") == 1)]
+    assert bad == []
+    # a huge sample count is accepted and ignored: the golden's answer
+    golden = json.loads((GOLDEN / "dissipativity-prop35-float.json").read_text())
+    want = hashlib.sha256(json.dumps([golden["result"], golden["verdict"]],
+                                     sort_keys=True).encode()).hexdigest()
+    accepted = {argv[2]: answer for (_, argv), (code, _, answer) in zip(runs, seen)
+                if code == 0 and argv[:2] == ["dissipativity", "--field=prop35-float"]}
+    assert accepted == {"--samples=1000000000.0": want,
+                        "--samples=9007199254740992": want}
+
+
+def test_weyl_fit_over_the_budget_exits_1():
+    # the pi cube at 1e6 folds 1e6 cells, inside the budget, but its fit
+    # would repeat 524776511 eigenvalues by multiplicity: 3.9 GiB
+    proc = _limited_python("-m", "imhyp.driver", "weyl", "--cutoff", "1e6")
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == (
+        "imhyp: config error: growth fit expands 524776511 lattice points, "
+        "over the budget of 100000000 lattice cells\n"
+    )
 
 
 def test_empty_float_path_spectrum(capsys):

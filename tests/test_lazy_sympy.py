@@ -2,8 +2,9 @@
 the builtin exact prop35 field, field JSON with string values and every
 golden config.  numpy is loaded only by the commands that call an array
 layer: the package binds its layers without running them, and --version,
---help, config errors and the planar-field commands on builtin fields and
-lemma41 start without numpy.  No certificate or window command loads
+--help, config errors, lemma41 and the planar-field commands on builtin
+fields, dissipativity among them (its radius is an inequality, not a
+sample), start without numpy.  No certificate or window command loads
 numpy.ma, and a certificate over 1x1 Jacobians never runs reaction_field.
 
 The test modules import sympy and numpy themselves, so each check runs in a
@@ -55,13 +56,13 @@ NUMPY_FREE_ARGV = [
     ["prop35-verify", "--exact", "true"],
     ["prop35-verify", "--exact", "false"],
     ["region", "--field", "prop34", "--c", "2"],
+    ["dissipativity", "--field", "prop34", "--samples", "100"],
     ["lemma41", "--jac0", "1", "--jac1", "-2", "--gap-bound", "3"],
 ]
 # commands that call an array layer, each loading numpy when it runs
 NUMPY_ARGV = [
     ["gaps", "--cutoff", "100"],
     ["sap-scan", "--h", "cos-x1", "--k", "3", "--rho", "1", "--lambda-max", "20"],
-    ["dissipativity", "--field", "prop34", "--samples", "100"],
 ]
 # 1x1 certificates: the scalar field's equilibria and one --jac
 SCALAR_ARGV = [

@@ -518,20 +518,76 @@ class TestSurd:
         assert complex(2 * s3 - 3) == complex(rounded(2 * s3 - 3))
 
 
+# (k, a, b) of coupled fields, a = b among them, as exact rationals
+COUPLED_PARAMS = [(Fraction(1, 2), Fraction(3), Fraction(1, 4)),
+                  (Fraction(1), Fraction(2), Fraction(2)),
+                  (Fraction(3), Fraction(1, 3), Fraction(1, 3)),
+                  (Fraction(7, 5), Fraction(5), Fraction(9, 2))]
+
+
+def coupled_inner_product(k, a, b, s, u):
+    """v.f(v) of the coupled cubic at v1^2 = s, v2^2 = u, term by term from
+    f1 = k v1 (1 - a v1^2 + v2^2), f2 = k v2 (1 - b v2^2 - v1^2)."""
+    return k * s * (1 - a * s + u) + k * u * (1 - b * u - s)
+
+
 class TestDissipativityAndRegion:
+    @pytest.mark.parametrize("k, a, b", COUPLED_PARAMS)
+    def test_coupled_inequality_exactly(self, k, a, b):
+        r0sq = 2 / min(a, b)
+        for scale in (1, Fraction(8, 7), 2, 10):
+            for j in range(9):
+                s = scale * r0sq * Fraction(j, 8)
+                assert coupled_inner_product(k, a, b, s, scale * r0sq - s) <= 0
+        if a == b:
+            # sharp on the diagonal: 0 on the circle, outward just inside it
+            edge = 1 / a
+            assert coupled_inner_product(k, a, b, edge, edge) == 0
+            inside = edge - Fraction(1, 10**6)
+            assert coupled_inner_product(k, a, b, inside, inside) > 0
+
+    @pytest.mark.parametrize("p, q", [(Fraction(1), Fraction(2)),
+                                      (Fraction(5, 2), Fraction(5, 2)),
+                                      (Fraction(7, 3), Fraction(1, 9))])
+    def test_componentwise_inequality_exactly(self, p, q):
+        # t*f(t) with f(t) = t (p - t)(t - q), each component's definition
+        def tf(t):
+            return t * (t * (p - t) * (t - q))
+        r = max(p, q)
+        for t in (r, r + Fraction(1, 10**6), Fraction(6, 5) * r, 2 * r, 10 * r):
+            assert tf(t) <= 0 and tf(-t) <= 0
+        assert tf(r) == 0
+        if p != q:
+            assert tf(r - Fraction(1, 10**6)) > 0
+
     def test_coupled_radius(self):
         f = CubicCoupled(k=0.5, a=3.0, b=0.25)
-        rep = dissipativity_radius(f, samples=2000, seed=3)
+        rep = dissipativity_radius(f)
         assert rep.verified
-        assert abs(rep.r0**2 - 2.0 / 0.25) < 1e-12
+        assert rep.r0 == math.sqrt(2.0 / 0.25)
         assert rep.component_radii is None
 
     def test_uncoupled_radii(self):
         f = CubicUncoupled(a=1.0, b=2.0, c=3.0, d=0.5)
-        rep = dissipativity_radius(f, samples=2000, seed=4)
+        rep = dissipativity_radius(f)
         assert rep.verified
         assert rep.component_radii == (2.0, 3.0)
         assert rep.r0 == 3.0
+
+    def test_radii_are_the_float_formulas_bitwise(self):
+        coupled = [CubicCoupled(*map(float, params)) for params in COUPLED_PARAMS]
+        coupled.append(CubicCoupled("1/2", "3", "sqrt(2)/2"))
+        consts = solve_prop34()
+        coupled.append(CubicCoupled(k=consts.k, a=consts.a_star, b=consts.b))
+        for f in coupled:
+            a, b = float(f.a), float(f.b)
+            assert dissipativity_radius(f).r0 == math.sqrt(2.0 / min(a, b))
+        for f in (prop35_field(exact=True), prop35_field(exact=False),
+                  CubicUncoupled(a=0.1, b=0.3, c=7.0, d=1e-3)):
+            a, b, c, d = map(float, (f.a, f.b, f.c, f.d))
+            rep = dissipativity_radius(f)
+            assert rep.component_radii == (max(a, b), max(c, d))
+            assert rep.r0 == max(a, b, c, d)
 
     def test_poly_rejected(self):
         with pytest.raises(ConfigError):
