@@ -4,8 +4,8 @@ Five analysis areas plus a reporting driver:
 
 - lattice_spectrum: box Laplacian eigenvalues, gap statistics, jump-ratio
   scans, the sums-of-three-squares audit, growth-exponent fits
-- reaction_field: planar cubic reaction fields, fixed points, eigenvalue
-  real-gap tables, the tuned-parameter and exact four-point constructions
+- reaction_field (over exact_real, its exact numbers and 2x2 eigenvalues):
+  planar cubic fields, fixed points, delta tables, four-point constructions
 - stationary_spectrum: linearization spectra over a box, unstable indices,
   mode-count profiles, common-gap obstruction certificates
 - spatial_averaging: band-limited multipliers, windowed compressions as
@@ -32,6 +32,7 @@ _PUBLIC = {
     "errors": """ConfigError HypothesisNotMet ImhypError NumericalFailure
         PreconditionError ResourceBudgetError""",
     "lattice_params": "JumpQuery",
+    "exact_real": "",  # private: the exact real type and _eig2x2
     "lattice_spectrum": """BoxDomain GapReport JumpScanResult Spectrum
         ThreeSquareAudit WeylFit enumerate_spectrum gap_stats
         jump_condition_scan three_square_gap_audit weyl_fit""",

@@ -4,7 +4,7 @@ A symmetric matrix is block diagonal over the connected components of its
 nonzero pattern, and its spectral norm is the largest block norm (the split
 is a permutation similarity, so it is exact).  ``edge_norms`` takes each
 matrix as its nonzero entries, splits it and answers 1x1 blocks by their
-|entry| and 2x2 blocks by the closed form of ``reaction_field._eig2x2``,
+|entry| and 2x2 blocks by the closed form of ``exact_real._eig2x2``,
 written out here so that no window runs that module.  Every larger block,
 of any size, takes one path: the blocks of each size, from many matrices,
 are reduced together to tridiagonal form by Householder reflections, then
@@ -149,7 +149,7 @@ def edge_norms(matrices) -> np.ndarray:
     Each matrix is checked for symmetry (ConfigError if it is not) and split
     into its blocks, each scaled by _scaled.  A 2x2 block [[a, b],
     [b, d]] gets (|a+d| + sqrt((a-d)(a-d) + 4b*b)) / 2, bitwise max |xi| of
-    reaction_field._eig2x2(((a, b), (b, d))) wherever that neither overflows
+    exact_real._eig2x2(((a, b), (b, d))) wherever that neither overflows
     nor underflows.  Larger blocks wait in stacks by size, solved whenever
     the stacks reach STACK_ENTRIES entries and at the end, so an iterable
     that builds its matrices lazily keeps memory bounded.

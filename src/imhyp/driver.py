@@ -796,7 +796,7 @@ config file.  Every command takes --out REPORT.json and --timing true;
 spectrum, fixed-points and sap-scan take --csv FILE.csv, nhim-dims and
 anhim take --cert FILE.json.
 Exit codes: 0 ok, 1 config error (including an unreadable input or an
-unwritable output file), 2 hypothesis not met, 3 numerical failure
+unwritable output file or stdout), 2 hypothesis not met, 3 numerical failure
 (including a non-finite report value), 4 internal error.  Every error exit
 prints one line to stderr.
 """
@@ -836,26 +836,28 @@ def _parse_cli(cmd: str, argv: list) -> dict:
 
 def main(argv=None) -> int:
     args = list(sys.argv[1:]) if argv is None else list(argv)
-    if not args or args[0] in ("-h", "--help", "help"):
-        print(_USAGE, end="")
-        return 0
-    if args[0] == "--version":
-        print(f"imhyp {__version__}")
-        return 0
-    cmd = args[0]
+    cmd = args[0] if args else "--help"
     try:
-        config = _parse_cli(cmd, args[1:])
-        # overflow ends in a non-finite report value (exit 3), not warnings
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            report = run(config)
-            text = render_report(report)
-        out = report["config"].get("out")
-        if out:
-            _atomic_file(out, text)
-            print(report["verdict"])
+        if cmd in ("-h", "--help", "help"):
+            text = _USAGE
+        elif cmd == "--version":
+            text = f"imhyp {__version__}\n"
         else:
-            print(text, end="")
+            config = _parse_cli(cmd, args[1:])
+            # overflow ends in a non-finite report value (exit 3), not warnings
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                report = run(config)
+                text = render_report(report)
+            if out := report["config"].get("out"):
+                _atomic_file(out, text)
+                text = report["verdict"] + "\n"
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:  # a closed pipe: the flush at exit goes to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise ConfigError(f"cannot write stdout: {exc.strerror or exc}") from None
     except ConfigError as exc:
         return _fail("config error", exc, 1)
     except HypothesisNotMet as exc:

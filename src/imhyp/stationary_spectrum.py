@@ -8,6 +8,7 @@ step profiles of the counting function gamma -> dim Y(p, gamma), and gap
 certificates that obstruct normally hyperbolic / absolutely normally
 hyperbolic inertial manifolds up to the cutoff.  Every gap below zero is a
 Witness (gamma_lo, gamma_hi, n), computed by ModeCountProfile.gaps_below_zero.
+A 2x2 Jacobian's eigenvalues come from exact_real, never reaction_field.
 The two thresholds, ZERO_TOL for a real part counted as zero and GAP_MIN for
 the narrowest admitted gap, are module constants read at each call, not
 parameters: no caller can loosen an index or a certificate.
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import reaction_field  # bound lazily: only a 2x2 xi_parts runs it
+from . import exact_real  # bound lazily: only a 2x2 xi_parts runs it
 from .errors import ConfigError, PreconditionError
 from .lattice_spectrum import BoxDomain, Spectrum, _merge_close, enumerate_spectrum
 
@@ -56,7 +57,7 @@ class Linearization:
         """Eigenvalue real parts of the reaction Jacobian with multiplicities."""
         if len(self.jac) == 1:
             return ((self.jac[0][0], 1),)
-        xi1, xi2, s = reaction_field._eig2x2(self.jac)
+        xi1, xi2, s = exact_real._eig2x2(self.jac)
         if s == 0.0:  # a double eigenvalue or a complex-conjugate pair
             return ((xi1.real, 2),)
         return ((xi1, 1), (xi2, 1))

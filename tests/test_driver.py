@@ -1311,3 +1311,30 @@ class TestSubprocessEntry:
         ]
         assert runs[0].returncode == 0
         assert runs[0].stdout == runs[1].stdout
+
+    @pytest.mark.parametrize("unbuffered", [False, True],
+                             ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [
+        "--version",
+        "gaps --cutoff 100",
+        # a 247 kB report, past the pipe's buffer and stdout's
+        "spectrum --sides 2.96,3.14,3.34 --cutoff 1000",
+    ])
+    def test_closed_stdout_exits_1_with_one_line(self, argv, unbuffered):
+        # stdout is a pipe whose read end is closed; the interpreter's own
+        # flush at exit must not add a line or turn the exit into 120
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "imhyp.driver", *argv.split()],
+                stdout=write, stderr=subprocess.PIPE, text=True, timeout=120,
+                env=env,
+            )
+        finally:
+            os.close(write)
+        assert proc.returncode == 1
+        assert proc.stderr == "imhyp: config error: cannot write stdout: Broken pipe\n"

@@ -5,7 +5,9 @@ layer: the package binds its layers without running them, and --version,
 --help, config errors, lemma41 and the planar-field commands on builtin
 fields, dissipativity among them (its radius is an inequality, not a
 sample), start without numpy.  No certificate or window command loads
-numpy.ma, and a certificate over 1x1 Jacobians never runs reaction_field.
+numpy.ma.  A certificate over 1x1 Jacobians runs neither reaction_field
+nor exact_real, and one over 2x2 --jac/--jacs runs exact_real's 2x2 eigen
+routine but never reaction_field.
 
 The test modules import sympy and numpy themselves, so each check runs in a
 fresh interpreter.
@@ -68,6 +70,14 @@ NUMPY_ARGV = [
 SCALAR_ARGV = [
     ["anhim", "--field", "cubic-scalar", "--nu", "2", "--cutoff", "200"],
     ["index", "--nu", "1", "--jac", "1", "--cutoff", "5"],
+]
+# 2x2 certificates: each command that takes --jac or --jacs
+TWO_BY_TWO_ARGV = [
+    ["index", "--jac", "0.5,0.1,0.1,-1", "--nu", "1", "--cutoff", "50"],
+    ["parity", "--jacs", "1,0,0,-2;0.5,0.1,0.1,-1", "--nu", "1", "--cutoff", "50"],
+    ["profile", "--jac", "0.5,0.1,0.1,-1", "--nu", "1", "--cutoff", "50"],
+    ["nhim-dims", "--jacs", "1,0,0,-2;0.5,0.1,0.1,-1", "--nu", "1", "--cutoff", "50"],
+    ["anhim", "--jacs", "1,0,0,-2;0.5,0.1,0.1,-1", "--nu", "1", "--cutoff", "50"],
 ]
 STRING_FIELD = {"kind": "cubic_uncoupled", "a": "2", "b": "sqrt(3)",
                 "c": "sqrt(6)", "d": "sqrt(2)"}
@@ -212,10 +222,20 @@ def test_certificates_and_windows_never_import_numpy_ma():
 
 
 def test_one_by_one_certificates_never_run_reaction_field():
-    # only a 2x2 Jacobian's eigenvalues read reaction_field
-    _, seen = watch(SCALAR_ARGV, "imhyp.reaction_field")
-    assert [code for _, code, _ in seen] == [0] * (len(SCALAR_ARGV) + 1)
+    # nor exact_real: only a 2x2 Jacobian's eigenvalues read it
+    for module in ("imhyp.reaction_field", "imhyp.exact_real"):
+        _, seen = watch(SCALAR_ARGV, module)
+        assert [code for _, code, _ in seen] == [0] * (len(SCALAR_ARGV) + 1)
+        assert [step for step, _, loaded in seen if loaded] == [], module
+
+
+def test_two_by_two_certificates_never_run_reaction_field():
+    # their eigenvalues come from exact_real, which the first one runs
+    _, seen = watch(TWO_BY_TWO_ARGV, "imhyp.reaction_field")
+    assert [code for _, code, _ in seen] == [0] * (len(TWO_BY_TWO_ARGV) + 1)
     assert [step for step, _, loaded in seen if loaded] == []
+    _, seen = watch(TWO_BY_TWO_ARGV[:1], "imhyp.exact_real")
+    assert [loaded for _, _, loaded in seen] == [False, True]
 
 
 @pytest.mark.parametrize("name", sorted(EXACT_ARGV))
