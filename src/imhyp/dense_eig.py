@@ -3,16 +3,16 @@
 A symmetric matrix is block diagonal over the connected components of its
 nonzero pattern, and its spectral norm is the largest block norm (the split
 is a permutation similarity, so it is exact).  ``edge_norms`` takes each
-matrix as its nonzero entries, splits it and answers 1x1 blocks by their
-|entry| and 2x2 blocks by the closed form of ``exact_real._eig2x2``,
-written out here so that no window runs that module.  Every larger block,
-of any size, takes one path: the blocks of each size, from many matrices,
-are reduced together to tridiagonal form by Householder reflections, then
-one bisection on Sturm counts (Barth, Martin & Wilkinson, Numer. Math. 9
-(1967)) brackets the norms of all the tridiagonals down to adjacent floats.
-Every sum runs in index order and no BLAS or LAPACK routine is called, so a
-norm has the same bits on every platform and whatever blocks share its
-stack; there is no tolerance to set.
+matrix as its nonzero entries, and splits a batch of matrices at once as
+one block-diagonal matrix.  1x1 blocks take their |entry| and 2x2 blocks
+the closed form of ``exact_real._eig2x2``, written out here so that no
+window runs that module.  Every larger block, of any size, takes one path:
+the blocks of each size are reduced together to tridiagonal form by
+Householder reflections, then one bisection on Sturm counts (Barth, Martin
+& Wilkinson, Numer. Math. 9 (1967)) brackets the norms of all the
+tridiagonals down to adjacent floats.  Every sum runs in index order and no
+BLAS or LAPACK routine is called, so a norm has the same bits on every
+platform and whatever blocks share its batch; there is no tolerance to set.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError
 
-# edge_norms solves its pending stacks once they hold this many entries
+# edge_norms closes a batch once its matrices hold this many of n plus entries
 STACK_ENTRIES = 1 << 20
 # a Sturm pivot below this in magnitude counts as -_PIVMIN; on a scaled
 # block e*e/_PIVMIN stays finite
@@ -44,11 +44,15 @@ def _check_entries(n, rows, cols, values) -> None:
 
 def _blocks(n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray):
     """The diagonal blocks of the n x n matrix with entries values at (rows,
-    cols) over the connected components of that pattern, as (b, s, s) stacks
-    of equal size s.  Components are ordered by their smallest index, with
-    indices ascending inside each; entries outside the blocks are all zero.
-    """
-    label = np.arange(n)
+    cols) over the connected components of its pattern, by size: for each s,
+    ascending, the blocks' first indices and their (b, s, s) stack.  Indices
+    ascend inside a block and blocks by their first index; an index no entry
+    touches, a zero 1x1 block, is left out, and entries outside are zero."""
+    touched = np.zeros(n, dtype=bool)
+    touched[rows] = touched[cols] = True
+    nodes = np.flatnonzero(touched)
+    rows, cols = np.searchsorted(nodes, rows), np.searchsorted(nodes, cols)
+    label = np.arange(len(nodes))
     while True:  # min-label propagation with pointer jumping
         new = label.copy()
         np.minimum.at(new, rows, label[cols])
@@ -59,15 +63,15 @@ def _blocks(n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray):
         label = new
     order = np.argsort(label, kind="stable")
     starts = np.flatnonzero(np.diff(label[order], prepend=-1))
-    sizes = np.diff(starts, append=n)
+    sizes = np.diff(starts, append=len(nodes))
     for s in np.flatnonzero(np.bincount(sizes)):  # np.unique would import numpy.ma
         idx = order[starts[sizes == s][:, None] + np.arange(s)]
-        where = np.full(n, -1)  # b * s + slot of each index in these blocks
+        where = np.full(len(nodes), -1)  # b * s + slot of each index in these blocks
         where[idx.ravel()] = np.arange(idx.size)
         e = where[rows] >= 0
         B = np.zeros((len(idx), s, s))
         B[where[rows[e]] // s, where[rows[e]] % s, where[cols[e]] % s] = values[e]
-        yield B
+        yield nodes[idx[:, 0]], B
 
 
 def _tridiagonal(A: np.ndarray):
@@ -143,52 +147,48 @@ def _scaled(blocks: np.ndarray):
 
 
 def edge_norms(matrices) -> np.ndarray:
-    """max |eigenvalue| of each symmetric matrix in an iterable of
-    (n, rows, cols, values): an n x n matrix given by its nonzero entries.
-
-    Each matrix is checked for symmetry (ConfigError if it is not) and split
-    into its blocks, each scaled by _scaled.  A 2x2 block [[a, b],
-    [b, d]] gets (|a+d| + sqrt((a-d)(a-d) + 4b*b)) / 2, bitwise max |xi| of
-    exact_real._eig2x2(((a, b), (b, d))) wherever that neither overflows
-    nor underflows.  Larger blocks wait in stacks by size, solved whenever
-    the stacks reach STACK_ENTRIES entries and at the end, so an iterable
-    that builds its matrices lazily keeps memory bounded.
-    """
-    pending: dict[int, list] = {}  # size -> [(owners, scaled blocks, exponents)]
-    owners, values = [], []
-    count = entries = 0
-
-    def flush():
-        stacks = [[np.concatenate(part) for part in zip(*pending.pop(s))]
-                  for s in sorted(pending, reverse=True)]
-        if stacks:
-            owners.extend(k for k, _, _ in stacks)
-            values.append(np.ldexp(_bisect([_tridiagonal(b) for _, b, _ in stacks]),
-                                   np.concatenate([e for _, _, e in stacks])))
-
+    """max |eigenvalue| of each symmetric matrix (ConfigError if one is not)
+    in an iterable of (n, rows, cols, values), n x n with those nonzero
+    entries.  Consecutive matrices are solved in batches that close at
+    STACK_ENTRIES of n plus entries, so a lazy iterable keeps memory bounded."""
+    norms, batch, held = [], [], 0
     for matrix in matrices:
         _check_entries(*matrix)
-        for blocks in _blocks(*matrix):
-            s = blocks.shape[-1]
-            blocks, exp = _scaled(blocks)
-            owner = np.full(len(blocks), count)
-            if s > 2:
-                pending.setdefault(s, []).append((owner, blocks, exp))
-                entries += blocks.size
-                continue
-            a, b, d = blocks[:, 0, 0], blocks[:, 0, -1], blocks[:, -1, -1]
-            if s == 1:
-                norm = np.abs(a)
-            else:
-                norm = (np.abs(a + d) + np.sqrt((a - d) * (a - d) + 4.0 * b * b)) / 2.0
-            owners.append(owner)
-            values.append(np.ldexp(norm, exp))
-        count += 1
-        if entries >= STACK_ENTRIES:
-            flush()
-            entries = 0
-    flush()
-    norms = np.zeros(count)
-    if owners:
-        np.maximum.at(norms, np.concatenate(owners), np.concatenate(values))
+        batch.append(matrix)
+        held += matrix[0] + len(matrix[3])
+        if held >= STACK_ENTRIES:
+            norms.append(_batch_norms(*zip(*batch)))
+            batch, held = [], 0
+    if batch:
+        norms.append(_batch_norms(*zip(*batch)))
+    return np.concatenate(norms) if norms else np.zeros(0)
+
+
+def _batch_norms(ns, rows, cols, values) -> np.ndarray:
+    """edge_norms of a batch, given as the tuples of its matrices' n, rows,
+    cols and values, solved as one block-diagonal matrix whose blocks belong
+    to the matrix holding their first index.  A 2x2 block [[a, b], [b, d]]
+    gets (|a+d| + sqrt((a-d)(a-d) + 4b*b)) / 2, bitwise max |xi| of
+    exact_real._eig2x2(((a, b), (b, d))) unless that over- or underflows."""
+    starts = np.cumsum((0,) + ns[:-1])
+    rows, cols = (np.concatenate([i + at for i, at in zip(idx, starts)])
+                  for idx in (rows, cols))
+    norms, stacks = np.zeros(len(ns)), []
+    for first, blocks in _blocks(sum(ns), rows, cols, np.concatenate(values)):
+        owner = np.searchsorted(starts, first, side="right") - 1
+        blocks, exp = _scaled(blocks)
+        s = blocks.shape[-1]
+        if s > 2:
+            stacks.insert(0, (owner, blocks, exp))  # _bisect takes sizes descending
+            continue
+        a, b, d = blocks[:, 0, 0], blocks[:, 0, -1], blocks[:, -1, -1]
+        if s == 1:
+            norm = np.abs(a)
+        else:
+            norm = (np.abs(a + d) + np.sqrt((a - d) * (a - d) + 4.0 * b * b)) / 2.0
+        np.maximum.at(norms, owner, np.ldexp(norm, exp))
+    if stacks:
+        owners, blocks, exps = zip(*stacks)
+        hi = _bisect([_tridiagonal(b) for b in blocks])
+        np.maximum.at(norms, np.concatenate(owners), np.ldexp(hi, np.concatenate(exps)))
     return norms

@@ -513,10 +513,12 @@ def dissipativity_radius(field: PlanarField) -> DissipativityReport:
     k|v|^2 (1 - min(a,b)|v|^2/2), which is <= 0 for |v|^2 >= 2/min(a,b), sharp
     on the diagonal when a = b.  Componentwise family: t*f(t) =
     t^2 (p - t)(t - q) <= 0 for |t| >= max(p, q), on each component, with
-    (p, q) = (a, b) and (c, d).  The radii are floats, on exact fields too.
+    (p, q) = (a, b) and (c, d).  The radii are floats, each rounded once from
+    its exact value on an exact field, so an a below the smallest float counts.
     """
     if isinstance(field, CubicCoupled):
-        r0 = math.sqrt(2.0 / min(float(field.a), float(field.b)))
+        low = field.b if _negative(field.b - field.a) else field.a
+        r0 = float(_sqrt(2 / low))
         return DissipativityReport(r0=r0, verified=True)
     if isinstance(field, CubicUncoupled):
         r1 = max(float(field.a), float(field.b))

@@ -7,8 +7,8 @@ measured against the H2 norm of h, is the effective epsilon of the spatial
 averaging inequality for that window.  The scan walks every wide-enough
 spectral gap and reports the best window found.  A window matrix has one
 form, its nonzero entries (n, rows, cols, values) as ``window_entries``
-builds them; ``dense_eig.edge_norms`` splits every window into the blocks
-of its pattern, reduces equal-size blocks of many windows as one stack and
+builds them; ``dense_eig.edge_norms`` splits a batch of windows as one
+block-diagonal matrix, reduces its equal-size blocks as one stack and
 bisects them all together, with no LAPACK and no tolerance.  A window's
 norm has the same bits whatever windows share the call, so a scan row and
 ``windowed_norm`` agree exactly.  The scan enumerates the modes and builds

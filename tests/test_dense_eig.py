@@ -1,14 +1,16 @@
 """edge_norms (Householder reduction plus Sturm bisection, closed forms for
 1x1 and 2x2 blocks) against Sturm bisection, numpy and closed forms."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from imhyp import dense_eig
+from imhyp import dense_eig, spatial_averaging
 from imhyp.dense_eig import edge_norms
 from imhyp.errors import ConfigError
+from imhyp.lattice_spectrum import BoxDomain
 from imhyp.reaction_field import _eig2x2
 from oracles import entries, sturm_eigenvalues
 
@@ -26,6 +28,28 @@ def block_diagonal(*blocks):
         A[at : at + len(b), at : at + len(b)] = b
         at += len(b)
     return A
+
+
+# (multiplier, k, rho, lambda_max) of the sap-scan-cos-x1 and
+# sap-scan-file-csv golden configs
+GOLDEN_SCANS = (
+    (spatial_averaging.Multiplier(BoxDomain(dim=3), {(1, 0, 0): 1.0}), 3.0, 1.0, 20.0),
+    (spatial_averaging.Multiplier(BoxDomain(dim=2, bc="periodic"),
+                                  {(1, 0): 0.5, (1, 1): -0.25, (0, 2): 0.75}),
+     3.0, 1.0, 30.0),
+)
+
+
+def batch_ends(matrices, cap):
+    """The ends of the batches edge_norms closes under STACK_ENTRIES = cap:
+    each once its matrices hold cap of n plus entries."""
+    ends, held = [], 0
+    for i, (n, _, _, values) in enumerate(matrices, 1):
+        held += n + len(values)
+        if held >= cap:
+            ends.append(i)
+            held = 0
+    return ends
 
 
 def norm(A):
@@ -176,13 +200,17 @@ class TestSpectralNorm:
         [[1.0, 2.0], [0.5, 1.0]],  # closed-form block, once read from one side
         [[1.0, 2.0], [2.0 + 1e-9, 1.0]],
         [[0.0, 1.0], [0.0, 0.0]],
-    ], ids=["3x3", "2x2", "2x2-near", "2x2-one-sided"])
+        # off by 1e-9, where a tolerance taken over its company, 1e-12 (1 +
+        # 1e6), would pass it
+        [[1e-3, 2e-3], [2e-3 + 1e-9, 1e-3]],
+    ], ids=["3x3", "2x2", "2x2-near", "2x2-one-sided", "2x2-small-near"])
     def test_every_block_must_be_symmetric(self, A):
         with pytest.raises(ConfigError, match="symmetric"):
             edge_norms([entries(np.array(A))])
-        # one asymmetric matrix among symmetric ones fails the call
+        # one asymmetric matrix among symmetric ones fails the call, each
+        # checked against its own largest entry
         with pytest.raises(ConfigError, match="symmetric"):
-            edge_norms([entries(np.eye(2)), entries(np.array(A))])
+            edge_norms([entries(1e6 * np.eye(2)), entries(np.array(A))])
 
     def test_symmetry_check_ignores_explicit_zeros(self):
         # an explicit zero entry needs no transpose
@@ -252,9 +280,52 @@ class TestSpectralNorm:
         assert got[1] == 0.0
 
     def test_stacking_cap_does_not_change_norms(self, monkeypatch):
+        # random matrices and the windows of the two sap-scan golden configs,
+        # with a cap that closes a batch mid-list and leaves the list ending
+        # mid-batch
         rng = np.random.default_rng(51)
-        mats = [entries(random_symmetric(rng, int(rng.integers(1, 12))))
-                for _ in range(25)]
-        full = edge_norms(mats)
-        monkeypatch.setattr(dense_eig, "STACK_ENTRIES", 16)
-        assert np.array_equal(edge_norms(mats), full)
+        lists = [[entries(random_symmetric(rng, int(rng.integers(1, 12))))
+                  for _ in range(25)]]
+
+        def record(matrices):
+            lists.append(list(matrices))
+            return edge_norms(lists[-1])
+
+        monkeypatch.setattr(spatial_averaging, "edge_norms", record)
+        for h, k, rho, lambda_max in GOLDEN_SCANS:
+            spatial_averaging.sap_scan(h, k, rho, lambda_max)
+        monkeypatch.undo()
+        assert [len(mats) for mats in lists] == [25, 19, 16]
+        for mats in lists:
+            full = edge_norms(mats)
+            cap = sum(n + len(values) for n, _, _, values in mats) * 2 // 5
+            ends = batch_ends(mats, cap)
+            assert 1 < ends[0] and ends[-1] < len(mats)
+            monkeypatch.setattr(dense_eig, "STACK_ENTRIES", cap)
+            assert np.array_equal(edge_norms(mats), full)
+            monkeypatch.undo()
+
+    def test_lazy_iterable_keeps_memory_bounded(self, monkeypatch):
+        # a batch holds about 57 8x8 matrices; those a generator builds are
+        # dropped once their batch is solved, so the peak stays far below
+        # what the whole list takes
+        def matrices():
+            rng = np.random.default_rng(55)
+            return (entries(random_symmetric(rng, 8)) for _ in range(1000))
+
+        monkeypatch.setattr(dense_eig, "STACK_ENTRIES", 1 << 12)
+        tracemalloc.start()
+        try:
+            size = tracemalloc.get_traced_memory()[0]
+            listed = list(matrices())
+            size = tracemalloc.get_traced_memory()[0] - size
+            del listed
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            got = edge_norms(matrices())
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < size / 4
+        last = list(matrices())[-1]
+        assert got.shape == (1000,) and got[-1] == edge_norms([last])[0]

@@ -6,8 +6,8 @@ layer: the package binds its layers without running them, and --version,
 fields, dissipativity among them (its radius is an inequality, not a
 sample), start without numpy.  No certificate or window command loads
 numpy.ma.  A certificate over 1x1 Jacobians runs neither reaction_field
-nor exact_real, and one over 2x2 --jac/--jacs runs exact_real's 2x2 eigen
-routine but never reaction_field.
+nor exact_real, nor does a window scan, and one over 2x2 --jac/--jacs runs
+exact_real's 2x2 eigen routine but never reaction_field.
 
 The test modules import sympy and numpy themselves, so each check runs in a
 fresh interpreter.
@@ -227,6 +227,15 @@ def test_one_by_one_certificates_never_run_reaction_field():
         _, seen = watch(SCALAR_ARGV, module)
         assert [code for _, code, _ in seen] == [0] * (len(SCALAR_ARGV) + 1)
         assert [step for step, _, loaded in seen if loaded] == [], module
+
+
+def test_window_scans_never_run_reaction_field():
+    # nor exact_real: dense_eig writes out the closed form of its 2x2 routine
+    argv = NUMPY_ARGV[1]
+    for module in ("imhyp.reaction_field", "imhyp.exact_real"):
+        _, seen = watch([argv], module)
+        assert seen == [["from imhyp.driver import main", 0, False],
+                        [" ".join(argv), 0, False]], module
 
 
 def test_two_by_two_certificates_never_run_reaction_field():

@@ -589,6 +589,13 @@ class TestDissipativityAndRegion:
             assert rep.component_radii == (max(a, b), max(c, d))
             assert rep.r0 == max(a, b, c, d)
 
+    def test_exact_radius_below_the_smallest_float(self):
+        # a rounds to 0.0, but 2/a roots exactly to sqrt(2) 10**200
+        f = CubicCoupled(k="1", a="1/10**400", b="1")
+        assert dissipativity_radius(f).r0 == 1.414213562373095e200
+        assert dissipativity_radius(CubicCoupled(1, 1, Fraction(1, 10**400))).r0 == (
+            1.414213562373095e200)
+
     def test_poly_rejected(self):
         with pytest.raises(ConfigError):
             dissipativity_radius(linear_field(((1.0, 0.0), (0.0, 1.0))))
